@@ -11,7 +11,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .fieldcodes import CodeReport, FpMatrix, analyze, format_matrix_text, row_space_code
@@ -31,16 +30,6 @@ __all__ = ["run", "console", "emit"]
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
-
-_WORKERS_ENV = "LIECODES_WORKERS"
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get(_WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -69,13 +58,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pr = sub.add_parser("report", help="emit the code report of a module")
     common(pr, True)
-    pr.add_argument("--workers", type=int, default=None, help=f"enumeration workers (default ${_WORKERS_ENV} or 1)")
 
     pv = sub.add_parser("verify", help="run the claim verification suite")
     pv.add_argument("--filter", default=None, help="case id pattern, e.g. thm2.2 or thm3.*")
     pv.add_argument("--max-n", type=int, default=15, help="largest sl(n) size to run")
     pv.add_argument("--max-m", type=int, default=11, help="largest o(2m) size to run")
-    pv.add_argument("--workers", type=int, default=None)
     pv.add_argument("--include-optional", action="store_true", help="run the large flagged cases as well")
     pv.add_argument("--stable", action="store_true", help="zero timing fields for byte-identical output")
     pv.add_argument("--format", default="text", choices=["text", "json", "csv"])
@@ -268,20 +255,13 @@ def run(argv=None) -> int:
         if args.command == "report":
             spec = _module_spec(args)
             wm = build_weight_matrix(spec)
-            workers = args.workers if args.workers is not None else _default_workers()
-            report = analyze(row_space_code(wm.mod(spec.p)), workers=workers)
+            report = analyze(row_space_code(wm.mod(spec.p)))
             _write_payload(_report_payload(report, args.format), args.output)
             return EXIT_OK
 
         if args.command == "verify":
-            workers = args.workers if args.workers is not None else _default_workers()
             limits = VerifyLimits(max_n=args.max_n, max_m=args.max_m)
-            suite = run_suite(
-                filter=args.filter,
-                limits=limits,
-                include_optional=args.include_optional,
-                workers=workers,
-            )
+            suite = run_suite(filter=args.filter, limits=limits, include_optional=args.include_optional)
             _write_payload(_suite_payload(suite, args.format, args.stable), args.output)
             return EXIT_OK if suite.totals["failed"] == 0 else EXIT_VERIFY_FAILED
 

@@ -1,18 +1,16 @@
 """Exact linear algebra and code analytics over the prime fields F2 and F3.
 
-Generator matrices carry entries reduced modulo p.  Minimum distances and
-weight distributions come from exhaustive enumeration of the row space:
-codewords are packed into Python integers (one bit plane over F2, two bit
-planes over F3) and visited in reflected Gray order, so every step costs one
-packed row addition and one population count.  The coefficient space can be
-split across worker processes; the result is a deterministic reduction and
-does not depend on the worker count.
+Generator matrices carry entries reduced modulo p.  Weight distributions,
+and minimum distances read off them, come from exhaustive enumeration of the
+row space.  The basis is packed into uint64 bit planes (one plane over F2,
+planes for symbols 1 and 2 over F3).  A table holds every combination of the
+first basis rows; each combination of the remaining rows is then added
+across the whole table in one vectorized step and the resulting weights are
+counted with a population count and a histogram.
 """
 
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -213,203 +211,126 @@ def combination_weight(m: FpMatrix, coeffs: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# packed enumeration kernels
+# weight enumeration
 
-_SENTINEL = 1 << 62
+# Byte budget of the table of row combinations.  A table this size stays in
+# the L2 cache while every outer word is added across it.
+_TABLE_BYTES = 1 << 18
 
 
-def _pack_rows(p: int, g: np.ndarray) -> list:
-    """Pack generator rows into machine words.
+def _pack_planes(c: LinearCode) -> np.ndarray:
+    """Basis rows as a (k, p-1, W) uint64 array, W = ceil(n / 64).
 
-    F2 rows become single bit masks.  F3 rows become (ones, twos) plane
-    pairs: bit j of `ones` marks symbol 1 at position j, bit j of `twos`
-    marks symbol 2.
+    Bit j of plane v-1 marks symbol v at position j; padding bits are zero.
     """
+    words = -(-c.n // 64)
+    bits = np.zeros((c.k, c.p - 1, 64 * words), dtype=bool)
+    bits[..., : c.n] = c.basis.entries[:, None, :] == np.arange(1, c.p)[:, None]
+    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+
+
+def _add(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of packed words over F_p; axis 0 holds the p-1 symbol planes."""
     if p == 2:
-        return [int(sum(1 << int(j) for j in np.flatnonzero(row))) for row in g]
-    packed = []
-    for row in g:
-        ones = 0
-        twos = 0
-        for j, v in enumerate(row):
-            if v == 1:
-                ones |= 1 << j
-            elif v == 2:
-                twos |= 1 << j
-        packed.append((ones, twos))
-    return packed
+        return a ^ b
+    # a sum is 1 from 0+1, 1+0 or 2+2, and 2 from 0+2, 2+0 or 1+1
+    return (a & b)[::-1] | ((a ^ b) & ~(a | b)[::-1])
 
 
-def _start_word(p: int, g: np.ndarray, prefix: tuple[int, ...]):
-    """Packed codeword for the coefficient vector (0,...,0, prefix)."""
-    k = g.shape[0]
-    coeffs = np.zeros(k, dtype=np.int64)
-    if prefix:
-        coeffs[k - len(prefix):] = prefix
-    vec = coeffs @ g % p if k else np.zeros(g.shape[1], dtype=np.int64)
-    packed = _pack_rows(p, vec.reshape(1, -1))
-    return packed[0]
+def _table_rows(p: int, k: int, words: int) -> int:
+    """Rows in the table: the most whose p^a combinations fit _TABLE_BYTES."""
+    entry = 8 * (p - 1) * words
+    a = 0
+    while a < k and p ** (a + 1) * entry <= _TABLE_BYTES:
+        a += 1
+    return a
 
 
-def _prefix_tasks(p: int, k: int, workers: int) -> tuple[int, list[tuple[int, ...]]]:
-    """Split the coefficient space by pinning the trailing `f` coefficients."""
-    if workers <= 1 or k == 0:
-        return 0, [()]
-    f, size = 0, 1
-    while f < k and size < 2 * workers:
-        f += 1
+def _combinations(p: int, rows: np.ndarray) -> np.ndarray:
+    """All p^a combinations of the packed rows as a (p-1, W, p^a) array.
+
+    Column i holds the combination whose coefficient on row j is base-p
+    digit j of i.
+    """
+    a, planes, words = rows.shape
+    table = np.zeros((planes, words, p**a), dtype=np.uint64)
+    size = 1
+    for row in rows:
+        multiple = row[..., None]
+        for d in range(1, p):
+            table[..., d * size : (d + 1) * size] = _add(p, table[..., :size], multiple)
+            multiple = multiple[::-1]  # twice a row over F3 swaps its planes
         size *= p
-    return f, list(itertools.product(range(p), repeat=f))
+    return table
 
 
-def _min_weight_chunk2(rows: Sequence[int], word: int, skip_start: bool) -> int:
-    best = _SENTINEL if skip_start else word.bit_count()
-    for t in range(1, 1 << len(rows)):
-        word ^= rows[(t & -t).bit_length() - 1]
-        w = word.bit_count()
-        if w < best:
-            best = w
-    return best
+def _valuation(p: int, i: int) -> int:
+    """Number of trailing zero base-p digits of i > 0."""
+    j = 0
+    while i % p == 0:
+        i //= p
+        j += 1
+    return j
 
 
-def _min_weight_chunk3(rows: Sequence[tuple[int, int]], word: tuple[int, int], skip_start: bool) -> int:
-    w1, w2 = word
-    best = _SENTINEL if skip_start else (w1 | w2).bit_count()
-    f = len(rows)
-    if f == 0:
-        return best
-    # loopless reflected mixed-radix Gray walk: one digit moves by +-1 per step
-    digits = [0] * f
-    direction = [1] * f
-    focus = list(range(f + 1))
-    while True:
-        j = focus[0]
-        focus[0] = 0
-        if j == f:
-            break
-        if direction[j] > 0:
-            digits[j] += 1
-            r1, r2 = rows[j]
-        else:
-            digits[j] -= 1
-            r2, r1 = rows[j]  # subtracting a row adds its double (planes swap)
-        nw = ~(w1 | w2)
-        nr = ~(r1 | r2)
-        t1 = (w1 & nr) | (r1 & nw) | (w2 & r2)
-        t2 = (w2 & nr) | (r2 & nw) | (w1 & r1)
-        w1, w2 = t1, t2
-        w = (t1 | t2).bit_count()
-        if w < best:
-            best = w
-        d = digits[j]
-        if d == 0 or d == 2:
-            direction[j] = -direction[j]
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-    return best
+def weight_distribution(c: LinearCode) -> tuple[int, ...]:
+    """Codeword counts A_0..A_n by Hamming weight; the counts sum to p^k.
 
-
-def _dist_chunk2(rows: Sequence[int], word: int, counts: list[int]) -> None:
-    counts[word.bit_count()] += 1
-    for t in range(1, 1 << len(rows)):
-        word ^= rows[(t & -t).bit_length() - 1]
-        counts[word.bit_count()] += 1
-
-
-def _dist_chunk3(rows: Sequence[tuple[int, int]], word: tuple[int, int], counts: list[int]) -> None:
-    w1, w2 = word
-    counts[(w1 | w2).bit_count()] += 1
-    f = len(rows)
-    if f == 0:
-        return
-    digits = [0] * f
-    direction = [1] * f
-    focus = list(range(f + 1))
-    while True:
-        j = focus[0]
-        focus[0] = 0
-        if j == f:
-            break
-        if direction[j] > 0:
-            digits[j] += 1
-            r1, r2 = rows[j]
-        else:
-            digits[j] -= 1
-            r2, r1 = rows[j]
-        nw = ~(w1 | w2)
-        nr = ~(r1 | r2)
-        t1 = (w1 & nr) | (r1 & nw) | (w2 & r2)
-        t2 = (w2 & nr) | (r2 & nw) | (w1 & r1)
-        w1, w2 = t1, t2
-        counts[(t1 | t2).bit_count()] += 1
-        d = digits[j]
-        if d == 0 or d == 2:
-            direction[j] = -direction[j]
-            focus[j] = focus[j + 1]
-            focus[j + 1] = j + 1
-
-
-def _min_task(args) -> int:
-    p, free_rows, start, skip_start = args
-    if p == 2:
-        return _min_weight_chunk2(free_rows, start, skip_start)
-    return _min_weight_chunk3(free_rows, start, skip_start)
-
-
-def _dist_task(args) -> list[int]:
-    p, n, free_rows, start = args
-    counts = [0] * (n + 1)
-    if p == 2:
-        _dist_chunk2(free_rows, start, counts)
-    else:
-        _dist_chunk3(free_rows, start, counts)
-    return counts
-
-
-def min_distance(c: LinearCode, workers: int | None = None) -> int:
-    """Smallest Hamming weight among the p^k - 1 nonzero codewords.
-
-    With `workers` > 1 the coefficient space is partitioned by pinning
-    trailing coefficients and the chunks run in separate processes; the
-    minimum over chunks is independent of the split.
+    Meet in the middle: the first a basis rows give a table of all p^a
+    combinations, and each combination u of the remaining rows is added
+    across the whole table at once.  Over F3, c and 2c have the same weight,
+    so only outer words whose last nonzero coefficient is 1 are visited and
+    each counts twice.
     """
+    p, n = c.p, c.n
+    rows = _pack_planes(c)
+    a = _table_rows(p, c.k, rows.shape[-1])
+    table = _combinations(p, rows[:a])
+    support = table[0] if p == 2 else table[0] | table[1]
+    x = np.empty_like(support)
+    y = np.empty_like(support)
+    ones = np.empty(support.shape, dtype=np.uint8)
+    # the narrowest unsigned type that holds a weight; a sum in it is cheap
+    weights = np.empty(support.shape[1], dtype=np.min_scalar_type(n))
+
+    def histogram(words: np.ndarray) -> np.ndarray:
+        np.bitwise_count(words, out=ones)
+        np.add.reduce(ones, axis=0, out=weights)
+        return np.bincount(weights, minlength=n + 1)
+
+    outer = np.zeros(n + 1, dtype=np.int64)
+    sums: list[np.ndarray] = []  # sums[j] = outer row 0 + ... + outer row j
+    for m, lead in enumerate(rows[a:]):
+        # u = lead + every combination of the outer rows before it, counted
+        # up in base p: a step that raises digit j and wraps the digits below
+        # it from p-1 to 0 adds sums[j]
+        u = lead
+        for i in range(p**m):
+            if i:
+                u = _add(p, u, sums[_valuation(p, i)])
+            if p == 2:
+                np.bitwise_xor(support, u[0][:, None], out=x)
+            else:
+                # t + u vanishes where both vanish or {t, u} = {1, 2}
+                np.bitwise_or(support, (u[0] | u[1])[:, None], out=x)
+                np.bitwise_and(table[0], u[1][:, None], out=y)
+                x ^= y
+                np.bitwise_and(table[1], u[0][:, None], out=y)
+                x ^= y
+            outer += histogram(x)
+        sums.append(_add(p, sums[-1], lead) if sums else lead)
+    return tuple((histogram(support) + (p - 1) * outer).tolist())
+
+
+def min_distance(c: LinearCode) -> int:
+    """Smallest Hamming weight among the p^k - 1 nonzero codewords."""
     if c.k == 0:
         raise EmptyCodeError("minimum distance is undefined for the zero code")
-    nworkers = int(workers or 1)
-    g = c.basis.entries
-    rows = _pack_rows(c.p, g)
-    f, prefixes = _prefix_tasks(c.p, c.k, nworkers)
-    free = rows[: c.k - f]
-    tasks = []
-    for pref in prefixes:
-        start = _start_word(c.p, g, pref)
-        tasks.append((c.p, free, start, not any(pref)))
-    if nworkers <= 1 or len(tasks) == 1:
-        return min(_min_task(t) for t in tasks)
-    with ProcessPoolExecutor(max_workers=nworkers) as pool:
-        chunk = max(1, len(tasks) // nworkers)
-        return min(pool.map(_min_task, tasks, chunksize=chunk))
+    return _first_nonzero_weight(weight_distribution(c))
 
 
-def weight_distribution(c: LinearCode, workers: int | None = None) -> tuple[int, ...]:
-    """Codeword counts A_0..A_n by Hamming weight; the counts sum to p^k."""
-    nworkers = int(workers or 1)
-    g = c.basis.entries
-    rows = _pack_rows(c.p, g)
-    f, prefixes = _prefix_tasks(c.p, c.k, nworkers)
-    free = rows[: c.k - f]
-    tasks = [(c.p, c.n, free, _start_word(c.p, g, pref)) for pref in prefixes]
-    if nworkers <= 1 or len(tasks) == 1:
-        parts = [_dist_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            chunk = max(1, len(tasks) // nworkers)
-            parts = list(pool.map(_dist_task, tasks, chunksize=chunk))
-    total = [0] * (c.n + 1)
-    for part in parts:
-        for w, v in enumerate(part):
-            total[w] += v
-    return tuple(total)
+def _first_nonzero_weight(dist: Sequence[int]) -> int | None:
+    return next((w for w in range(1, len(dist)) if dist[w]), None)
 
 
 @dataclass(frozen=True)
@@ -447,14 +368,10 @@ class CodeReport:
         }
 
 
-def analyze(c: LinearCode, workers: int | None = None) -> CodeReport:
+def analyze(c: LinearCode) -> CodeReport:
     """Full report: parameters, weight distribution, orthogonality flags."""
-    dist = weight_distribution(c, workers=workers)
-    d = None
-    for w in range(1, c.n + 1):
-        if dist[w]:
-            d = w
-            break
+    dist = weight_distribution(c)
+    d = _first_nonzero_weight(dist)
     g = c.basis.entries
     gram = g @ g.T % c.p
     self_orthogonal = not gram.any()

@@ -107,7 +107,7 @@ class VerifyLimits:
 
     max_n: int = 15  # sl(n) families
     max_m: int = 11  # o(2m) families
-    max_work: int = 600_000_000  # n * p^k enumeration budget
+    max_work: int = 600_000_000  # n * p^k enumeration budget, k the computed rank
 
 
 def _case(
@@ -385,29 +385,31 @@ def registered_cases() -> tuple[TheoremCase, ...]:
     return tuple(cases)
 
 
-def _case_work(case: TheoremCase) -> int:
-    return case.expected_n * case.spec.p ** case.expected_k
-
-
-def _within_limits(case: TheoremCase, limits: VerifyLimits) -> bool:
+def _within_size_limits(case: TheoremCase, limits: VerifyLimits) -> bool:
     if case.spec.family == "A" and case.spec.rank > limits.max_n:
         return False
     if case.spec.family == "D" and case.spec.rank > limits.max_m:
         return False
-    return _case_work(case) <= limits.max_work
+    return True
 
 
-def run_case(case: TheoremCase, limits: VerifyLimits | None = None, workers: int | None = None) -> CaseResult:
+def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResult:
     """Build, reduce, analyze and compare one case.
 
     A case beyond the resource limits is reported as skipped, never failed.
+    The enumeration budget is checked on the computed rank, so a wrongly
+    registered dimension cannot start an enumeration beyond it.
     """
     limits = limits or VerifyLimits()
-    if not _within_limits(case, limits):
-        return CaseResult(case.case_id, False, True, (), None, 0.0)
+    skipped = CaseResult(case.case_id, False, True, (), None, 0.0)
+    if not _within_size_limits(case, limits):
+        return skipped
     t0 = time.perf_counter()
     wm = build_weight_matrix(case.spec)
-    report = analyze(row_space_code(wm.mod(case.spec.p)), workers=workers)
+    code = row_space_code(wm.mod(case.spec.p))
+    if code.n * code.p**code.k > limits.max_work:
+        return skipped
+    report = analyze(code)
     mismatches = []
     for name, want, got in (
         ("n", case.expected_n, report.n),
@@ -434,7 +436,6 @@ def run_suite(
     filter: str | None = None,
     limits: VerifyLimits | None = None,
     include_optional: bool = False,
-    workers: int | None = None,
 ) -> SuiteReport:
     """Run every registered case matching the filter, in registry order."""
     limits = limits or VerifyLimits()
@@ -443,7 +444,7 @@ def run_suite(
         for c in registered_cases()
         if _matches(c.case_id, filter) and (include_optional or not c.optional)
     ]
-    results = [run_case(c, limits, workers) for c in selected]
+    results = [run_case(c, limits) for c in selected]
     by_id = {c.case_id: c for c in selected}
     discrepancies: list[dict] = []
     for res in results:
@@ -626,7 +627,7 @@ class BranchCheck:
     identical: bool
 
 
-def branch_equivalences(workers: int | None = None) -> tuple[BranchCheck, ...]:
+def branch_equivalences() -> tuple[BranchCheck, ...]:
     """Pairs of constructions that must generate reports with identical
     parameters and weight distributions."""
     pairs = (
@@ -648,8 +649,8 @@ def branch_equivalences(workers: int | None = None) -> tuple[BranchCheck, ...]:
     )
     checks = []
     for check_id, left_wm, right_wm in pairs:
-        left = analyze(row_space_code(left_wm.mod(3)), workers=workers)
-        right = analyze(row_space_code(right_wm.mod(3)), workers=workers)
+        left = analyze(row_space_code(left_wm.mod(3)))
+        right = analyze(row_space_code(right_wm.mod(3)))
         identical = (
             left.params() == right.params()
             and left.weight_distribution == right.weight_distribution

@@ -108,20 +108,9 @@ def test_emit_matrix_csv():
 
 
 def test_workers_flag(capsys):
-    code, out, _ = invoke(
-        capsys,
-        "report", "--family", "E7", "--module", "adjoint", "--field", "3",
-        "--format", "json", "--workers", "2",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert (payload["n"], payload["k"], payload["d"]) == (63, 7, 27)
-
-
-def test_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("LIECODES_WORKERS", "2")
-    code, out, _ = invoke(
-        capsys, "report", "--family", "F4", "--module", "minimal", "--field", "3", "--format", "json"
-    )
-    assert code == 0
-    assert json.loads(out)["d"] == 6
+    # enumeration runs in one process; the removed flag is a usage error
+    for command in ("report", "verify"):
+        args = ["--family", "E7", "--module", "adjoint", "--field", "3"] if command == "report" else []
+        code, out, err = invoke(capsys, command, *args, "--workers", "2")
+        assert code == 2 and not out
+        assert "--workers" in err

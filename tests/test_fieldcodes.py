@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from liecodes import fieldcodes
 from liecodes.fieldcodes import (
     EmptyCodeError,
     FpMatrix,
@@ -18,11 +19,13 @@ from liecodes.fieldcodes import (
 )
 from liecodes.repweights import (
     adjoint_weight_matrix_A,
+    build_weight_matrix,
     d_spin_matrix,
     exceptional_adjoint_matrix,
     ext_weight_matrix_A,
     fixture_matrix,
 )
+from liecodes.verify import registered_cases
 
 from _oracles import naive_min_distance, naive_weight_distribution
 
@@ -139,17 +142,33 @@ def test_min_distance_f4_and_e8():
     assert min_distance(e8) == 57
 
 
-def test_worker_counts_agree():
-    codes = [
-        row_space_code(exceptional_adjoint_matrix("F4").mod(3)),
-        row_space_code(ext_weight_matrix_A(8, 2, "cartan_h").mod(3)),
-        row_space_code(ext_weight_matrix_A(10, 3, "cartan_h").mod(2)),
-    ]
-    for code in codes:
-        base = min_distance(code)
-        assert min_distance(code, workers=2) == base
-        assert min_distance(code, workers=5) == base
-        assert weight_distribution(code, workers=3) == weight_distribution(code)
+def test_table_split_agrees_with_oracle(monkeypatch):
+    # a table of the zero word alone: every basis row is an outer row
+    monkeypatch.setattr(fieldcodes, "_TABLE_BYTES", 0)
+    check_random_codes_against_oracle()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+def test_padding_words_agree_with_oracle(p, n, seed=17):
+    # n one below, at and above a 64-bit word boundary; k = 0, 1 and 4
+    rng = np.random.default_rng(seed + n + p)
+    for k in (0, 1, 4):
+        code = row_space_code(FpMatrix(p, rng.integers(0, p, size=(k, n))))
+        assert code.k == k
+        rows = code.basis.entries.tolist()
+        assert list(weight_distribution(code)) == naive_weight_distribution(p, rows, n)
+
+
+def test_ternary_single_outer_row_agrees_with_oracle(monkeypatch, seed=29):
+    rng = np.random.default_rng(seed)
+    code = row_space_code(FpMatrix(3, rng.integers(0, 3, size=(5, 40))))
+    assert code.k == 5
+    # one 40-symbol word is two uint64 planes, 16 bytes: a table of 3^4 words
+    monkeypatch.setattr(fieldcodes, "_TABLE_BYTES", 16 * 3**4)
+    assert fieldcodes._table_rows(3, code.k, 1) == code.k - 1
+    rows = code.basis.entries.tolist()
+    assert list(weight_distribution(code)) == naive_weight_distribution(3, rows, code.n)
 
 
 def test_weight_distribution_zero_code():
@@ -187,11 +206,10 @@ def test_min_distance_matches_distribution():
         assert min_distance(code) == next(w for w in range(1, code.n + 1) if dist[w])
 
 
-def test_oracle_equivalence_on_random_codes(seed=2024):
+def check_random_codes_against_oracle(seed=2024):
     # 200 random generator matrices, checked against the unpacked oracle
     rng = np.random.default_rng(seed)
-    checked = 0
-    while checked < 200:
+    for _ in range(200):
         p = int(rng.choice([2, 3]))
         m = random_fp_matrix(rng, p)
         code = row_space_code(m)
@@ -200,9 +218,56 @@ def test_oracle_equivalence_on_random_codes(seed=2024):
         assert list(dist) == naive_weight_distribution(p, rows, code.n)
         if code.k:
             assert min_distance(code) == naive_min_distance(p, rows, code.n)
-            if checked % 20 == 0:
-                assert min_distance(code, workers=2) == min_distance(code)
-        checked += 1
+
+
+def test_oracle_equivalence_on_random_codes():
+    check_random_codes_against_oracle()
+
+
+def krawtchouk_transform(p, n, k, dist):
+    """B_j = sum_w A_w K_j(w) / p^k, exactly, for j = 0..n.
+
+    K_j(w) follows the three-term recurrence
+    (j+1) K_{j+1} = ((p-1)(n-j) + j - p w) K_j - (p-1)(n-j+1) K_{j-1},
+    evaluated only at weights with A_w != 0.
+    """
+    size = p**k
+    support = [(w, a) for w, a in enumerate(dist) if a]
+    prev = [0] * len(support)
+    cur = [1] * len(support)
+    out = []
+    for j in range(n + 1):
+        total = sum(a * kj for (_, a), kj in zip(support, cur))
+        assert total % size == 0, f"B_{j} is not an integer"
+        out.append(total // size)
+        nxt = []
+        for (w, _), km, kj in zip(support, prev, cur):
+            num = ((p - 1) * (n - j) + j - p * w) * kj - (p - 1) * (n - j + 1) * km
+            assert num % (j + 1) == 0
+            nxt.append(num // (j + 1))
+        prev, cur = cur, nxt
+    return out
+
+
+def test_krawtchouk_transform_of_small_codes():
+    # the transform of a code's distribution is its dual's distribution
+    for wm, p in [(fixture_matrix("F4_minimal"), 3), (ext_weight_matrix_A(6, 2, "cartan_h"), 2)]:
+        code = row_space_code(wm.mod(p))
+        got = krawtchouk_transform(p, code.n, code.k, weight_distribution(code))
+        assert got == list(weight_distribution(dual_code(code)))
+
+
+@pytest.mark.parametrize("case_id", ["thm2.2/n=15", "cor3.4/m=9", "cor3.4/m=11"])
+def test_macwilliams_identity_on_large_codes(case_id):
+    # MacWilliams & Sloane (1977), ch. 5: the transform of a code's weight
+    # distribution is a weight distribution, that of the dual code
+    case = next(c for c in registered_cases() if c.case_id == case_id)
+    code = row_space_code(build_weight_matrix(case.spec).mod(case.spec.p))
+    assert (code.n, code.k) == (case.expected_n, case.expected_k)
+    b = krawtchouk_transform(code.p, code.n, code.k, weight_distribution(code))
+    assert b[0] == 1
+    assert min(b) >= 0
+    assert sum(b) == code.p ** (code.n - code.k)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Tests for the claim registry, closed forms, tables and cross-checks."""
 
+import dataclasses
 import json
 
 import pytest
 
+from liecodes import verify
 from liecodes.fieldcodes import combination_weight
 from liecodes.repweights import (
     ModuleSpec,
@@ -117,6 +119,16 @@ def test_run_case_respects_limits():
     assert res.skipped and not res.passed
     res = run_case(case_by_id("thm2.2/n=14"), VerifyLimits(max_n=12))
     assert res.skipped
+
+
+def test_work_budget_uses_computed_rank(monkeypatch):
+    # registered with k = 2 but of rank 7: n p^k = 567 fits a budget of
+    # 10^4, n p^7 = 137781 does not, so the case is skipped unenumerated
+    true_case = case_by_id("thm6.2")
+    wrong = dataclasses.replace(true_case, case_id="thm6.2/wrong-k", expected_k=2)
+    monkeypatch.setattr(verify, "analyze", lambda code: pytest.fail("enumeration started"))
+    res = run_case(wrong, VerifyLimits(max_work=10_000))
+    assert res.skipped and not res.passed and res.report is None
 
 
 def test_run_suite_filter_and_determinism():
