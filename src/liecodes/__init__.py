@@ -40,7 +40,6 @@ from .repweights import (
     d_spin_matrix,
     exceptional_adjoint_matrix,
     exceptional_minimal_matrix,
-    ext4_sl8_matrix,
     ext_weight_matrix_A,
     fixture_matrix,
     to_cartan_h,

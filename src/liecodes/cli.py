@@ -14,7 +14,8 @@ import json
 import sys
 
 from .fieldcodes import CodeReport, FpMatrix, analyze, format_matrix_text, row_space_code
-from .repweights import ModuleSpec, build_weight_matrix
+from .repweights import ALLOWED_MODULES, ModuleSpec, build_weight_matrix
+from .rootsys import EXCEPTIONAL_RANKS
 from .verify import (
     SuiteReport,
     TableRow,
@@ -22,10 +23,10 @@ from .verify import (
     registered_cases,
     reproduce_table,
     run_suite,
-    suite_to_dict,
+    to_json,
 )
 
-__all__ = ["run", "console", "emit"]
+__all__ = ["run", "console"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -40,14 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser, with_module: bool) -> None:
         if with_module:
-            p.add_argument("--family", required=True, choices=["A", "D", "E6", "E7", "E8", "F4"])
+            p.add_argument("--family", required=True, choices=sorted(ALLOWED_MODULES))
             p.add_argument("--n", type=int, help="sl(n) size parameter (family A)")
             p.add_argument("--m", type=int, help="o(2m) size parameter (family D)")
-            p.add_argument(
-                "--module",
-                required=True,
-                choices=["ext2", "ext3", "ext4", "adjoint", "spin", "adjoint_plus_spin", "minimal"],
-            )
+            modules = dict.fromkeys(m for allowed in ALLOWED_MODULES.values() for m in allowed)
+            p.add_argument("--module", required=True, choices=list(modules))
             p.add_argument("--field", type=int, required=True, choices=[2, 3])
             p.add_argument("--mode", choices=["weight_code", "direct_sum"], help="adjoint_plus_spin block layout")
         p.add_argument("--format", default="text", choices=["text", "json", "csv"])
@@ -77,6 +75,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _module_spec(args: argparse.Namespace) -> ModuleSpec:
+    if args.n is not None and args.family != "A":
+        raise ValueError("--n applies to family A only")
+    if args.m is not None and args.family != "D":
+        raise ValueError("--m applies to family D only")
+    if args.mode is not None and args.module != "adjoint_plus_spin":
+        raise ValueError("--mode applies to module adjoint_plus_spin only")
     if args.family == "A":
         if args.n is None:
             raise ValueError("family A needs --n")
@@ -86,7 +90,7 @@ def _module_spec(args: argparse.Namespace) -> ModuleSpec:
             raise ValueError("family D needs --m")
         rank = args.m
     else:
-        rank = {"F4": 4, "E6": 6, "E7": 7, "E8": 8}[args.family]
+        rank = EXCEPTIONAL_RANKS[args.family]
     return ModuleSpec(args.family, rank, args.module, args.field, mode=args.mode)
 
 
@@ -175,7 +179,7 @@ def _suite_payload(report: SuiteReport, fmt: str, stable: bool) -> str:
     if fmt == "text":
         return _suite_text(report, stable)
     if fmt == "json":
-        return json.dumps(suite_to_dict(report, stable=stable), indent=2, sort_keys=True) + "\n"
+        return to_json(report, stable)
     rows = []
     for res in report.results:
         status = "skip" if res.skipped else ("pass" if res.passed else "fail")
@@ -215,23 +219,13 @@ def _table_payload(rows: tuple[TableRow, ...], fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(obj, fmt: str = "text", stable: bool = False, labels: tuple[str, ...] = ()) -> str:
-    """Render a matrix, code report, suite report or table comparison."""
-    if isinstance(obj, FpMatrix):
-        return _matrix_payload(obj, labels or tuple(f"c{j + 1}" for j in range(obj.cols)), fmt)
-    if isinstance(obj, CodeReport):
-        return _report_payload(obj, fmt)
-    if isinstance(obj, SuiteReport):
-        return _suite_payload(obj, fmt, stable)
-    if isinstance(obj, tuple) and obj and isinstance(obj[0], TableRow):
-        return _table_payload(obj, fmt)
-    raise TypeError(f"cannot emit {type(obj).__name__}")
-
-
 def _write_payload(payload: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise ValueError(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(payload)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fieldcodes import FpMatrix, LinearCode, row_space_code
-from .rootsys import cartan_matrix, pairing_vector, positive_roots, weyl_orbit
+from .fieldcodes import FpMatrix
+from .rootsys import EXCEPTIONAL_RANKS, cartan_matrix, pairing_vector, positive_roots, weyl_orbit
 
 __all__ = [
     "WeightMatrix",
@@ -29,7 +29,6 @@ __all__ = [
     "d_adjoint_spin_matrix",
     "exceptional_minimal_matrix",
     "exceptional_adjoint_matrix",
-    "ext4_sl8_matrix",
     "fixture_matrix",
     "FIXTURE_NAMES",
     "build_weight_matrix",
@@ -75,9 +74,9 @@ class WeightMatrix:
             raise ValueError(f"{self.module} matrices are defined modulo 3 only")
         return FpMatrix.reduce(p, self.entries)
 
-    def code(self, p: int) -> LinearCode:
-        """The linear code generated by the rows, reduced mod p."""
-        return row_space_code(self.mod(p))
+
+_BASES = ("cartan_h", "matrix_unit_E")
+_ADJOINT_SPIN_MODES = ("weight_code", "direct_sum")
 
 
 def _subset_label(subset: tuple[int, ...]) -> str:
@@ -93,7 +92,7 @@ def ext_weight_matrix_A(n: int, r: int, basis: str = "cartan_h") -> WeightMatrix
     """
     if n < 2 or not 1 <= r <= n - 1:
         raise ValueError(f"need n >= 2 and 1 <= r <= n - 1, got n={n}, r={r}")
-    if basis not in ("cartan_h", "matrix_unit_E"):
+    if basis not in _BASES:
         raise ValueError(f"unknown basis {basis!r}")
     subsets = list(itertools.combinations(range(1, n + 1), r))
     e = np.zeros((n, len(subsets)), dtype=np.int64)
@@ -114,7 +113,7 @@ def adjoint_weight_matrix_A(n: int, basis: str = "cartan_h") -> WeightMatrix:
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
-    if basis not in ("cartan_h", "matrix_unit_E"):
+    if basis not in _BASES:
         raise ValueError(f"unknown basis {basis!r}")
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     e = np.zeros((n, len(pairs)), dtype=np.int64)
@@ -204,21 +203,20 @@ def d_spin_matrix(m: int, half: bool = False) -> WeightMatrix:
         for r in range(1, m + 1):
             rows[r - 1, j] = 2 if r in inside else 1
     labels = tuple(_subset_label(s) for s in subsets)
-    module = "spin_half" if half else "spin"
-    return WeightMatrix("D", m, module, "matrix_unit_E", True, rows, labels)
+    return WeightMatrix("D", m, "spin", "matrix_unit_E", True, rows, labels)
 
 
 def d_adjoint_spin_matrix(m: int, mode: str) -> WeightMatrix:
     """Weight matrix of o(2m) acting on adjoint-plus-spin, by block columns.
 
     mode="weight_code" keeps one column per +- weight pair: for even m the
-    spin module is self-dual and the blocks are [ext2 | spin_half]; for odd
+    spin module is self-dual and the blocks are [ext2 | half spin]; for odd
     m it is not, and the blocks are [ext2 | -ext2 | spin].  mode="direct_sum"
     always uses [ext2 | spin], the generator of the direct-sum code.
     """
     if m < 4:
         raise ValueError(f"need m >= 4, got m={m}")
-    if mode not in ("weight_code", "direct_sum"):
+    if mode not in _ADJOINT_SPIN_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected weight_code or direct_sum")
     c2 = d_lambda2_matrix(m)
     if mode == "direct_sum":
@@ -242,10 +240,10 @@ def d_adjoint_spin_matrix(m: int, mode: str) -> WeightMatrix:
 
 
 _MINIMAL_ORBITS = {
-    # family -> (rank, highest-weight node index, keep one column per +- pair)
-    "F4": (4, 3, True),
-    "E6": (6, 0, False),
-    "E7": (7, 6, True),
+    # family -> (highest-weight node index, keep one column per +- pair)
+    "F4": (3, True),
+    "E6": (0, False),
+    "E7": (6, True),
 }
 
 
@@ -262,7 +260,8 @@ def exceptional_minimal_matrix(family: str) -> WeightMatrix:
     """
     if family not in _MINIMAL_ORBITS:
         raise ValueError(f"minimal-module matrix known for F4, E6, E7; got {family!r}")
-    rank, node, keep_half = _MINIMAL_ORBITS[family]
+    node, keep_half = _MINIMAL_ORBITS[family]
+    rank = EXCEPTIONAL_RANKS[family]
     cm = cartan_matrix(family, rank)
     highest = tuple(1 if i == node else 0 for i in range(rank))
     orbit = weyl_orbit(cm, highest)
@@ -273,29 +272,16 @@ def exceptional_minimal_matrix(family: str) -> WeightMatrix:
     return WeightMatrix(family, rank, "minimal", "cartan_h", False, entries, labels)
 
 
-_ADJOINT_RANKS = {"F4": 4, "E6": 6, "E7": 7, "E8": 8}
-
-
 def exceptional_adjoint_matrix(family: str) -> WeightMatrix:
     """Adjoint weight matrix of F4, E6, E7 or E8: one column per positive root."""
-    if family not in _ADJOINT_RANKS:
+    if family not in EXCEPTIONAL_RANKS:
         raise ValueError(f"adjoint matrix known for F4, E6, E7, E8; got {family!r}")
-    rank = _ADJOINT_RANKS[family]
+    rank = EXCEPTIONAL_RANKS[family]
     cm = cartan_matrix(family, rank)
     roots = positive_roots(cm)
     entries = np.array([pairing_vector(cm, r) for r in roots], dtype=np.int64).T
     labels = tuple(_weight_label(r) for r in roots)
     return WeightMatrix(family, rank, "adjoint", "cartan_h", False, entries, labels)
-
-
-def ext4_sl8_matrix() -> WeightMatrix:
-    """First seven matrix-unit rows of the sl(8) degree-4 exterior matrix.
-
-    This 7 x 70 matrix generates the ternary code used in the adjoint
-    branch tables; the omitted eighth row adds nothing new there.
-    """
-    full = ext_weight_matrix_A(8, 4, "matrix_unit_E")
-    return WeightMatrix("A", 8, "ext4", "matrix_unit_E", False, full.entries[:7], full.column_labels)
 
 
 def _parse_rows(rows: tuple[str, ...]) -> np.ndarray:
@@ -403,21 +389,13 @@ class ModuleSpec:
     basis: str | None = None  # optional override for the sl(n) families
 
 
-_A_MODULES = ("ext2", "ext3", "ext4", "adjoint", "adjoint_L")
-_D_MODULES = ("ext2", "ext3", "spin", "spin_half", "adjoint_plus_spin")
-_EXC_MODULES = ("minimal", "adjoint")
-
 ALLOWED_MODULES = {
-    "A": _A_MODULES,
-    "D": _D_MODULES,
-    "F4": _EXC_MODULES,
-    "E6": _EXC_MODULES,
-    "E7": _EXC_MODULES,
-    "E8": _EXC_MODULES,
+    "A": ("ext2", "ext3", "ext4", "adjoint"),
+    "D": ("ext2", "ext3", "spin", "adjoint_plus_spin"),
+    **dict.fromkeys(EXCEPTIONAL_RANKS, ("minimal", "adjoint")),
 }
 
-_A_MIN_RANK = {"ext2": 3, "ext3": 4, "ext4": 5, "adjoint": 3, "adjoint_L": 3}
-_EXC_RANK = {"F4": 4, "E6": 6, "E7": 7, "E8": 8}
+_A_MIN_RANK = {"ext2": 3, "ext3": 4, "ext4": 5, "adjoint": 3}
 
 
 def validate_module_spec(ms: ModuleSpec) -> None:
@@ -429,6 +407,11 @@ def validate_module_spec(ms: ModuleSpec) -> None:
         raise ValueError(
             f"family {ms.family} has no module {ms.module!r}; expected one of {list(allowed)}"
         )
+    if ms.basis is not None:
+        if ms.family != "A":
+            raise ValueError(f"a basis override applies to family A only, not {ms.family}")
+        if ms.basis not in _BASES:
+            raise ValueError(f"unknown basis {ms.basis!r}; expected one of {list(_BASES)}")
     if ms.family == "A":
         if ms.rank < _A_MIN_RANK[ms.module]:
             raise ValueError(f"module {ms.module} of sl(n) needs n >= {_A_MIN_RANK[ms.module]}")
@@ -436,35 +419,27 @@ def validate_module_spec(ms: ModuleSpec) -> None:
         if ms.p not in ((2, 3) if binary_ok else (3,)):
             raise ValueError(f"module {ms.module} of sl(n) is defined over " + ("F2 and F3" if binary_ok else "F3 only"))
     elif ms.family == "D":
-        need = 4 if ms.module in ("spin_half", "adjoint_plus_spin") else 3
+        need = 4 if ms.module == "adjoint_plus_spin" else 3
         if ms.rank < need:
             raise ValueError(f"module {ms.module} of o(2m) needs m >= {need}")
-        if ms.module == "spin_half" and ms.rank % 2:
-            raise ValueError("spin_half needs even m")
         if ms.p != 3:
             raise ValueError("the o(2m) constructions are ternary")
-        if ms.module == "adjoint_plus_spin" and ms.mode not in ("weight_code", "direct_sum"):
+        if ms.module == "adjoint_plus_spin" and ms.mode not in _ADJOINT_SPIN_MODES:
             raise ValueError("adjoint_plus_spin needs mode weight_code or direct_sum")
     else:
-        if ms.rank != _EXC_RANK[ms.family]:
-            raise ValueError(f"family {ms.family} has rank {_EXC_RANK[ms.family]}")
+        if ms.rank != EXCEPTIONAL_RANKS[ms.family]:
+            raise ValueError(f"family {ms.family} has rank {EXCEPTIONAL_RANKS[ms.family]}")
         if ms.p != 3:
             raise ValueError("the exceptional weight codes are ternary")
-        if ms.family == "E8" and ms.module == "minimal":
-            pass  # the minimal E8 module is the adjoint one
-        elif ms.family == "E8" and ms.module != "adjoint":
-            raise ValueError("E8 supports only its adjoint (= minimal) module")
 
 
 def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
     """Construct the weight matrix for a validated module request."""
     validate_module_spec(ms)
     if ms.family == "A":
-        if ms.module in ("ext2", "ext3", "ext4"):
-            r = int(ms.module[3])
-            return ext_weight_matrix_A(ms.rank, r, ms.basis or "cartan_h")
-        basis = ms.basis or ("matrix_unit_E" if ms.module == "adjoint_L" else "cartan_h")
-        return adjoint_weight_matrix_A(ms.rank, basis)
+        if ms.module == "adjoint":
+            return adjoint_weight_matrix_A(ms.rank, ms.basis or "cartan_h")
+        return ext_weight_matrix_A(ms.rank, int(ms.module[3]), ms.basis or "cartan_h")
     if ms.family == "D":
         if ms.module == "ext2":
             return d_lambda2_matrix(ms.rank)
@@ -472,9 +447,8 @@ def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
             return d_lambda3_matrix(ms.rank)
         if ms.module == "spin":
             return d_spin_matrix(ms.rank)
-        if ms.module == "spin_half":
-            return d_spin_matrix(ms.rank, half=True)
-        return d_adjoint_spin_matrix(ms.rank, ms.mode or "weight_code")
+        return d_adjoint_spin_matrix(ms.rank, ms.mode)
+    # the minimal E8 module is the adjoint one
     if ms.family == "E8" or ms.module == "adjoint":
         return exceptional_adjoint_matrix(ms.family)
     return exceptional_minimal_matrix(ms.family)

@@ -19,9 +19,11 @@ __all__ = [
     "pairing_vector",
     "weyl_orbit",
     "reflect_coroot_coeffs",
+    "EXCEPTIONAL_RANKS",
 ]
 
-FAMILIES = ("A", "D", "E6", "E7", "E8", "F4")
+# The exceptional families and their Lie ranks; A and D take any rank.
+EXCEPTIONAL_RANKS = {"F4": 4, "E6": 6, "E7": 7, "E8": 8}
 
 # F4 diagram: chain 1-2=>3-4 with the double edge between nodes 2 and 3
 # (nodes 3 and 4 short).  Rows follow the same node order.
@@ -60,15 +62,16 @@ def cartan_matrix(family: str, rank: int) -> CartanMatrix:
     legal = (
         (family == "A" and rank >= 1)
         or (family == "D" and rank >= 3)
-        or (family, rank) in (("E6", 6), ("E7", 7), ("E8", 8), ("F4", 4))
+        or EXCEPTIONAL_RANKS.get(family) == rank
     )
     if not legal:
+        exceptional = ", ".join(f"{f}/{r}" for f, r in EXCEPTIONAL_RANKS.items())
         raise ValueError(
             f"unsupported pair ({family!r}, {rank}); expected A (rank >= 1), "
-            "D (rank >= 3), E6/6, E7/7, E8/8 or F4/4"
+            f"D (rank >= 3) or one of {exceptional}"
         )
     if family == "F4":
-        return CartanMatrix("F4", 4, _F4_ENTRIES)
+        return CartanMatrix("F4", rank, _F4_ENTRIES)
     rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i, j in _edges(family, rank):
         rows[i][j] = rows[j][i] = -1

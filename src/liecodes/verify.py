@@ -29,7 +29,7 @@ from .repweights import (
     ext_weight_matrix_A,
     to_cartan_h,
 )
-from .rootsys import cartan_matrix, reflect_coroot_coeffs
+from .rootsys import EXCEPTIONAL_RANKS, cartan_matrix, reflect_coroot_coeffs
 
 __all__ = [
     "Annotation",
@@ -218,7 +218,7 @@ def registered_cases() -> tuple[TheoremCase, ...]:
         cases.append(
             _case(
                 f"thm2.4/L/n={n}",
-                ModuleSpec("A", n, "adjoint_L", 3),
+                ModuleSpec("A", n, "adjoint", 3, basis="matrix_unit_E"),
                 comb(n, 2),
                 n - 1,
                 n - 1,
@@ -368,12 +368,11 @@ def registered_cases() -> tuple[TheoremCase, ...]:
         ("thm6.2", "E7", "adjoint", 63, 7, 27),
         ("thm6.3", "E8", "adjoint", 120, 8, 57),
     )
-    rank = {"F4": 4, "E6": 6, "E7": 7, "E8": 8}
     for cid, fam, module, n, k, d in exceptional:
         cases.append(
             _case(
                 cid,
-                ModuleSpec(fam, rank[fam], module, 3),
+                ModuleSpec(fam, EXCEPTIONAL_RANKS[fam], module, 3),
                 n,
                 k,
                 d,

@@ -3,9 +3,10 @@
 import json
 
 import numpy as np
-from liecodes.cli import emit, run
+from liecodes.cli import _matrix_payload, _report_payload, run
 from liecodes.fieldcodes import FpMatrix, analyze, parse_matrix_text, row_space_code
 from liecodes.repweights import exceptional_minimal_matrix
+from liecodes.verify import registered_cases, run_case, run_suite, to_json
 
 
 def invoke(capsys, *argv):
@@ -52,6 +53,30 @@ def test_verify_stable_output_byte_identical(capsys):
     assert all(entry["millis"] == 0.0 for entry in payload["cases"])
 
 
+def test_verify_json_is_the_suite_renderer(capsys):
+    code, out, _ = invoke(capsys, "verify", "--include-optional", "--stable", "--format", "json")
+    assert code == 0
+    assert out == to_json(run_suite(include_optional=True), stable=True)
+
+
+def test_report_json_matches_registered_cases(capsys):
+    checked = 0
+    for case in registered_cases():
+        spec = case.spec
+        if spec.basis is not None:
+            continue  # the command line always builds the default basis
+        argv = ["report", "--family", spec.family, "--module", spec.module, "--field", str(spec.p)]
+        if spec.family in ("A", "D"):
+            argv += ["--n" if spec.family == "A" else "--m", str(spec.rank)]
+        if spec.mode is not None:
+            argv += ["--mode", spec.mode]
+        code, out, err = invoke(capsys, *argv, "--format", "json")
+        assert code == 0 and not err, case.case_id
+        assert json.loads(out) == run_case(case).report.to_dict(), case.case_id
+        checked += 1
+    assert checked == 49
+
+
 def test_verify_empty_filter(capsys):
     code, out, _ = invoke(capsys, "verify", "--filter", "nothing-here")
     assert code == 0
@@ -65,6 +90,16 @@ def test_usage_error_lists_valid_values(capsys):
     code, _, err = invoke(capsys, "matrix", "--family", "A", "--module", "ext2", "--field", "2")
     assert code == 2
     assert "--n" in err
+    # flags the chosen family or module would ignore are rejected
+    for extra, flag in (
+        (["--family", "F4", "--module", "minimal", "--n", "99"], "--n"),
+        (["--family", "A", "--n", "6", "--module", "ext2", "--m", "7"], "--m"),
+        (["--family", "D", "--m", "6", "--module", "ext2", "--mode", "direct_sum"], "--mode"),
+        (["--family", "F4", "--module", "minimal", "--n", "99", "--m", "7", "--mode", "direct_sum"], "--n"),
+    ):
+        code, out, err = invoke(capsys, "matrix", *extra, "--field", "3")
+        assert code == 2 and not out
+        assert flag in err
 
 
 def test_usage_error_bad_choice(capsys):
@@ -93,17 +128,21 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert parse_matrix_text(target.read_text()).cols == 27
+    missing = tmp_path / "missing" / "out.txt"
+    code, out, err = invoke(capsys, "table", "2.1", "--output", str(missing))
+    assert code == 2 and out == ""
+    assert err.startswith("liecodes: error: ") and str(missing) in err
 
 
-def test_emit_zero_code_report_text():
+def test_report_payload_zero_code_text():
     report = analyze(row_space_code(FpMatrix(3, np.zeros((1, 4), dtype=np.int64))))
-    text = emit(report, "text")
+    text = _report_payload(report, "text")
     assert "d: undefined" in text
 
 
-def test_emit_matrix_csv():
+def test_matrix_payload_csv():
     m = FpMatrix(2, [[1, 0], [0, 1]])
-    text = emit(m, "csv", labels=("a", "b"))
+    text = _matrix_payload(m, ("a", "b"), "csv")
     assert text.splitlines() == ["a,b", "1,0", "0,1"]
 
 

@@ -8,6 +8,7 @@ import pytest
 from liecodes.fieldcodes import FpMatrix, analyze, row_space_code
 from liecodes.repweights import (
     ModuleSpec,
+    WeightMatrix,
     adjoint_weight_matrix_A,
     build_weight_matrix,
     d_adjoint_spin_matrix,
@@ -16,7 +17,6 @@ from liecodes.repweights import (
     d_spin_matrix,
     exceptional_adjoint_matrix,
     exceptional_minimal_matrix,
-    ext4_sl8_matrix,
     ext_weight_matrix_A,
     fixture_matrix,
     to_cartan_h,
@@ -232,17 +232,6 @@ def test_e8_adjoint_code():
     assert analyze(row_space_code(exceptional_adjoint_matrix("E8").mod(3))).params() == (120, 8, 57)
 
 
-def test_ext4_sl8():
-    from liecodes.fieldcodes import combination_weight
-
-    wm = ext4_sl8_matrix()
-    assert wm.entries.shape == (7, 70)
-    m = wm.mod(3)
-    assert combination_weight(m, [1, -1, 0, 0, 0, 0, 0]) == 40
-    assert combination_weight(m, [1, 1, 1, 1, 1, 1, 0]) == 30
-    assert combination_weight(m, [0] * 7) == 0
-
-
 def test_fixture_unknown_name():
     with pytest.raises(ValueError):
         fixture_matrix("G2_minimal")
@@ -286,7 +275,11 @@ def test_build_weight_matrix_legality():
         ModuleSpec("A", 6, "spin", 3),
         ModuleSpec("A", 6, "ext2", 5),
         ModuleSpec("D", 6, "ext2", 2),
-        ModuleSpec("D", 5, "spin_half", 3),
+        ModuleSpec("D", 8, "spin_half", 3),
+        ModuleSpec("A", 5, "adjoint_L", 3),
+        ModuleSpec("D", 5, "ext2", 3, basis="cartan_h"),
+        ModuleSpec("E6", 6, "minimal", 3, basis="matrix_unit_E"),
+        ModuleSpec("A", 5, "ext2", 3, basis="weyl"),
         ModuleSpec("D", 6, "adjoint_plus_spin", 3),  # missing mode
         ModuleSpec("F4", 4, "spin", 3),
         ModuleSpec("F4", 5, "minimal", 3),
@@ -305,5 +298,7 @@ def test_to_cartan_h_families():
     assert d.rows == 4
     g = d_lambda2_matrix(4).entries
     assert np.array_equal(d.entries[-1], g[-2] + g[-1])
+    full = ext_weight_matrix_A(8, 4, "matrix_unit_E")
+    seven = WeightMatrix("A", 8, "ext4", "matrix_unit_E", False, full.entries[:7], full.column_labels)
     with pytest.raises(ValueError):
-        to_cartan_h(ext4_sl8_matrix())  # the eighth matrix-unit row is missing
+        to_cartan_h(seven)  # the eighth matrix-unit row is missing
