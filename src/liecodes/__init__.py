@@ -43,7 +43,6 @@ from .repweights import (
     ext_weight_matrix_A,
     fixture_matrix,
     to_cartan_h,
-    validate_module_spec,
 )
 from .verify import (
     Annotation,

@@ -13,14 +13,13 @@ import io
 import json
 import sys
 
-from .fieldcodes import CodeReport, FpMatrix, analyze, format_matrix_text, row_space_code
-from .repweights import ALLOWED_MODULES, ModuleSpec, build_weight_matrix
+from .fieldcodes import SUPPORTED_PRIMES, CodeReport, FpMatrix, analyze, format_matrix_text, row_space_code
+from .repweights import ADJOINT_SPIN_MODES, ALLOWED_MODULES, ModuleSpec, build_weight_matrix
 from .rootsys import EXCEPTIONAL_RANKS
 from .verify import (
     SuiteReport,
     TableRow,
     VerifyLimits,
-    registered_cases,
     reproduce_table,
     run_suite,
     to_json,
@@ -46,8 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--m", type=int, help="o(2m) size parameter (family D)")
             modules = dict.fromkeys(m for allowed in ALLOWED_MODULES.values() for m in allowed)
             p.add_argument("--module", required=True, choices=list(modules))
-            p.add_argument("--field", type=int, required=True, choices=[2, 3])
-            p.add_argument("--mode", choices=["weight_code", "direct_sum"], help="adjoint_plus_spin block layout")
+            p.add_argument("--field", type=int, required=True, choices=SUPPORTED_PRIMES)
+            p.add_argument("--mode", choices=ADJOINT_SPIN_MODES, help="adjoint_plus_spin block layout")
         p.add_argument("--format", default="text", choices=["text", "json", "csv"])
         p.add_argument("--output", help="write the payload to this file instead of standard output")
 
@@ -57,19 +56,18 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("report", help="emit the code report of a module")
     common(pr, True)
 
+    limits = VerifyLimits()
     pv = sub.add_parser("verify", help="run the claim verification suite")
     pv.add_argument("--filter", default=None, help="case id pattern, e.g. thm2.2 or thm3.*")
-    pv.add_argument("--max-n", type=int, default=15, help="largest sl(n) size to run")
-    pv.add_argument("--max-m", type=int, default=11, help="largest o(2m) size to run")
+    pv.add_argument("--max-n", type=int, default=limits.max_n, help="largest sl(n) size to run")
+    pv.add_argument("--max-m", type=int, default=limits.max_m, help="largest o(2m) size to run")
     pv.add_argument("--include-optional", action="store_true", help="run the large flagged cases as well")
     pv.add_argument("--stable", action="store_true", help="zero timing fields for byte-identical output")
-    pv.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    pv.add_argument("--output", help="write the payload to this file instead of standard output")
+    common(pv, with_module=False)
 
     pt = sub.add_parser("table", help="reproduce a published weight table")
     pt.add_argument("table_id", help="table identifier, e.g. 2.1")
-    pt.add_argument("--format", default="text", choices=["text", "json", "csv"])
-    pt.add_argument("--output", help="write the payload to this file instead of standard output")
+    common(pt, with_module=False)
 
     return parser
 
@@ -149,7 +147,6 @@ def _report_payload(report: CodeReport, fmt: str) -> str:
 
 
 def _suite_text(report: SuiteReport, stable: bool) -> str:
-    cases = {c.case_id: c for c in registered_cases()}
     lines = []
     for res in report.results:
         if res.skipped:
@@ -164,9 +161,8 @@ def _suite_text(report: SuiteReport, stable: bool) -> str:
             detail = "; ".join(res.mismatches)
         millis = 0.0 if stable else res.millis
         note = ""
-        case = cases[res.case_id]
-        if case.annotation is not None and not res.skipped:
-            note = "  (documented discrepancy: " + case.annotation.note + ")"
+        if res.case.annotation is not None and not res.skipped:
+            note = "  (documented discrepancy: " + res.case.annotation.note + ")"
         lines.append(f"{status}  {res.case_id:<22} {detail:<18} {millis:9.1f} ms{note}")
     t = report.totals
     lines.append(

@@ -32,7 +32,6 @@ __all__ = [
     "fixture_matrix",
     "FIXTURE_NAMES",
     "build_weight_matrix",
-    "validate_module_spec",
     "to_cartan_h",
 ]
 
@@ -76,7 +75,7 @@ class WeightMatrix:
 
 
 _BASES = ("cartan_h", "matrix_unit_E")
-_ADJOINT_SPIN_MODES = ("weight_code", "direct_sum")
+ADJOINT_SPIN_MODES = ("weight_code", "direct_sum")
 
 
 def _subset_label(subset: tuple[int, ...]) -> str:
@@ -90,18 +89,18 @@ def ext_weight_matrix_A(n: int, r: int, basis: str = "cartan_h") -> WeightMatrix
     matrix_unit_E basis, row i is the indicator of i belonging to the
     subset; cartan_h rows are consecutive differences of those.
     """
-    if n < 2 or not 1 <= r <= n - 1:
-        raise ValueError(f"need n >= 2 and 1 <= r <= n - 1, got n={n}, r={r}")
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"ext{r} of sl(n) needs 1 <= r <= n - 1, got n={n}")
     if basis not in _BASES:
-        raise ValueError(f"unknown basis {basis!r}")
+        raise ValueError(f"unknown basis {basis!r}; expected one of {list(_BASES)}")
     subsets = list(itertools.combinations(range(1, n + 1), r))
     e = np.zeros((n, len(subsets)), dtype=np.int64)
     for j, s in enumerate(subsets):
         for i in s:
             e[i - 1, j] = 1
-    rows = e if basis == "matrix_unit_E" else e[:-1] - e[1:]
     labels = tuple(_subset_label(s) for s in subsets)
-    return WeightMatrix("A", n, f"ext{r}", basis, False, rows, labels)
+    wm = WeightMatrix("A", n, f"ext{r}", "matrix_unit_E", False, e, labels)
+    return wm if basis == "matrix_unit_E" else to_cartan_h(wm)
 
 
 def adjoint_weight_matrix_A(n: int, basis: str = "cartan_h") -> WeightMatrix:
@@ -112,17 +111,17 @@ def adjoint_weight_matrix_A(n: int, basis: str = "cartan_h") -> WeightMatrix:
     consecutive differences and generate the adjoint weight code.
     """
     if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
+        raise ValueError(f"adjoint of sl(n) needs n >= 3, got n={n}")
     if basis not in _BASES:
-        raise ValueError(f"unknown basis {basis!r}")
+        raise ValueError(f"unknown basis {basis!r}; expected one of {list(_BASES)}")
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     e = np.zeros((n, len(pairs)), dtype=np.int64)
     for col, (i, j) in enumerate(pairs):
         e[i - 1, col] = 1
         e[j - 1, col] = -1
-    rows = e if basis == "matrix_unit_E" else e[:-1] - e[1:]
     labels = tuple(f"e{i}-e{j}" for i, j in pairs)
-    return WeightMatrix("A", n, "adjoint", basis, False, rows, labels)
+    wm = WeightMatrix("A", n, "adjoint", "matrix_unit_E", False, e, labels)
+    return wm if basis == "matrix_unit_E" else to_cartan_h(wm)
 
 
 def d_lambda2_matrix(m: int) -> WeightMatrix:
@@ -133,7 +132,7 @@ def d_lambda2_matrix(m: int) -> WeightMatrix:
     (weight e_i - e_j), interleaved in lexicographic pair order.
     """
     if m < 3:
-        raise ValueError(f"need m >= 3, got m={m}")
+        raise ValueError(f"ext2 of o(2m) needs m >= 3, got m={m}")
     pairs = list(itertools.combinations(range(1, m + 1), 2))
     rows = np.zeros((m, 2 * len(pairs)), dtype=np.int64)
     labels = []
@@ -154,7 +153,7 @@ def d_lambda3_matrix(m: int) -> WeightMatrix:
     m * C(m,2) columns of weight e_i + e_j - e_l (i < j, l arbitrary).
     """
     if m < 3:
-        raise ValueError(f"need m >= 3, got m={m}")
+        raise ValueError(f"ext3 of o(2m) needs m >= 3, got m={m}")
     triples = list(itertools.combinations(range(1, m + 1), 3))
     pairs = list(itertools.combinations(range(1, m + 1), 2))
     cols = len(triples) + m * len(pairs)
@@ -186,7 +185,7 @@ def d_spin_matrix(m: int, half: bool = False) -> WeightMatrix:
     weights; that requires even m.
     """
     if m < 3:
-        raise ValueError(f"need m >= 3, got m={m}")
+        raise ValueError(f"spin of o(2m) needs m >= 3, got m={m}")
     if half and m % 2:
         raise ValueError("the half-column spin matrix needs even m")
     subsets = [
@@ -215,9 +214,9 @@ def d_adjoint_spin_matrix(m: int, mode: str) -> WeightMatrix:
     always uses [ext2 | spin], the generator of the direct-sum code.
     """
     if m < 4:
-        raise ValueError(f"need m >= 4, got m={m}")
-    if mode not in _ADJOINT_SPIN_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected weight_code or direct_sum")
+        raise ValueError(f"adjoint_plus_spin of o(2m) needs m >= 4, got m={m}")
+    if mode not in ADJOINT_SPIN_MODES:
+        raise ValueError(f"adjoint_plus_spin needs a mode, one of {list(ADJOINT_SPIN_MODES)}; got {mode!r}")
     c2 = d_lambda2_matrix(m)
     if mode == "direct_sum":
         spin = d_spin_matrix(m)
@@ -379,7 +378,7 @@ def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:
 
 @dataclass(frozen=True)
 class ModuleSpec:
-    """A legal (family, rank, module, field) request plus mode flags."""
+    """A (family, rank, module, field) request plus mode flags; `build_weight_matrix` checks it."""
 
     family: str
     rank: int
@@ -389,66 +388,51 @@ class ModuleSpec:
     basis: str | None = None  # optional override for the sl(n) families
 
 
-ALLOWED_MODULES = {
-    "A": ("ext2", "ext3", "ext4", "adjoint"),
-    "D": ("ext2", "ext3", "spin", "adjoint_plus_spin"),
-    **dict.fromkeys(EXCEPTIONAL_RANKS, ("minimal", "adjoint")),
+# (family, module) -> (fields it is defined over, builder); the builders
+# check their own rank, basis and mode bounds
+_MODULES = {
+    ("A", "ext2"): ((2, 3), lambda ms: ext_weight_matrix_A(ms.rank, 2, ms.basis or "cartan_h")),
+    ("A", "ext3"): ((2, 3), lambda ms: ext_weight_matrix_A(ms.rank, 3, ms.basis or "cartan_h")),
+    ("A", "ext4"): ((3,), lambda ms: ext_weight_matrix_A(ms.rank, 4, ms.basis or "cartan_h")),
+    ("A", "adjoint"): ((3,), lambda ms: adjoint_weight_matrix_A(ms.rank, ms.basis or "cartan_h")),
+    ("D", "ext2"): ((3,), lambda ms: d_lambda2_matrix(ms.rank)),
+    ("D", "ext3"): ((3,), lambda ms: d_lambda3_matrix(ms.rank)),
+    ("D", "spin"): ((3,), lambda ms: d_spin_matrix(ms.rank)),
+    ("D", "adjoint_plus_spin"): ((3,), lambda ms: d_adjoint_spin_matrix(ms.rank, ms.mode)),
+    **{
+        (family, module): ((3,), build)
+        for family in EXCEPTIONAL_RANKS
+        for module, build in (
+            ("minimal", lambda ms: exceptional_minimal_matrix(ms.family)),
+            ("adjoint", lambda ms: exceptional_adjoint_matrix(ms.family)),
+        )
+    },
+    # the minimal E8 module is the adjoint one
+    ("E8", "minimal"): ((3,), lambda ms: exceptional_adjoint_matrix("E8")),
 }
 
-_A_MIN_RANK = {"ext2": 3, "ext3": 4, "ext4": 5, "adjoint": 3}
+ALLOWED_MODULES = {family: tuple(mod for fam, mod in _MODULES if fam == family) for family, _ in _MODULES}
 
 
-def validate_module_spec(ms: ModuleSpec) -> None:
-    """Reject combinations the constructions do not define."""
+def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
+    """Construct the weight matrix of a module request, or raise ValueError.
+
+    The module table decides which (family, module) pairs exist and over
+    which fields; the builder it names checks the rank, basis and mode.
+    """
     allowed = ALLOWED_MODULES.get(ms.family)
     if allowed is None:
         raise ValueError(f"unknown family {ms.family!r}; expected one of {sorted(ALLOWED_MODULES)}")
     if ms.module not in allowed:
-        raise ValueError(
-            f"family {ms.family} has no module {ms.module!r}; expected one of {list(allowed)}"
-        )
-    if ms.basis is not None:
-        if ms.family != "A":
-            raise ValueError(f"a basis override applies to family A only, not {ms.family}")
-        if ms.basis not in _BASES:
-            raise ValueError(f"unknown basis {ms.basis!r}; expected one of {list(_BASES)}")
-    if ms.family == "A":
-        if ms.rank < _A_MIN_RANK[ms.module]:
-            raise ValueError(f"module {ms.module} of sl(n) needs n >= {_A_MIN_RANK[ms.module]}")
-        binary_ok = ms.module in ("ext2", "ext3")
-        if ms.p not in ((2, 3) if binary_ok else (3,)):
-            raise ValueError(f"module {ms.module} of sl(n) is defined over " + ("F2 and F3" if binary_ok else "F3 only"))
-    elif ms.family == "D":
-        need = 4 if ms.module == "adjoint_plus_spin" else 3
-        if ms.rank < need:
-            raise ValueError(f"module {ms.module} of o(2m) needs m >= {need}")
-        if ms.p != 3:
-            raise ValueError("the o(2m) constructions are ternary")
-        if ms.module == "adjoint_plus_spin" and ms.mode not in _ADJOINT_SPIN_MODES:
-            raise ValueError("adjoint_plus_spin needs mode weight_code or direct_sum")
-    else:
-        if ms.rank != EXCEPTIONAL_RANKS[ms.family]:
-            raise ValueError(f"family {ms.family} has rank {EXCEPTIONAL_RANKS[ms.family]}")
-        if ms.p != 3:
-            raise ValueError("the exceptional weight codes are ternary")
-
-
-def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
-    """Construct the weight matrix for a validated module request."""
-    validate_module_spec(ms)
-    if ms.family == "A":
-        if ms.module == "adjoint":
-            return adjoint_weight_matrix_A(ms.rank, ms.basis or "cartan_h")
-        return ext_weight_matrix_A(ms.rank, int(ms.module[3]), ms.basis or "cartan_h")
-    if ms.family == "D":
-        if ms.module == "ext2":
-            return d_lambda2_matrix(ms.rank)
-        if ms.module == "ext3":
-            return d_lambda3_matrix(ms.rank)
-        if ms.module == "spin":
-            return d_spin_matrix(ms.rank)
-        return d_adjoint_spin_matrix(ms.rank, ms.mode)
-    # the minimal E8 module is the adjoint one
-    if ms.family == "E8" or ms.module == "adjoint":
-        return exceptional_adjoint_matrix(ms.family)
-    return exceptional_minimal_matrix(ms.family)
+        raise ValueError(f"family {ms.family} has no module {ms.module!r}; expected one of {list(allowed)}")
+    fields, build = _MODULES[ms.family, ms.module]
+    if ms.p not in fields:
+        over = "F2 and F3" if 2 in fields else "F3 only (the code is ternary)"
+        raise ValueError(f"module {ms.module} of family {ms.family} is defined over {over}")
+    if ms.basis is not None and ms.family != "A":
+        raise ValueError(f"a basis override applies to family A only, not {ms.family}")
+    if ms.mode is not None and ms.module != "adjoint_plus_spin":
+        raise ValueError(f"a mode applies to module adjoint_plus_spin only, not {ms.module}")
+    if ms.family in EXCEPTIONAL_RANKS and ms.rank != EXCEPTIONAL_RANKS[ms.family]:
+        raise ValueError(f"family {ms.family} has rank {EXCEPTIONAL_RANKS[ms.family]}")
+    return build(ms)

@@ -86,12 +86,16 @@ class TheoremCase:
 
 @dataclass(frozen=True)
 class CaseResult:
-    case_id: str
+    case: TheoremCase
     passed: bool
     skipped: bool
     mismatches: tuple[str, ...]
     report: CodeReport | None
     millis: float
+
+    @property
+    def case_id(self) -> str:
+        return self.case.case_id
 
 
 @dataclass(frozen=True)
@@ -400,7 +404,7 @@ def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResul
     registered dimension cannot start an enumeration beyond it.
     """
     limits = limits or VerifyLimits()
-    skipped = CaseResult(case.case_id, False, True, (), None, 0.0)
+    skipped = CaseResult(case, False, True, (), None, 0.0)
     if not _within_size_limits(case, limits):
         return skipped
     t0 = time.perf_counter()
@@ -422,7 +426,7 @@ def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResul
     if case.doubly_even is not None and report.doubly_even != case.doubly_even:
         mismatches.append(f"doubly_even: expected {case.doubly_even}, computed {report.doubly_even}")
     millis = (time.perf_counter() - t0) * 1000.0
-    return CaseResult(case.case_id, not mismatches, False, tuple(mismatches), report, millis)
+    return CaseResult(case, not mismatches, False, tuple(mismatches), report, millis)
 
 
 def _matches(case_id: str, pattern: str | None) -> bool:
@@ -444,10 +448,9 @@ def run_suite(
         if _matches(c.case_id, filter) and (include_optional or not c.optional)
     ]
     results = [run_case(c, limits) for c in selected]
-    by_id = {c.case_id: c for c in selected}
     discrepancies: list[dict] = []
     for res in results:
-        case = by_id[res.case_id]
+        case = res.case
         if res.skipped:
             continue
         if case.annotation is not None:
@@ -473,10 +476,9 @@ def run_suite(
 
 def suite_to_dict(report: SuiteReport, stable: bool = False) -> dict:
     """JSON-ready form of a suite report; `stable` zeroes the timing field."""
-    cases = {c.case_id: c for c in registered_cases()}
     out_cases = []
     for res in report.results:
-        case = cases[res.case_id]
+        case = res.case
         entry = {
             "case_id": res.case_id,
             "citation": case.citation,

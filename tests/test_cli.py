@@ -1,12 +1,13 @@
 """End-to-end tests of the command line front end."""
 
+import dataclasses
 import json
 
 import numpy as np
-from liecodes.cli import _matrix_payload, _report_payload, run
+from liecodes.cli import _build_parser, _matrix_payload, _report_payload, _suite_payload, run
 from liecodes.fieldcodes import FpMatrix, analyze, parse_matrix_text, row_space_code
 from liecodes.repweights import exceptional_minimal_matrix
-from liecodes.verify import registered_cases, run_case, run_suite, to_json
+from liecodes.verify import SuiteReport, VerifyLimits, registered_cases, run_case, run_suite, to_json
 
 
 def invoke(capsys, *argv):
@@ -75,6 +76,26 @@ def test_report_json_matches_registered_cases(capsys):
         assert json.loads(out) == run_case(case).report.to_dict(), case.case_id
         checked += 1
     assert checked == 49
+
+
+def test_suite_of_unregistered_cases_renders():
+    # a result carries its case, so a report need not come from the registry
+    annotated = next(c for c in registered_cases() if c.case_id == "thm2.3/ext3/n=6")
+    case = dataclasses.replace(annotated, case_id="custom", citation="a case of our own")
+    res = run_case(case)
+    report = SuiteReport((res,), {"cases": 1, "passed": 1, "failed": 0, "skipped": 0}, ())
+    entry = json.loads(to_json(report, stable=True))["cases"][0]
+    assert entry["case_id"] == "custom" and entry["citation"] == "a case of our own"
+    assert entry["annotation"]["note"] == case.annotation.note
+    text = _suite_payload(report, "text", stable=True)
+    assert text.startswith("PASS  custom ")
+    assert "(documented discrepancy: " + case.annotation.note + ")" in text
+
+
+def test_verify_defaults_are_the_library_limits():
+    args = _build_parser().parse_args(["verify"])
+    limits = VerifyLimits()
+    assert (args.max_n, args.max_m) == (limits.max_n, limits.max_m)
 
 
 def test_verify_empty_filter(capsys):

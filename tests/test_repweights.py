@@ -7,6 +7,8 @@ import pytest
 
 from liecodes.fieldcodes import FpMatrix, analyze, row_space_code
 from liecodes.repweights import (
+    ADJOINT_SPIN_MODES,
+    ALLOWED_MODULES,
     ModuleSpec,
     WeightMatrix,
     adjoint_weight_matrix_A,
@@ -20,8 +22,8 @@ from liecodes.repweights import (
     ext_weight_matrix_A,
     fixture_matrix,
     to_cartan_h,
-    validate_module_spec,
 )
+from liecodes.rootsys import EXCEPTIONAL_RANKS
 
 
 def column_multiset(entries):
@@ -285,9 +287,57 @@ def test_build_weight_matrix_legality():
         ModuleSpec("F4", 5, "minimal", 3),
         ModuleSpec("A", 2, "ext2", 2),
         ModuleSpec("X9", 4, "minimal", 3),
+        ModuleSpec("D", 5, "ext2", 3, mode="direct_sum"),  # a mode on a module without one
+        ModuleSpec("E6", 6, "minimal", 3, mode="weight_code"),
     ]:
         with pytest.raises(ValueError):
-            validate_module_spec(bad)
+            build_weight_matrix(bad)
+    with pytest.raises(ValueError, match="needs a mode"):
+        d_adjoint_spin_matrix(6, None)
+
+
+def test_allowed_modules_order():
+    # the command line offers its --family and --module choices in this order
+    assert list(ALLOWED_MODULES.items()) == [
+        ("A", ("ext2", "ext3", "ext4", "adjoint")),
+        ("D", ("ext2", "ext3", "spin", "adjoint_plus_spin")),
+        ("F4", ("minimal", "adjoint")),
+        ("E6", ("minimal", "adjoint")),
+        ("E7", ("minimal", "adjoint")),
+        ("E8", ("minimal", "adjoint")),
+    ]
+
+
+# the fields and smallest ranks of each module, as the constructions define them
+BINARY_MODULES = {("A", "ext2"), ("A", "ext3")}
+MIN_RANK = {
+    ("A", "ext2"): 3,
+    ("A", "ext3"): 4,
+    ("A", "ext4"): 5,
+    ("A", "adjoint"): 3,
+    ("D", "ext2"): 3,
+    ("D", "ext3"): 3,
+    ("D", "spin"): 3,
+    ("D", "adjoint_plus_spin"): 4,
+}
+
+
+@pytest.mark.parametrize("family,module", [(f, m) for f, mods in ALLOWED_MODULES.items() for m in mods])
+def test_module_fields_and_smallest_ranks(family, module):
+    fields = (2, 3) if (family, module) in BINARY_MODULES else (3,)
+    rank = MIN_RANK[family, module] if family in ("A", "D") else EXCEPTIONAL_RANKS[family]
+    for mode in ADJOINT_SPIN_MODES if module == "adjoint_plus_spin" else (None,):
+        for p in (2, 3, 5):
+            spec = ModuleSpec(family, rank, module, p, mode=mode)
+            if p not in fields:
+                with pytest.raises(ValueError):
+                    build_weight_matrix(spec)
+                continue
+            wm = build_weight_matrix(spec)
+            assert (wm.family, wm.rank) == (family, rank)
+            if family in ("A", "D"):
+                with pytest.raises(ValueError):
+                    build_weight_matrix(ModuleSpec(family, rank - 1, module, p, mode=mode))
 
 
 def test_to_cartan_h_families():
