@@ -13,13 +13,14 @@ import io
 import json
 import sys
 
-from .fieldcodes import SUPPORTED_PRIMES, CodeReport, FpMatrix, analyze, format_matrix_text, row_space_code
+from .fieldcodes import SUPPORTED_PRIMES, CodeReport, FpMatrix, analyze, format_matrix_text
 from .repweights import ADJOINT_SPIN_MODES, ALLOWED_MODULES, ModuleSpec, build_weight_matrix
 from .rootsys import EXCEPTIONAL_RANKS
 from .verify import (
     SuiteReport,
     TableRow,
     VerifyLimits,
+    module_code,
     reproduce_table,
     run_suite,
     to_json,
@@ -243,9 +244,7 @@ def run(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "report":
-            spec = _module_spec(args)
-            wm = build_weight_matrix(spec)
-            report = analyze(row_space_code(wm.mod(spec.p)))
+            report = analyze(*module_code(_module_spec(args)))
             _write_payload(_report_payload(report, args.format), args.output)
             return EXIT_OK
 

@@ -368,9 +368,17 @@ class CodeReport:
         }
 
 
-def analyze(c: LinearCode) -> CodeReport:
-    """Full report: parameters, weight distribution, orthogonality flags."""
-    dist = weight_distribution(c)
+def analyze(c: LinearCode, dist: Sequence[int] | None = None) -> CodeReport:
+    """Full report: parameters, weight distribution, orthogonality flags.
+
+    `dist` is the weight distribution of `c` when another engine has counted
+    it; without it the distribution is enumerated.
+    """
+    if dist is None:
+        dist = weight_distribution(c)
+    elif len(dist) != c.n + 1 or sum(dist) != c.p**c.k:
+        raise ValueError(f"not a weight distribution of a code of length {c.n} and dimension {c.k}")
+    dist = tuple(dist)
     d = _first_nonzero_weight(dist)
     g = c.basis.entries
     gram = g @ g.T % c.p

@@ -1,5 +1,6 @@
 """Registry of the published code-parameter claims and the machinery that
-checks every one of them by exhaustive computation.
+checks every one of them by exact computation: Weyl-orbit counting for the
+sl(n) and o(2m) codes, exhaustive enumeration for the exceptional ones.
 
 Each registered case records the claimed (n, k, d) and flags; where the
 stated value disagrees with exhaustive enumeration the case carries an
@@ -13,12 +14,13 @@ from __future__ import annotations
 import fnmatch
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
 
-from .fieldcodes import CodeReport, analyze, combination_weight, row_space_code
+from . import orbits
+from .fieldcodes import CodeReport, LinearCode, analyze, combination_weight, row_space_code
 from .repweights import (
     ModuleSpec,
     WeightMatrix,
@@ -37,6 +39,7 @@ __all__ = [
     "CaseResult",
     "SuiteReport",
     "VerifyLimits",
+    "module_code",
     "registered_cases",
     "run_case",
     "run_suite",
@@ -111,7 +114,9 @@ class VerifyLimits:
 
     max_n: int = 15  # sl(n) families
     max_m: int = 11  # o(2m) families
-    max_work: int = 600_000_000  # n * p^k enumeration budget, k the computed rank
+    # n * p^k budget of brute-force enumeration, k the computed rank; codes
+    # counted by orbits (families A and D) are not enumerated and skip it
+    max_work: int = 600_000_000
 
 
 def _case(
@@ -396,23 +401,39 @@ def _within_size_limits(case: TheoremCase, limits: VerifyLimits) -> bool:
     return True
 
 
+def module_code(spec: ModuleSpec) -> tuple[LinearCode, tuple[int, ...] | None]:
+    """The code of a module and, for families A and D, its weight
+    distribution counted by Weyl orbits; None for the exceptional families,
+    whose codes (k <= 8) are enumerated.
+
+    The matrix is built once.  For sl(n) it is built on the matrix-unit rows,
+    which the orbit count needs; the Cartan-basis code comes from them.
+    """
+    cartan = spec.family == "A" and spec.basis in (None, "cartan_h")
+    wm = build_weight_matrix(replace(spec, basis="matrix_unit_E") if cartan else spec)
+    code = row_space_code((to_cartan_h(wm) if cartan else wm).mod(spec.p))
+    if spec.family not in ("A", "D"):
+        return code, None
+    return code, orbits.weight_distribution(wm.entries, spec.p, code.k, sum_zero=cartan)
+
+
 def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResult:
     """Build, reduce, analyze and compare one case.
 
     A case beyond the resource limits is reported as skipped, never failed.
     The enumeration budget is checked on the computed rank, so a wrongly
-    registered dimension cannot start an enumeration beyond it.
+    registered dimension cannot start an enumeration beyond it; codes
+    counted by orbits are not enumerated and need no budget.
     """
     limits = limits or VerifyLimits()
     skipped = CaseResult(case, False, True, (), None, 0.0)
     if not _within_size_limits(case, limits):
         return skipped
     t0 = time.perf_counter()
-    wm = build_weight_matrix(case.spec)
-    code = row_space_code(wm.mod(case.spec.p))
-    if code.n * code.p**code.k > limits.max_work:
+    code, dist = module_code(case.spec)
+    if dist is None and code.n * code.p**code.k > limits.max_work:
         return skipped
-    report = analyze(code)
+    report = analyze(code, dist)
     mismatches = []
     for name, want, got in (
         ("n", case.expected_n, report.n),

@@ -40,6 +40,13 @@ def test_report_text_f4(capsys):
     assert "n: 12" in out and "k: 4" in out and "d: 6" in out
 
 
+def test_report_past_the_enumeration_caps(capsys):
+    # 3^28 codewords: the sl(n) report counts Weyl orbits instead
+    code, out, err = invoke(capsys, "report", "--family", "A", "--n", "30", "--module", "ext3", "--field", "3")
+    assert code == 0 and not err
+    assert "d: 756" in out.splitlines()
+
+
 def test_verify_filter_exit_zero(capsys):
     code, out, _ = invoke(capsys, "verify", "--filter", "thm2.2", "--max-n", "15")
     assert code == 0

@@ -27,7 +27,7 @@ from liecodes.repweights import (
 )
 from liecodes.verify import registered_cases
 
-from _oracles import naive_min_distance, naive_weight_distribution
+from _oracles import krawtchouk_transform, naive_min_distance, naive_weight_distribution
 
 
 def random_fp_matrix(rng, p, max_rows=4, max_cols=20):
@@ -224,31 +224,6 @@ def test_oracle_equivalence_on_random_codes():
     check_random_codes_against_oracle()
 
 
-def krawtchouk_transform(p, n, k, dist):
-    """B_j = sum_w A_w K_j(w) / p^k, exactly, for j = 0..n.
-
-    K_j(w) follows the three-term recurrence
-    (j+1) K_{j+1} = ((p-1)(n-j) + j - p w) K_j - (p-1)(n-j+1) K_{j-1},
-    evaluated only at weights with A_w != 0.
-    """
-    size = p**k
-    support = [(w, a) for w, a in enumerate(dist) if a]
-    prev = [0] * len(support)
-    cur = [1] * len(support)
-    out = []
-    for j in range(n + 1):
-        total = sum(a * kj for (_, a), kj in zip(support, cur))
-        assert total % size == 0, f"B_{j} is not an integer"
-        out.append(total // size)
-        nxt = []
-        for (w, _), km, kj in zip(support, prev, cur):
-            num = ((p - 1) * (n - j) + j - p * w) * kj - (p - 1) * (n - j + 1) * km
-            assert num % (j + 1) == 0
-            nxt.append(num // (j + 1))
-        prev, cur = cur, nxt
-    return out
-
-
 def test_krawtchouk_transform_of_small_codes():
     # the transform of a code's distribution is its dual's distribution
     for wm, p in [(fixture_matrix("F4_minimal"), 3), (ext_weight_matrix_A(6, 2, "cartan_h"), 2)]:
@@ -315,6 +290,15 @@ def test_analyze_zero_code():
 def test_analyze_sl7_cube_not_orthogonal():
     rep = analyze(row_space_code(ext_weight_matrix_A(7, 3, "cartan_h").mod(3)))
     assert not rep.self_orthogonal
+
+
+def test_analyze_takes_a_counted_distribution():
+    code = row_space_code(ext_weight_matrix_A(6, 2, "cartan_h").mod(2))
+    dist = list(weight_distribution(code))
+    assert analyze(code, dist) == analyze(code)
+    for bad in (dist[:-1], [dist[0] + 1] + dist[1:]):
+        with pytest.raises(ValueError, match="not a weight distribution"):
+            analyze(code, bad)
 
 
 def test_analyze_self_dual_repetition_code():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from math import comb
 
 import pytest
 
@@ -17,6 +18,7 @@ from liecodes.repweights import (
 )
 from liecodes.verify import (
     TABLE_IDS,
+    TheoremCase,
     VerifyLimits,
     branch_equivalences,
     closed_form_weight,
@@ -129,6 +131,26 @@ def test_work_budget_uses_computed_rank(monkeypatch):
     monkeypatch.setattr(verify, "analyze", lambda code: pytest.fail("enumeration started"))
     res = run_case(wrong, VerifyLimits(max_work=10_000))
     assert res.skipped and not res.passed and res.report is None
+
+
+# unregistered cases past the default caps, 10^8 to 10^18 codewords each,
+# with their closed-form parameters; only the orbit count reaches them.  The
+# binary cube codes are doubly even for n = 2, 3 (mod 4) only, so n = 40
+# carries no flag claim.
+EXTENDED_RANGE = (
+    TheoremCase("thm2.2/n=40", ModuleSpec("A", 40, "ext3", 2), comb(40, 3), 39, 38 * 37, None, None, "binary ext3"),
+    TheoremCase("thm2.3/ext3/n=29", ModuleSpec("A", 29, "ext3", 3), comb(29, 3), 28, 28 * 27 // 2, True, None, "ext3"),
+    TheoremCase("thm2.3/ext3/n=30", ModuleSpec("A", 30, "ext3", 3), comb(30, 3), 28, 28 * 27, True, None, "ext3"),
+    TheoremCase("thm2.3/ext2/n=38", ModuleSpec("A", 38, "ext2", 3), comb(38, 2), 37, 2 * 36, True, None, "ext2"),
+    TheoremCase("thm3.1/m=19", ModuleSpec("D", 19, "ext2", 3), 19 * 18, 19, 2 * 18, True, None, "o(38) ext2"),
+    TheoremCase("thm3.2/m=17", ModuleSpec("D", 17, "ext3", 3), 17 * 16 * 33 // 3, 17, 16 * 31, False, None, "o(34) ext3"),
+)
+
+
+@pytest.mark.parametrize("case", EXTENDED_RANGE, ids=lambda c: c.case_id)
+def test_extended_range_cases_pass(case):
+    res = run_case(case, VerifyLimits(max_n=40, max_m=20))
+    assert res.passed and not res.skipped, res.mismatches
 
 
 def test_run_suite_filter_and_determinism():
