@@ -18,14 +18,11 @@ import numpy as np
 
 __all__ = [
     "SUPPORTED_PRIMES",
-    "EmptyCodeError",
     "FpMatrix",
     "LinearCode",
     "CodeReport",
     "rref",
     "row_space_code",
-    "dual_code",
-    "min_distance",
     "weight_distribution",
     "analyze",
     "combination_weight",
@@ -34,10 +31,6 @@ __all__ = [
 ]
 
 SUPPORTED_PRIMES = (2, 3)
-
-
-class EmptyCodeError(ValueError):
-    """The zero code has no nonzero codeword, so the request is undefined."""
 
 
 def _as_int_matrix(entries) -> np.ndarray:
@@ -162,44 +155,21 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:
     return FpMatrix(p, reduced), r, tuple(pivots)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LinearCode:
-    """A row space over F_p held by its reduced-row-echelon generator."""
+    """A row space over F_p held by its reduced-row-echelon generator; the
+    basis is canonical, so two codes are equal when their fields are."""
 
     p: int
     n: int
     k: int
     basis: FpMatrix
 
-    def __eq__(self, other) -> bool:
-        # canonical bases make code equality a matrix equality
-        return (
-            isinstance(other, LinearCode)
-            and (self.p, self.n, self.k) == (other.p, other.n, other.k)
-            and self.basis == other.basis
-        )
-
 
 def row_space_code(m: FpMatrix) -> LinearCode:
     """The linear code generated by the rows of `m`, in canonical form."""
     reduced, rank, _ = rref(m)
     return LinearCode(m.p, m.cols, rank, reduced)
-
-
-def dual_code(c: LinearCode) -> LinearCode:
-    """The orthogonal complement {a : a.b = 0 for every codeword b}."""
-    p, n, g = c.p, c.n, c.basis.entries
-    pivots = [int(np.argmax(row != 0)) for row in g]
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    if not free:
-        return LinearCode(p, n, 0, FpMatrix(p, np.zeros((0, n), dtype=np.int64)))
-    rows = np.zeros((len(free), n), dtype=np.int64)
-    for idx, f in enumerate(free):
-        rows[idx, f] = 1
-        for r, pc in enumerate(pivots):
-            rows[idx, pc] = (-int(g[r, f])) % p
-    return row_space_code(FpMatrix(p, rows))
 
 
 def combination_weight(m: FpMatrix, coeffs: Sequence[int]) -> int:
@@ -322,17 +292,6 @@ def weight_distribution(c: LinearCode) -> tuple[int, ...]:
     return tuple((histogram(support) + (p - 1) * outer).tolist())
 
 
-def min_distance(c: LinearCode) -> int:
-    """Smallest Hamming weight among the p^k - 1 nonzero codewords."""
-    if c.k == 0:
-        raise EmptyCodeError("minimum distance is undefined for the zero code")
-    return _first_nonzero_weight(weight_distribution(c))
-
-
-def _first_nonzero_weight(dist: Sequence[int]) -> int | None:
-    return next((w for w in range(1, len(dist)) if dist[w]), None)
-
-
 @dataclass(frozen=True)
 class CodeReport:
     """Everything the verification suite needs to know about one code.
@@ -379,7 +338,7 @@ def analyze(c: LinearCode, dist: Sequence[int] | None = None) -> CodeReport:
     elif len(dist) != c.n + 1 or sum(dist) != c.p**c.k:
         raise ValueError(f"not a weight distribution of a code of length {c.n} and dimension {c.k}")
     dist = tuple(dist)
-    d = _first_nonzero_weight(dist)
+    d = next((w for w in range(1, c.n + 1) if dist[w]), None)
     g = c.basis.entries
     gram = g @ g.T % c.p
     self_orthogonal = not gram.any()

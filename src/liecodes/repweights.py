@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -77,6 +78,16 @@ class WeightMatrix:
 _BASES = ("cartan_h", "matrix_unit_E")
 ADJOINT_SPIN_MODES = ("weight_code", "direct_sum")
 
+# Ten times the entries of the largest weight matrix the tests and the
+# benchmark build, the 40 x 9880 cube matrix of sl(40)
+_MAX_ENTRIES = 1 << 22
+
+
+def _check_size(module: str, rows: int, cols: int) -> None:
+    """Refuse a matrix of more than _MAX_ENTRIES entries before it is allocated."""
+    if rows * cols > _MAX_ENTRIES:
+        raise ValueError(f"{module} would have {rows} x {cols} = {rows * cols} entries, over {_MAX_ENTRIES}")
+
 
 def _subset_label(subset: tuple[int, ...]) -> str:
     return "{" + ",".join(str(i) for i in subset) + "}"
@@ -93,6 +104,7 @@ def ext_weight_matrix_A(n: int, r: int, basis: str = "cartan_h") -> WeightMatrix
         raise ValueError(f"ext{r} of sl(n) needs 1 <= r <= n - 1, got n={n}")
     if basis not in _BASES:
         raise ValueError(f"unknown basis {basis!r}; expected one of {list(_BASES)}")
+    _check_size(f"ext{r} of sl({n})", n, comb(n, r))
     subsets = list(itertools.combinations(range(1, n + 1), r))
     e = np.zeros((n, len(subsets)), dtype=np.int64)
     for j, s in enumerate(subsets):
@@ -114,6 +126,7 @@ def adjoint_weight_matrix_A(n: int, basis: str = "cartan_h") -> WeightMatrix:
         raise ValueError(f"adjoint of sl(n) needs n >= 3, got n={n}")
     if basis not in _BASES:
         raise ValueError(f"unknown basis {basis!r}; expected one of {list(_BASES)}")
+    _check_size(f"adjoint of sl({n})", n, comb(n, 2))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     e = np.zeros((n, len(pairs)), dtype=np.int64)
     for col, (i, j) in enumerate(pairs):
@@ -133,6 +146,7 @@ def d_lambda2_matrix(m: int) -> WeightMatrix:
     """
     if m < 3:
         raise ValueError(f"ext2 of o(2m) needs m >= 3, got m={m}")
+    _check_size(f"ext2 of o({2 * m})", m, 2 * comb(m, 2))
     pairs = list(itertools.combinations(range(1, m + 1), 2))
     rows = np.zeros((m, 2 * len(pairs)), dtype=np.int64)
     labels = []
@@ -154,6 +168,7 @@ def d_lambda3_matrix(m: int) -> WeightMatrix:
     """
     if m < 3:
         raise ValueError(f"ext3 of o(2m) needs m >= 3, got m={m}")
+    _check_size(f"ext3 of o({2 * m})", m, comb(m, 3) + m * comb(m, 2))
     triples = list(itertools.combinations(range(1, m + 1), 3))
     pairs = list(itertools.combinations(range(1, m + 1), 2))
     cols = len(triples) + m * len(pairs)
@@ -188,6 +203,7 @@ def d_spin_matrix(m: int, half: bool = False) -> WeightMatrix:
         raise ValueError(f"spin of o(2m) needs m >= 3, got m={m}")
     if half and m % 2:
         raise ValueError("the half-column spin matrix needs even m")
+    _check_size(f"spin of o({2 * m})", m, 2 ** (m - 2 if half else m - 1))
     subsets = [
         s
         for size in range(m % 2, m + 1, 2)

@@ -1,12 +1,19 @@
-"""Naive reference implementations used as independent oracles.
+"""Reference implementations used as independent oracles.
 
-Every codeword is materialized as a plain list of integers; no packing, no
-Gray walk, no numpy.  Deliberately slow and obviously correct.  The
-MacWilliams transform of a weight distribution is exact integer arithmetic
-too.
+The naive enumerators materialize every codeword as a plain list of
+integers; no packing, no Gray walk, no numpy.  Deliberately slow and
+obviously correct.  The MacWilliams transform of a weight distribution is
+exact integer arithmetic too, and `dual_code` gives the code it describes.
+The closed forms are the paper's codeword weights of partial row sums,
+against which the weight-matrix builders are checked.
 """
 
 from itertools import product
+from math import comb
+
+import numpy as np
+
+from liecodes.fieldcodes import FpMatrix, LinearCode, row_space_code
 
 
 def all_codewords(p, basis_rows, n):
@@ -63,3 +70,37 @@ def krawtchouk_transform(p, n, k, dist):
             nxt.append(num // (j + 1))
         prev, cur = cur, nxt
     return out
+
+
+def dual_code(c: LinearCode) -> LinearCode:
+    """The orthogonal complement {a : a.b = 0 for every codeword b}."""
+    p, n, g = c.p, c.n, c.basis.entries
+    pivots = [int(np.argmax(row != 0)) for row in g]
+    pivot_set = set(pivots)
+    free = [j for j in range(n) if j not in pivot_set]
+    if not free:
+        return LinearCode(p, n, 0, FpMatrix(p, np.zeros((0, n), dtype=np.int64)))
+    rows = np.zeros((len(free), n), dtype=np.int64)
+    for idx, f in enumerate(free):
+        rows[idx, f] = 1
+        for r, pc in enumerate(pivots):
+            rows[idx, pc] = (-int(g[r, f])) % p
+    return row_space_code(FpMatrix(p, rows))
+
+
+# Closed forms for the weight of a partial row sum, by formula id.  The sl(n)
+# forms take (n, s, t): coefficients 1 on s matrix-unit rows and -1 on t
+# others, 0 <= s + t <= n.  The o(2m) forms take (m, t): coefficients 1 on t
+# of the m e_i rows.
+CLOSED_FORMS = {
+    "A2_st": lambda n, s, t: (s + t) * (n - s - t) + comb(s, 2) + comb(t, 2),
+    "A3_st": lambda n, s, t: (s + t) * comb(n - s - t, 2) + (n - s) * comb(s, 2) + (n - t) * comb(t, 2),
+    "A_adjoint_st": lambda n, s, t: (s + t) * (n - s - t) + s * t,
+    "D2_t": lambda m, t: comb(t, 2) + 2 * t * (m - t),
+    "D3_t": lambda m, t: (2 * m - t) * comb(t, 2) + 2 * t * comb(m - t, 2) + t * (m - t) ** 2,
+}
+
+
+def closed_form_weight(formula_id, **params):
+    """Codeword weight of a partial row sum from the closed form `formula_id`."""
+    return CLOSED_FORMS[formula_id](**params)

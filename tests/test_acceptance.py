@@ -22,7 +22,6 @@ from liecodes.repweights import (
 from liecodes.verify import (
     TABLE_IDS,
     branch_equivalences,
-    closed_form_weight,
     registered_cases,
     reproduce_table,
     run_case,
@@ -30,7 +29,7 @@ from liecodes.verify import (
     weyl_invariance_violations,
 )
 
-from _oracles import naive_min_distance, naive_weight_distribution
+from _oracles import closed_form_weight, naive_min_distance, naive_weight_distribution
 
 CASES = {c.case_id: c for c in registered_cases()}
 
@@ -236,7 +235,7 @@ def test_criterion_10_property_suites():
         assert weyl_invariance_violations(wm, spec.p, 1000, seed=20240801) == 0, spec
 
     # (b) packed enumeration against the naive oracle on 200 random codes
-    from liecodes.fieldcodes import FpMatrix, min_distance, weight_distribution
+    from liecodes.fieldcodes import FpMatrix, weight_distribution
 
     rng = np.random.default_rng(987654321)
     for _ in range(200):
@@ -246,8 +245,7 @@ def test_criterion_10_property_suites():
         code = row_space_code(FpMatrix(p, rng.integers(0, p, size=(rows, cols))))
         basis = code.basis.entries.tolist()
         assert list(weight_distribution(code)) == naive_weight_distribution(p, basis, code.n)
-        if code.k:
-            assert min_distance(code) == naive_min_distance(p, basis, code.n)
+        assert analyze(code).d == naive_min_distance(p, basis, code.n)
 
     # (c) closed forms equal enumerated weights over their full ranges
     from liecodes.fieldcodes import combination_weight

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 
 import numpy as np
 from liecodes.cli import _build_parser, _matrix_payload, _report_payload, _suite_payload, run
@@ -45,6 +46,19 @@ def test_report_past_the_enumeration_caps(capsys):
     code, out, err = invoke(capsys, "report", "--family", "A", "--n", "30", "--module", "ext3", "--field", "3")
     assert code == 0 and not err
     assert "d: 756" in out.splitlines()
+
+
+def test_oversized_module_is_a_usage_error(capsys):
+    # the builders refuse before they allocate: 30 x 2^29 and 300 x C(300, 3) entries
+    for argv, size in (
+        (["report", "--family", "D", "--m", "30", "--module", "spin"], "30 x 536870912"),
+        (["matrix", "--family", "A", "--n", "300", "--module", "ext3"], "300 x 4455100"),
+    ):
+        started = time.perf_counter()
+        code, out, err = invoke(capsys, *argv, "--field", "3")
+        assert time.perf_counter() - started < 1.0
+        assert code == 2 and not out
+        assert err.startswith("liecodes: error: ") and size in err
 
 
 def test_verify_filter_exit_zero(capsys):

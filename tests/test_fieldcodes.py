@@ -5,13 +5,10 @@ import pytest
 
 from liecodes import fieldcodes
 from liecodes.fieldcodes import (
-    EmptyCodeError,
     FpMatrix,
     analyze,
     combination_weight,
-    dual_code,
     format_matrix_text,
-    min_distance,
     parse_matrix_text,
     row_space_code,
     rref,
@@ -19,15 +16,14 @@ from liecodes.fieldcodes import (
 )
 from liecodes.repweights import (
     adjoint_weight_matrix_A,
-    build_weight_matrix,
     d_spin_matrix,
     exceptional_adjoint_matrix,
     ext_weight_matrix_A,
     fixture_matrix,
 )
-from liecodes.verify import registered_cases
+from liecodes.verify import registered_cases, run_case
 
-from _oracles import krawtchouk_transform, naive_min_distance, naive_weight_distribution
+from _oracles import dual_code, krawtchouk_transform, naive_min_distance, naive_weight_distribution
 
 
 def random_fp_matrix(rng, p, max_rows=4, max_cols=20):
@@ -126,20 +122,14 @@ def test_row_space_code_examples():
 def test_min_distance_identity_generator():
     for p in (2, 3):
         code = row_space_code(FpMatrix(p, np.eye(5, dtype=np.int64)))
-        assert min_distance(code) == 1
-
-
-def test_min_distance_zero_code_raises():
-    zero = row_space_code(FpMatrix(2, np.zeros((1, 4), dtype=np.int64)))
-    with pytest.raises(EmptyCodeError):
-        min_distance(zero)
+        assert analyze(code).d == 1
 
 
 def test_min_distance_f4_and_e8():
     f4 = row_space_code(fixture_matrix("F4_minimal").mod(3))
-    assert min_distance(f4) == 6
+    assert analyze(f4).d == 6
     e8 = row_space_code(exceptional_adjoint_matrix("E8").mod(3))
-    assert min_distance(e8) == 57
+    assert analyze(e8).d == 57
 
 
 def test_table_split_agrees_with_oracle(monkeypatch):
@@ -203,7 +193,7 @@ def test_min_distance_matches_distribution():
     ]:
         code = row_space_code(wm.mod(p))
         dist = weight_distribution(code)
-        assert min_distance(code) == next(w for w in range(1, code.n + 1) if dist[w])
+        assert analyze(code).d == next(w for w in range(1, code.n + 1) if dist[w])
 
 
 def check_random_codes_against_oracle(seed=2024):
@@ -216,8 +206,7 @@ def check_random_codes_against_oracle(seed=2024):
         rows = code.basis.entries.tolist()
         dist = weight_distribution(code)
         assert list(dist) == naive_weight_distribution(p, rows, code.n)
-        if code.k:
-            assert min_distance(code) == naive_min_distance(p, rows, code.n)
+        assert analyze(code).d == naive_min_distance(p, rows, code.n)
 
 
 def test_oracle_equivalence_on_random_codes():
@@ -232,17 +221,24 @@ def test_krawtchouk_transform_of_small_codes():
         assert got == list(weight_distribution(dual_code(code)))
 
 
-@pytest.mark.parametrize("case_id", ["thm2.2/n=15", "cor3.4/m=9", "cor3.4/m=11"])
-def test_macwilliams_identity_on_large_codes(case_id):
+@pytest.mark.parametrize("case", registered_cases(), ids=lambda c: c.case_id)
+def test_macwilliams_identity_on_large_codes(case):
     # MacWilliams & Sloane (1977), ch. 5: the transform of a code's weight
     # distribution is a weight distribution, that of the dual code
-    case = next(c for c in registered_cases() if c.case_id == case_id)
-    code = row_space_code(build_weight_matrix(case.spec).mod(case.spec.p))
-    assert (code.n, code.k) == (case.expected_n, case.expected_k)
-    b = krawtchouk_transform(code.p, code.n, code.k, weight_distribution(code))
+    rep = run_case(case).report
+    assert (rep.n, rep.k) == (case.expected_n, case.expected_k)
+    b = krawtchouk_transform(rep.p, rep.n, rep.k, rep.weight_distribution)
     assert b[0] == 1
     assert min(b) >= 0
-    assert sum(b) == code.p ** (code.n - code.k)
+    assert sum(b) == rep.p ** (rep.n - rep.k)
+    if rep.self_orthogonal:
+        # the code lies inside its dual
+        assert all(bw >= aw for bw, aw in zip(b, rep.weight_distribution))
+    if rep.p == 3:
+        # c.c = wt(c) mod 3, and polarization gives every inner product
+        assert rep.self_orthogonal == all(w % 3 == 0 for w, a in enumerate(rep.weight_distribution) if a)
+    elif rep.doubly_even:
+        assert rep.self_orthogonal
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,14 @@ def test_build_weight_matrix_legality():
         ModuleSpec("X9", 4, "minimal", 3),
         ModuleSpec("D", 5, "ext2", 3, mode="direct_sum"),  # a mode on a module without one
         ModuleSpec("E6", 6, "minimal", 3, mode="weight_code"),
+        # past the size cap of every sl(n) and o(2m) builder
+        ModuleSpec("A", 300, "ext2", 3),
+        ModuleSpec("A", 100, "ext4", 3, basis="matrix_unit_E"),
+        ModuleSpec("A", 300, "adjoint", 3),
+        ModuleSpec("D", 300, "ext2", 3),
+        ModuleSpec("D", 100, "ext3", 3),
+        ModuleSpec("D", 30, "spin", 3),
+        ModuleSpec("D", 20, "adjoint_plus_spin", 3, mode="weight_code"),
     ]:
         with pytest.raises(ValueError):
             build_weight_matrix(bad)

@@ -21,7 +21,6 @@ from liecodes.verify import (
     TheoremCase,
     VerifyLimits,
     branch_equivalences,
-    closed_form_weight,
     registered_cases,
     reproduce_table,
     run_case,
@@ -30,6 +29,8 @@ from liecodes.verify import (
     to_json,
     weyl_invariance_violations,
 )
+
+from _oracles import closed_form_weight
 
 ANNOTATED_CASE_IDS = {
     "thm2.3/ext3/n=6",
@@ -56,17 +57,6 @@ def test_closed_form_examples():
     assert closed_form_weight("A2_st", n=5, s=1, t=0) == 4
     assert closed_form_weight("D2_t", m=5, t=1) == 8
     assert closed_form_weight("A_adjoint_st", n=9, s=0, t=0) == 0
-
-
-def test_closed_form_rejects():
-    with pytest.raises(ValueError):
-        closed_form_weight("A2_st", n=4, s=3, t=2)
-    with pytest.raises(ValueError):
-        closed_form_weight("D2_t", m=4, t=5)
-    with pytest.raises(ValueError):
-        closed_form_weight("nope", n=4, s=0, t=0)
-    with pytest.raises(ValueError):
-        closed_form_weight("A3_st", n=4)
 
 
 def pm_coeffs(total, s, t):
