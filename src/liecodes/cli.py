@@ -13,7 +13,7 @@ import io
 import json
 import sys
 
-from .fieldcodes import SUPPORTED_PRIMES, CodeReport, FpMatrix, analyze, format_matrix_text
+from .fieldcodes import SUPPORTED_PRIMES, CodeReport, FpMatrix, LinearCode, analyze, format_matrix_text
 from .repweights import ADJOINT_SPIN_MODES, ALLOWED_MODULES, ModuleSpec, build_weight_matrix
 from .rootsys import EXCEPTIONAL_RANKS
 from .verify import (
@@ -244,7 +244,8 @@ def run(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "report":
-            report = analyze(*module_code(_module_spec(args)))
+            report = module_code(_module_spec(args))
+            report = analyze(report) if isinstance(report, LinearCode) else report
             _write_payload(_report_payload(report, args.format), args.output)
             return EXIT_OK
 

@@ -25,6 +25,7 @@ __all__ = [
     "row_space_code",
     "weight_distribution",
     "analyze",
+    "distribution_report",
     "combination_weight",
     "parse_matrix_text",
     "format_matrix_text",
@@ -327,25 +328,23 @@ class CodeReport:
         }
 
 
-def analyze(c: LinearCode, dist: Sequence[int] | None = None) -> CodeReport:
-    """Full report: parameters, weight distribution, orthogonality flags.
-
-    `dist` is the weight distribution of `c` when another engine has counted
-    it; without it the distribution is enumerated.
-    """
-    if dist is None:
-        dist = weight_distribution(c)
-    elif len(dist) != c.n + 1 or sum(dist) != c.p**c.k:
-        raise ValueError(f"not a weight distribution of a code of length {c.n} and dimension {c.k}")
-    dist = tuple(dist)
-    d = next((w for w in range(1, c.n + 1) if dist[w]), None)
+def analyze(c: LinearCode) -> CodeReport:
+    """Full report of a code whose weight distribution is enumerated."""
     g = c.basis.entries
-    gram = g @ g.T % c.p
-    self_orthogonal = not gram.any()
-    self_dual = self_orthogonal and 2 * c.k == c.n
+    return distribution_report(c.p, c.n, c.k, weight_distribution(c), not (g @ g.T % c.p).any())
+
+
+def distribution_report(p: int, n: int, k: int, dist: Sequence[int], self_orthogonal: bool) -> CodeReport:
+    """The report of a code of length n and dimension k with weight
+    distribution `dist`; d, self_dual, even and doubly_even are read off it."""
+    dist = tuple(dist)
+    if len(dist) != n + 1 or sum(dist) != p**k:
+        raise ValueError(f"not a weight distribution of a code of length {n} and dimension {k}")
+    d = next((w for w in range(1, n + 1) if dist[w]), None)
+    self_dual = self_orthogonal and 2 * k == n
     even = doubly_even = None
-    if c.p == 2:
-        support = [w for w in range(1, c.n + 1) if dist[w]]
+    if p == 2:
+        support = [w for w in range(1, n + 1) if dist[w]]
         even = all(w % 2 == 0 for w in support)
         doubly_even = all(w % 4 == 0 for w in support)
-    return CodeReport(c.p, c.n, c.k, d, dist, self_orthogonal, self_dual, even, doubly_even)
+    return CodeReport(p, n, k, d, dist, self_orthogonal, self_dual, even, doubly_even)

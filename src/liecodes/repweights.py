@@ -10,9 +10,13 @@ modulo 3 (1/2 = -1 = 2 in F3); those carry the `mod3_only` flag.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, factorial, perm
+from operator import mul
 
 import numpy as np
 
@@ -33,6 +37,9 @@ __all__ = [
     "fixture_matrix",
     "FIXTURE_NAMES",
     "build_weight_matrix",
+    "module_templates",
+    "template_columns",
+    "orbit_weight",
     "to_cartan_h",
 ]
 
@@ -78,19 +85,68 @@ class WeightMatrix:
 _BASES = ("cartan_h", "matrix_unit_E")
 ADJOINT_SPIN_MODES = ("weight_code", "direct_sum")
 
-# Ten times the entries of the largest weight matrix the tests and the
-# benchmark build, the 40 x 9880 cube matrix of sl(40)
+# Ten times the entries of the 40 x 9880 cube matrix of sl(40)
 _MAX_ENTRIES = 1 << 22
 
+# The columns of an sl(n) or o(2m) weight matrix on its coordinate rows
+# X_1..X_r (the matrix-unit rows of sl(n), the e_i rows of o(2m)) are a few
+# templates (coeffs, share): coeffs placed on distinct rows in every order,
+# each placement counted share times, which lists the columns up to sign.
+# coeffs None stands for the spin columns: 2 (1/2 in F3) on the rows of a
+# subset S with |S| = r (mod 2), 1 (-1/2) on the others.
 
-def _check_size(module: str, rows: int, cols: int) -> None:
-    """Refuse a matrix of more than _MAX_ENTRIES entries before it is allocated."""
+
+def template_columns(rank: int, templates: tuple) -> int:
+    """Number of columns the templates give on `rank` coordinate rows."""
+    return int(sum(share * (2 ** (rank - 1) if c is None else perm(rank, len(c))) for c, share in templates))
+
+
+@functools.cache
+def _placements(coeffs: tuple[int, ...], p: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(ways, k0, k1, k2): in how many ways the template's positions can take
+    coefficients 0, 1 and 2 (k0, k1 and k2 of them) with a nonzero entry."""
+    classes = itertools.product(range(p), repeat=len(coeffs))
+    nonzero = Counter(tuple(map(cls.count, range(3))) for cls in classes if sum(map(mul, cls, coeffs)) % p)
+    return tuple((ways, *ks) for ks, ways in nonzero.items())
+
+
+def orbit_weight(templates: tuple, p: int, counts: tuple[int, int, int]) -> int:
+    """Weight over F_p of the word c . X, where counts[v] coefficients of c
+    are v; any permutation of c gives the same weight."""
+    n0, n1, n2 = counts
+    total = Fraction(0)
+    for coeffs, share in templates:
+        if coeffs is None:
+            # with a of the n1 ones and b of the n2 twos in S the entry is
+            # n1 + a + 2 n2 - b; the zeros in S only fix the parity of |S|
+            ab = [(a, b) for a in range(n1 + 1) for b in range(n2 + 1) if (n1 + a + 2 * n2 - b) % 3]
+            hits = sum(comb(n1, a) * comb(n2, b) * (2 ** (n0 - 1) if n0 else 1 - (n1 + n2 - a - b) % 2) for a, b in ab)
+        else:
+            # k_v positions on rows of coefficient v go there in perm(n_v, k_v) ways
+            hits = sum(w * perm(n0, k0) * perm(n1, k1) * perm(n2, k2) for w, k0, k1, k2 in _placements(coeffs, p))
+        total += share * hits
+    return int(total)
+
+
+def _check_size(module: str, rows: int, templates: tuple) -> tuple:
+    """The templates, unless their matrix would have over _MAX_ENTRIES entries."""
+    cols = template_columns(rows, templates)
     if rows * cols > _MAX_ENTRIES:
         raise ValueError(f"{module} would have {rows} x {cols} = {rows * cols} entries, over {_MAX_ENTRIES}")
+    return templates
 
 
 def _subset_label(subset: tuple[int, ...]) -> str:
-    return "{" + ",".join(str(i) for i in subset) + "}"
+    return "{" + ",".join(map(str, subset)) + "}"
+
+
+def ext_templates_A(n: int, r: int, basis: str = "cartan_h") -> tuple:
+    """Column templates of sl(n) on the degree-r exterior power: r ones."""
+    if not 1 <= r <= n - 1:
+        raise ValueError(f"ext{r} of sl(n) needs 1 <= r <= n - 1, got n={n}")
+    if basis not in _BASES:
+        raise ValueError(f"unknown basis {basis!r}; expected one of {list(_BASES)}")
+    return _check_size(f"ext{r} of sl({n})", n, (((1,) * r, Fraction(1, factorial(r))),))
 
 
 def ext_weight_matrix_A(n: int, r: int, basis: str = "cartan_h") -> WeightMatrix:
@@ -100,19 +156,22 @@ def ext_weight_matrix_A(n: int, r: int, basis: str = "cartan_h") -> WeightMatrix
     matrix_unit_E basis, row i is the indicator of i belonging to the
     subset; cartan_h rows are consecutive differences of those.
     """
-    if not 1 <= r <= n - 1:
-        raise ValueError(f"ext{r} of sl(n) needs 1 <= r <= n - 1, got n={n}")
-    if basis not in _BASES:
-        raise ValueError(f"unknown basis {basis!r}; expected one of {list(_BASES)}")
-    _check_size(f"ext{r} of sl({n})", n, comb(n, r))
+    ext_templates_A(n, r, basis)
     subsets = list(itertools.combinations(range(1, n + 1), r))
     e = np.zeros((n, len(subsets)), dtype=np.int64)
-    for j, s in enumerate(subsets):
-        for i in s:
-            e[i - 1, j] = 1
+    e[np.array(subsets).T - 1, np.arange(len(subsets))] = 1
     labels = tuple(_subset_label(s) for s in subsets)
     wm = WeightMatrix("A", n, f"ext{r}", "matrix_unit_E", False, e, labels)
     return wm if basis == "matrix_unit_E" else to_cartan_h(wm)
+
+
+def adjoint_templates_A(n: int, basis: str = "cartan_h") -> tuple:
+    """Column templates of sl(n) on its adjoint module: (1, -1)."""
+    if n < 3:
+        raise ValueError(f"adjoint of sl(n) needs n >= 3, got n={n}")
+    if basis not in _BASES:
+        raise ValueError(f"unknown basis {basis!r}; expected one of {list(_BASES)}")
+    return _check_size(f"adjoint of sl({n})", n, (((1, -1), Fraction(1, 2)),))
 
 
 def adjoint_weight_matrix_A(n: int, basis: str = "cartan_h") -> WeightMatrix:
@@ -122,19 +181,20 @@ def adjoint_weight_matrix_A(n: int, basis: str = "cartan_h") -> WeightMatrix:
     matrix_unit_E rows act by delta_(r,i) - delta_(r,j); cartan_h rows are
     consecutive differences and generate the adjoint weight code.
     """
-    if n < 3:
-        raise ValueError(f"adjoint of sl(n) needs n >= 3, got n={n}")
-    if basis not in _BASES:
-        raise ValueError(f"unknown basis {basis!r}; expected one of {list(_BASES)}")
-    _check_size(f"adjoint of sl({n})", n, comb(n, 2))
+    adjoint_templates_A(n, basis)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     e = np.zeros((n, len(pairs)), dtype=np.int64)
-    for col, (i, j) in enumerate(pairs):
-        e[i - 1, col] = 1
-        e[j - 1, col] = -1
+    e[np.array(pairs).T - 1, np.arange(len(pairs))] = [[1], [-1]]
     labels = tuple(f"e{i}-e{j}" for i, j in pairs)
     wm = WeightMatrix("A", n, "adjoint", "matrix_unit_E", False, e, labels)
     return wm if basis == "matrix_unit_E" else to_cartan_h(wm)
+
+
+def d_lambda2_templates(m: int) -> tuple:
+    """Column templates of o(2m) on its degree-2 exterior module."""
+    if m < 3:
+        raise ValueError(f"ext2 of o(2m) needs m >= 3, got m={m}")
+    return _check_size(f"ext2 of o({2 * m})", m, (((1, 1), Fraction(1, 2)), ((1, -1), Fraction(1, 2))))
 
 
 def d_lambda2_matrix(m: int) -> WeightMatrix:
@@ -144,20 +204,23 @@ def d_lambda2_matrix(m: int) -> WeightMatrix:
     i < j there is a sum column (weight e_i + e_j) and a difference column
     (weight e_i - e_j), interleaved in lexicographic pair order.
     """
-    if m < 3:
-        raise ValueError(f"ext2 of o(2m) needs m >= 3, got m={m}")
-    _check_size(f"ext2 of o({2 * m})", m, 2 * comb(m, 2))
+    d_lambda2_templates(m)
     pairs = list(itertools.combinations(range(1, m + 1), 2))
     rows = np.zeros((m, 2 * len(pairs)), dtype=np.int64)
-    labels = []
     for idx, (i, j) in enumerate(pairs):
-        rows[i - 1, 2 * idx] = 1
-        rows[j - 1, 2 * idx] = 1
-        labels.append(f"e{i}+e{j}")
-        rows[i - 1, 2 * idx + 1] = 1
-        rows[j - 1, 2 * idx + 1] = -1
-        labels.append(f"e{i}-e{j}")
-    return WeightMatrix("D", m, "ext2", "matrix_unit_E", False, rows, tuple(labels))
+        rows[i - 1, 2 * idx : 2 * idx + 2] = 1
+        rows[j - 1, 2 * idx : 2 * idx + 2] = (1, -1)
+    labels = tuple(f"e{i}{sign}e{j}" for i, j in pairs for sign in "+-")
+    return WeightMatrix("D", m, "ext2", "matrix_unit_E", False, rows, labels)
+
+
+def d_lambda3_templates(m: int) -> tuple:
+    """Column templates of o(2m) on its degree-3 exterior module; the column
+    e_i + e_j - e_l with l = i or j is e_j or e_i, m - 1 times each."""
+    if m < 3:
+        raise ValueError(f"ext3 of o(2m) needs m >= 3, got m={m}")
+    templates = (((1, 1, 1), Fraction(1, 6)), ((1, 1, -1), Fraction(1, 2)), ((1,), Fraction(m - 1)))
+    return _check_size(f"ext3 of o({2 * m})", m, templates)
 
 
 def d_lambda3_matrix(m: int) -> WeightMatrix:
@@ -166,29 +229,26 @@ def d_lambda3_matrix(m: int) -> WeightMatrix:
     First the C(m,3) columns of weight e_i + e_j + e_l (i < j < l), then the
     m * C(m,2) columns of weight e_i + e_j - e_l (i < j, l arbitrary).
     """
-    if m < 3:
-        raise ValueError(f"ext3 of o(2m) needs m >= 3, got m={m}")
-    _check_size(f"ext3 of o({2 * m})", m, comb(m, 3) + m * comb(m, 2))
+    d_lambda3_templates(m)
     triples = list(itertools.combinations(range(1, m + 1), 3))
-    pairs = list(itertools.combinations(range(1, m + 1), 2))
-    cols = len(triples) + m * len(pairs)
-    rows = np.zeros((m, cols), dtype=np.int64)
-    labels = []
-    for idx, (i, j, l) in enumerate(triples):
-        rows[i - 1, idx] = 1
-        rows[j - 1, idx] = 1
-        rows[l - 1, idx] = 1
-        labels.append(f"e{i}+e{j}+e{l}")
-    base = len(triples)
-    col = base
-    for i, j in pairs:
-        for l in range(1, m + 1):
-            rows[i - 1, col] += 1
-            rows[j - 1, col] += 1
-            rows[l - 1, col] -= 1
-            labels.append(f"e{i}+e{j}-e{l}")
-            col += 1
-    return WeightMatrix("D", m, "ext3", "matrix_unit_E", False, rows, tuple(labels))
+    mixed = [(i, j, l) for i, j in itertools.combinations(range(1, m + 1), 2) for l in range(1, m + 1)]
+    rows = np.zeros((m, len(triples) + len(mixed)), dtype=np.int64)
+    for col, ((i, j, l), sign) in enumerate([(t, 1) for t in triples] + [(t, -1) for t in mixed]):
+        rows[i - 1, col] += 1
+        rows[j - 1, col] += 1
+        rows[l - 1, col] += sign
+    labels = tuple([f"e{i}+e{j}+e{l}" for i, j, l in triples] + [f"e{i}+e{j}-e{l}" for i, j, l in mixed])
+    return WeightMatrix("D", m, "ext3", "matrix_unit_E", False, rows, labels)
+
+
+def d_spin_templates(m: int, half: bool = False) -> tuple:
+    """Column templates of the spin module of o(2m); `half` keeps one
+    column of each +- pair."""
+    if m < 3:
+        raise ValueError(f"spin of o(2m) needs m >= 3, got m={m}")
+    if half and m % 2:
+        raise ValueError("the half-column spin matrix needs even m")
+    return _check_size(f"spin of o({2 * m})", m, ((None, Fraction(1, 2) if half else Fraction(1)),))
 
 
 def d_spin_matrix(m: int, half: bool = False) -> WeightMatrix:
@@ -199,26 +259,27 @@ def d_spin_matrix(m: int, half: bool = False) -> WeightMatrix:
     With `half` set, only subsets containing 1 are kept, one per +- pair of
     weights; that requires even m.
     """
-    if m < 3:
-        raise ValueError(f"spin of o(2m) needs m >= 3, got m={m}")
-    if half and m % 2:
-        raise ValueError("the half-column spin matrix needs even m")
-    _check_size(f"spin of o({2 * m})", m, 2 ** (m - 2 if half else m - 1))
-    subsets = [
-        s
-        for size in range(m % 2, m + 1, 2)
-        for s in itertools.combinations(range(1, m + 1), size)
-    ]
-    if half:
-        subsets = [s for s in subsets if 1 in s]
-    subsets.sort()
-    rows = np.zeros((m, len(subsets)), dtype=np.int64)
-    for j, s in enumerate(subsets):
-        inside = set(s)
-        for r in range(1, m + 1):
-            rows[r - 1, j] = 2 if r in inside else 1
+    d_spin_templates(m, half)
+    sizes = range(m % 2, m + 1, 2)
+    subsets = sorted(s for k in sizes for s in itertools.combinations(range(1, m + 1), k) if not half or 1 in s)
+    rows = np.array([[2 if r in s else 1 for s in subsets] for r in range(1, m + 1)], dtype=np.int64)
     labels = tuple(_subset_label(s) for s in subsets)
     return WeightMatrix("D", m, "spin", "matrix_unit_E", True, rows, labels)
+
+
+def d_adjoint_spin_templates(m: int, mode: str) -> tuple:
+    """Column templates of o(2m) on adjoint-plus-spin, by blocks; the size
+    cap holds block by block."""
+    if m < 4:
+        raise ValueError(f"adjoint_plus_spin of o(2m) needs m >= 4, got m={m}")
+    if mode not in ADJOINT_SPIN_MODES:
+        raise ValueError(f"adjoint_plus_spin needs a mode, one of {list(ADJOINT_SPIN_MODES)}; got {mode!r}")
+    ext2 = d_lambda2_templates(m)
+    if mode == "direct_sum":
+        return ext2 + d_spin_templates(m)
+    if m % 2 == 0:
+        return ext2 + d_spin_templates(m, half=True)
+    return tuple((c, 2 * share) for c, share in ext2) + d_spin_templates(m)
 
 
 def d_adjoint_spin_matrix(m: int, mode: str) -> WeightMatrix:
@@ -229,29 +290,15 @@ def d_adjoint_spin_matrix(m: int, mode: str) -> WeightMatrix:
     m it is not, and the blocks are [ext2 | -ext2 | spin].  mode="direct_sum"
     always uses [ext2 | spin], the generator of the direct-sum code.
     """
-    if m < 4:
-        raise ValueError(f"adjoint_plus_spin of o(2m) needs m >= 4, got m={m}")
-    if mode not in ADJOINT_SPIN_MODES:
-        raise ValueError(f"adjoint_plus_spin needs a mode, one of {list(ADJOINT_SPIN_MODES)}; got {mode!r}")
+    d_adjoint_spin_templates(m, mode)
     c2 = d_lambda2_matrix(m)
-    if mode == "direct_sum":
-        spin = d_spin_matrix(m)
-        blocks = [c2.entries, spin.entries]
-        labels = c2.column_labels + spin.column_labels
-    elif m % 2 == 0:
-        spin = d_spin_matrix(m, half=True)
-        blocks = [c2.entries, spin.entries]
-        labels = c2.column_labels + spin.column_labels
-    else:
-        spin = d_spin_matrix(m)
-        blocks = [c2.entries, -c2.entries, spin.entries]
-        labels = (
-            c2.column_labels
-            + tuple("-" + lab for lab in c2.column_labels)
-            + spin.column_labels
-        )
-    entries = np.hstack(blocks)
-    return WeightMatrix("D", m, "adjoint_plus_spin", "matrix_unit_E", True, entries, labels)
+    spin = d_spin_matrix(m, half=mode == "weight_code" and m % 2 == 0)
+    blocks, labels = [c2.entries], c2.column_labels
+    if mode == "weight_code" and m % 2:
+        blocks.append(-c2.entries)
+        labels += tuple("-" + lab for lab in c2.column_labels)
+    entries = np.hstack(blocks + [spin.entries])
+    return WeightMatrix("D", m, "adjoint_plus_spin", "matrix_unit_E", True, entries, labels + spin.column_labels)
 
 
 _MINIMAL_ORBITS = {
@@ -404,46 +451,48 @@ class ModuleSpec:
     basis: str | None = None  # optional override for the sl(n) families
 
 
-# (family, module) -> (fields it is defined over, builder); the builders
-# check their own rank, basis and mode bounds
+def _sl(r: int):
+    return lambda ms: (ms.rank, r, ms.basis or "cartan_h")
+
+
+# (family, module) -> (fields it is defined over, arguments of a request,
+# builder, column templates); the templates function checks the rank, basis,
+# mode and size bounds, and the builder calls it first.  The exceptional
+# modules have no templates.
 _MODULES = {
-    ("A", "ext2"): ((2, 3), lambda ms: ext_weight_matrix_A(ms.rank, 2, ms.basis or "cartan_h")),
-    ("A", "ext3"): ((2, 3), lambda ms: ext_weight_matrix_A(ms.rank, 3, ms.basis or "cartan_h")),
-    ("A", "ext4"): ((3,), lambda ms: ext_weight_matrix_A(ms.rank, 4, ms.basis or "cartan_h")),
-    ("A", "adjoint"): ((3,), lambda ms: adjoint_weight_matrix_A(ms.rank, ms.basis or "cartan_h")),
-    ("D", "ext2"): ((3,), lambda ms: d_lambda2_matrix(ms.rank)),
-    ("D", "ext3"): ((3,), lambda ms: d_lambda3_matrix(ms.rank)),
-    ("D", "spin"): ((3,), lambda ms: d_spin_matrix(ms.rank)),
-    ("D", "adjoint_plus_spin"): ((3,), lambda ms: d_adjoint_spin_matrix(ms.rank, ms.mode)),
+    ("A", "ext2"): ((2, 3), _sl(2), ext_weight_matrix_A, ext_templates_A),
+    ("A", "ext3"): ((2, 3), _sl(3), ext_weight_matrix_A, ext_templates_A),
+    ("A", "ext4"): ((3,), _sl(4), ext_weight_matrix_A, ext_templates_A),
+    ("A", "adjoint"): ((3,), lambda ms: (ms.rank, ms.basis or "cartan_h"), adjoint_weight_matrix_A, adjoint_templates_A),
+    ("D", "ext2"): ((3,), lambda ms: (ms.rank,), d_lambda2_matrix, d_lambda2_templates),
+    ("D", "ext3"): ((3,), lambda ms: (ms.rank,), d_lambda3_matrix, d_lambda3_templates),
+    ("D", "spin"): ((3,), lambda ms: (ms.rank,), d_spin_matrix, d_spin_templates),
+    ("D", "adjoint_plus_spin"):
+        ((3,), lambda ms: (ms.rank, ms.mode), d_adjoint_spin_matrix, d_adjoint_spin_templates),
     **{
-        (family, module): ((3,), build)
+        (family, module): ((3,), lambda ms: (ms.family,), build, None)
         for family in EXCEPTIONAL_RANKS
-        for module, build in (
-            ("minimal", lambda ms: exceptional_minimal_matrix(ms.family)),
-            ("adjoint", lambda ms: exceptional_adjoint_matrix(ms.family)),
-        )
+        for module, build in (("minimal", exceptional_minimal_matrix), ("adjoint", exceptional_adjoint_matrix))
     },
     # the minimal E8 module is the adjoint one
-    ("E8", "minimal"): ((3,), lambda ms: exceptional_adjoint_matrix("E8")),
+    ("E8", "minimal"): ((3,), lambda ms: (ms.family,), exceptional_adjoint_matrix, None),
 }
 
 ALLOWED_MODULES = {family: tuple(mod for fam, mod in _MODULES if fam == family) for family, _ in _MODULES}
 
 
-def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
-    """Construct the weight matrix of a module request, or raise ValueError.
-
-    The module table decides which (family, module) pairs exist and over
-    which fields; the builder it names checks the rank, basis and mode.
-    """
+def module_templates(ms: ModuleSpec) -> tuple | None:
+    """The column templates of an sl(n) or o(2m) module request, None for an
+    exceptional one, or ValueError: the module table decides which (family,
+    module) pairs exist and over which fields, the templates the rest."""
     allowed = ALLOWED_MODULES.get(ms.family)
     if allowed is None:
         raise ValueError(f"unknown family {ms.family!r}; expected one of {sorted(ALLOWED_MODULES)}")
     if ms.module not in allowed:
         raise ValueError(f"family {ms.family} has no module {ms.module!r}; expected one of {list(allowed)}")
-    fields, build = _MODULES[ms.family, ms.module]
-    if ms.p not in fields:
-        over = "F2 and F3" if 2 in fields else "F3 only (the code is ternary)"
+    entry = _MODULES[ms.family, ms.module]
+    if ms.p not in entry[0]:
+        over = "F2 and F3" if 2 in entry[0] else "F3 only (the code is ternary)"
         raise ValueError(f"module {ms.module} of family {ms.family} is defined over {over}")
     if ms.basis is not None and ms.family != "A":
         raise ValueError(f"a basis override applies to family A only, not {ms.family}")
@@ -451,4 +500,13 @@ def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
         raise ValueError(f"a mode applies to module adjoint_plus_spin only, not {ms.module}")
     if ms.family in EXCEPTIONAL_RANKS and ms.rank != EXCEPTIONAL_RANKS[ms.family]:
         raise ValueError(f"family {ms.family} has rank {EXCEPTIONAL_RANKS[ms.family]}")
-    return build(ms)
+    _, args, _, templates = entry
+    return templates and templates(*args(ms))
+
+
+def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
+    """Construct the weight matrix of a module request, or raise the
+    ValueError of `module_templates`."""
+    module_templates(ms)
+    _, args, build, _ = _MODULES[ms.family, ms.module]
+    return build(*args(ms))

@@ -1,6 +1,7 @@
 """Registry of the published code-parameter claims and the machinery that
-checks every one of them by exact computation: Weyl-orbit counting for the
-sl(n) and o(2m) codes, exhaustive enumeration for the exceptional ones.
+checks every one of them by exact computation: Weyl-orbit counting over the
+column templates of the sl(n) and o(2m) codes, exhaustive enumeration for
+the exceptional ones.
 
 Each registered case records the claimed (n, k, d) and flags; where the
 stated value disagrees with exhaustive enumeration the case carries an
@@ -14,13 +15,12 @@ from __future__ import annotations
 import fnmatch
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from . import orbits
-from .fieldcodes import CodeReport, LinearCode, analyze, combination_weight, row_space_code
+from .fieldcodes import CodeReport, LinearCode, analyze, combination_weight, distribution_report, row_space_code
 from .repweights import (
     ModuleSpec,
     WeightMatrix,
@@ -29,6 +29,9 @@ from .repweights import (
     d_lambda2_matrix,
     d_spin_matrix,
     ext_weight_matrix_A,
+    module_templates,
+    orbit_weight,
+    template_columns,
     to_cartan_h,
 )
 from .rootsys import EXCEPTIONAL_RANKS, cartan_matrix, reflect_coroot_coeffs
@@ -391,32 +394,49 @@ def registered_cases() -> tuple[TheoremCase, ...]:
     return tuple(cases)
 
 
-def _within_size_limits(case: TheoremCase, limits: VerifyLimits) -> bool:
-    if case.spec.family == "A" and case.spec.rank > limits.max_n:
-        return False
-    if case.spec.family == "D" and case.spec.rank > limits.max_m:
-        return False
-    return True
+def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
+    """The report of an sl(n) or o(2m) module, counted from its column
+    templates; for an exceptional module, its code (k <= 8), which `analyze`
+    enumerates.
 
-
-def module_code(spec: ModuleSpec) -> tuple[LinearCode, tuple[int, ...] | None]:
-    """The code of a module and, for families A and D, its weight
-    distribution counted by Weyl orbits; None for the exceptional families,
-    whose codes (k <= 8) are enumerated.
-
-    The matrix is built once.  For sl(n) it is built on the matrix-unit rows,
-    which the orbit count needs; the Cartan-basis code comes from them.
+    Permuting the coordinate rows X_1..X_r, which the Weyl group does, only
+    permutes the template columns up to sign, so the weight of c . X depends
+    only on how many coefficients of c are 0, 1 and 2: the distribution is a
+    sum over those O(r^2) compositions, each counted with its multinomial
+    orbit size.  No weight matrix is built.
     """
-    cartan = spec.family == "A" and spec.basis in (None, "cartan_h")
-    wm = build_weight_matrix(replace(spec, basis="matrix_unit_E") if cartan else spec)
-    code = row_space_code((to_cartan_h(wm) if cartan else wm).mod(spec.p))
-    if spec.family not in ("A", "D"):
-        return code, None
-    return code, orbits.weight_distribution(wm.entries, spec.p, code.k, sum_zero=cartan)
+    templates = module_templates(spec)
+    if templates is None:
+        return row_space_code(build_weight_matrix(spec).mod(spec.p))
+    p, r = spec.p, spec.rank
+    # the Cartan-basis sl(n) code is spanned by the X_i - X_(i+1): its words
+    # are the c . X with c_1 + ... + c_r = 0
+    sum_zero = spec.family == "A" and spec.basis in (None, "cartan_h")
+    n = template_columns(r, templates)
+    counts = [0] * (n + 1)
+    for n1 in range(r + 1):
+        for n2 in range(r - n1 + 1 if p == 3 else 1):
+            if not sum_zero or (n1 + 2 * n2) % p == 0:
+                counts[orbit_weight(templates, p, (r - n1 - n2, n1, n2))] += comb(r, n1) * comb(r - n1, n2)
+    # every codeword is the image of p^(dim - k) coefficient vectors, as many
+    # as give the zero word
+    dim = r - 1 if sum_zero else r
+    k = dim - next(e for e in range(dim + 1) if p**e == counts[0])
+    dist = [count // counts[0] for count in counts]
+    if p == 3:
+        # c . c = wt(c) over F3, and polarization gives every product
+        orthogonal = all(w % 3 == 0 for w, a in enumerate(dist) if a)
+    else:
+        # X_i . X_i = w1 and X_i . X_j = (2 w1 - w2) / 2 (mod 2), w1 = wt(X_i)
+        # and w2 = wt(X_i + X_j); so the differences X_i + X_(i+1) have even
+        # weight w2 and products w2 / 2 (mod 2) with their neighbours
+        w1, w2 = (orbit_weight(templates, 2, (r - j, j, 0)) for j in (1, 2))
+        orthogonal = w2 % 4 == 0 if sum_zero else w1 % 2 == 0 and (w1 - w2 // 2) % 2 == 0
+    return distribution_report(p, n, k, dist, orthogonal)
 
 
 def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResult:
-    """Build, reduce, analyze and compare one case.
+    """Count or enumerate the code of one case and compare its report.
 
     A case beyond the resource limits is reported as skipped, never failed.
     The enumeration budget is checked on the computed rank, so a wrongly
@@ -425,13 +445,14 @@ def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResul
     """
     limits = limits or VerifyLimits()
     skipped = CaseResult(case, False, True, (), None, 0.0)
-    if not _within_size_limits(case, limits):
+    if case.spec.rank > {"A": limits.max_n, "D": limits.max_m}.get(case.spec.family, case.spec.rank):
         return skipped
     t0 = time.perf_counter()
-    code, dist = module_code(case.spec)
-    if dist is None and code.n * code.p**code.k > limits.max_work:
-        return skipped
-    report = analyze(code, dist)
+    report = module_code(case.spec)
+    if isinstance(report, LinearCode):
+        if report.n * report.p**report.k > limits.max_work:
+            return skipped
+        report = analyze(report)
     mismatches = [
         f"{name}: expected {want}, computed {got}"
         for name, want, got in (
@@ -608,8 +629,8 @@ class BranchCheck:
 
 def branch_equivalences() -> tuple[BranchCheck, ...]:
     """Pairs of constructions that must generate reports with identical
-    parameters and weight distributions; the o(2m) and sl(n) sides are
-    counted over Weyl orbits, the exceptional sides enumerated."""
+    parameters and weight distributions; the exceptional left sides are
+    enumerated, the o(2m) and sl(n) right sides counted over Weyl orbits."""
     pairs = (
         (
             "E6-adjoint=o(10)-direct-sum",
@@ -629,8 +650,8 @@ def branch_equivalences() -> tuple[BranchCheck, ...]:
     )
     checks = []
     for check_id, left_spec, right_spec in pairs:
-        left = analyze(*module_code(left_spec))
-        right = analyze(*module_code(right_spec))
+        left = analyze(module_code(left_spec))
+        right = module_code(right_spec)
         identical = (
             left.params() == right.params()
             and left.weight_distribution == right.weight_distribution

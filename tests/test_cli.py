@@ -48,6 +48,16 @@ def test_report_past_the_enumeration_caps(capsys):
     assert "d: 756" in out.splitlines()
 
 
+def test_report_at_the_size_cap(capsys):
+    # 203 x 20503 entries, just under the cap: the count builds no matrix and
+    # row-reduces nothing (a 203 x 20503 row reduction took 9.5 s)
+    started = time.perf_counter()
+    code, out, err = invoke(capsys, "report", "--family", "A", "--n", "203", "--module", "ext2", "--field", "3")
+    assert time.perf_counter() - started < 3.0
+    assert code == 0 and not err
+    assert "d: 402" in out.splitlines()
+
+
 def test_oversized_module_is_a_usage_error(capsys):
     # the builders refuse before they allocate: 30 x 2^29 and 300 x C(300, 3) entries
     for argv, size in (

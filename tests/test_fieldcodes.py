@@ -8,6 +8,7 @@ from liecodes.fieldcodes import (
     FpMatrix,
     analyze,
     combination_weight,
+    distribution_report,
     format_matrix_text,
     parse_matrix_text,
     row_space_code,
@@ -288,13 +289,13 @@ def test_analyze_sl7_cube_not_orthogonal():
     assert not rep.self_orthogonal
 
 
-def test_analyze_takes_a_counted_distribution():
+def test_distribution_report_takes_a_counted_distribution():
     code = row_space_code(ext_weight_matrix_A(6, 2, "cartan_h").mod(2))
     dist = list(weight_distribution(code))
-    assert analyze(code, dist) == analyze(code)
+    assert distribution_report(2, code.n, code.k, dist, True) == analyze(code)
     for bad in (dist[:-1], [dist[0] + 1] + dist[1:]):
         with pytest.raises(ValueError, match="not a weight distribution"):
-            analyze(code, bad)
+            distribution_report(2, code.n, code.k, bad, True)
 
 
 def test_analyze_self_dual_repetition_code():

@@ -1,18 +1,29 @@
-"""Tests for the Weyl-orbit weight distributions of the sl(n) and o(2m) codes."""
+"""Tests for the Weyl-orbit count of the sl(n) and o(2m) codes from their
+column templates, against enumeration, the orbit count over the built
+matrix and the builders' own combination weights."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecodes import fieldcodes, orbits
-from liecodes.fieldcodes import FpMatrix, row_space_code
-from liecodes.repweights import ModuleSpec, fixture_matrix
+from liecodes import fieldcodes
+from liecodes.fieldcodes import FpMatrix, LinearCode, analyze, combination_weight, row_space_code
+from liecodes.repweights import (
+    ADJOINT_SPIN_MODES,
+    ALLOWED_MODULES,
+    ModuleSpec,
+    build_weight_matrix,
+    fixture_matrix,
+    module_templates,
+    orbit_weight,
+)
 from liecodes.verify import module_code, registered_cases
 
-from _oracles import krawtchouk_transform, naive_weight_distribution
+from _oracles import krawtchouk_transform, naive_weight_distribution, orbit_weight_distribution
 
 # the modules of the benchmark's extended range, 0.5M to 2.1M codewords each
 EXTENDED_SPECS = (
@@ -22,19 +33,55 @@ EXTENDED_SPECS = (
     ModuleSpec("D", 12, "adjoint_plus_spin", 3, mode="direct_sum"),
 )
 
+# the binary sl(n) codes in both bases, where self-orthogonality takes both
+# values: the flag is read off two orbit weights
+BINARY_SPECS = tuple(
+    ModuleSpec("A", n, module, 2, basis=basis)
+    for module in ("ext2", "ext3")
+    for basis in ("cartan_h", "matrix_unit_E")
+    for n in range(4, 10)
+)
 
-def test_orbits_agree_with_enumeration():
+# past the reach of enumeration, up to sl(40) and o(40)
+LARGE_SPECS = (
+    ModuleSpec("A", 40, "ext3", 2),
+    ModuleSpec("A", 40, "ext3", 3),
+    ModuleSpec("A", 40, "ext2", 3, basis="matrix_unit_E"),
+    ModuleSpec("A", 25, "adjoint", 3),
+    ModuleSpec("D", 20, "ext2", 3),
+    ModuleSpec("D", 20, "ext3", 3),
+    ModuleSpec("D", 14, "spin", 3),
+    ModuleSpec("D", 13, "adjoint_plus_spin", 3, mode="weight_code"),
+    ModuleSpec("D", 14, "adjoint_plus_spin", 3, mode="weight_code"),
+)
+
+
+def registered_specs():
     specs = [c.spec for c in registered_cases() if c.spec.family in ("A", "D")]
     assert len(specs) == 49
-    for spec in specs + list(EXTENDED_SPECS):
-        code, dist = module_code(spec)
-        assert dist == fieldcodes.weight_distribution(code), spec
+    return specs
+
+
+def test_orbits_agree_with_enumeration():
+    # every field of the report: n, k, d, the distribution and the flags
+    for spec in registered_specs() + list(EXTENDED_SPECS + BINARY_SPECS):
+        assert module_code(spec) == analyze(row_space_code(build_weight_matrix(spec).mod(spec.p))), spec
+
+
+def test_template_count_agrees_with_orbit_oracle():
+    for spec in registered_specs() + list(EXTENDED_SPECS + LARGE_SPECS):
+        report = module_code(spec)
+        cartan = spec.family == "A" and spec.basis in (None, "cartan_h")
+        coords = build_weight_matrix(replace(spec, basis="matrix_unit_E") if spec.family == "A" else spec)
+        # the oracle raises unless k is the dimension of the code
+        assert report.weight_distribution == orbit_weight_distribution(coords.entries, spec.p, report.k, cartan), spec
+        assert report.n == coords.cols
 
 
 def test_exceptional_codes_are_enumerated():
     for case in registered_cases():
         if case.spec.family not in ("A", "D"):
-            assert module_code(case.spec)[1] is None, case.case_id
+            assert isinstance(module_code(case.spec), LinearCode), case.case_id
 
 
 @st.composite
@@ -56,20 +103,44 @@ def test_orbits_agree_with_oracle_and_kernel(case):
     p, coords, sum_zero = case
     generator = coords[:-1] - coords[1:] if sum_zero else coords
     code = row_space_code(FpMatrix.reduce(p, generator))
-    dist = orbits.weight_distribution(coords, p, code.k, sum_zero)
+    dist = orbit_weight_distribution(coords, p, code.k, sum_zero)
     assert dist == fieldcodes.weight_distribution(code)
     assert list(dist) == naive_weight_distribution(p, code.basis.entries.tolist(), code.n)
     for wrong_k in (code.k - 1, code.k + 1):
         with pytest.raises(ValueError):
-            orbits.weight_distribution(coords, p, wrong_k, sum_zero)
+            orbit_weight_distribution(coords, p, wrong_k, sum_zero)
 
 
 def test_matrix_without_permutation_symmetry_is_rejected():
     e6 = fixture_matrix("E6_minimal")
     with pytest.raises(ValueError, match="not permuted"):
-        orbits.weight_distribution(e6.entries, 3, 6, False)
+        orbit_weight_distribution(e6.entries, 3, 6, False)
     with pytest.raises(ValueError, match="not permuted"):
-        orbits.weight_distribution([[1], [0]], 2, 1, False)
+        orbit_weight_distribution([[1], [0]], 2, 1, False)
+
+
+@st.composite
+def module_orbits(draw):
+    """A matrix-unit-basis sl(n) or o(2m) module request and a coefficient
+    vector with n1 ones and n2 twos in random places."""
+    family, module = draw(st.sampled_from([(f, m) for f in ("A", "D") for m in ALLOWED_MODULES[f]]))
+    p = draw(st.sampled_from([2, 3] if module in ("ext2", "ext3") and family == "A" else [3]))
+    mode = draw(st.sampled_from(ADJOINT_SPIN_MODES)) if module == "adjoint_plus_spin" else None
+    basis = "matrix_unit_E" if family == "A" else None
+    smallest = {("A", "ext3"): 4, ("A", "ext4"): 5, ("D", "adjoint_plus_spin"): 4}.get((family, module), 3)
+    rank = draw(st.integers(smallest, 10))
+    n1 = draw(st.integers(0, rank))
+    n2 = draw(st.integers(0, rank - n1)) if p == 3 else 0
+    coeffs = draw(st.permutations([1] * n1 + [2] * n2 + [0] * (rank - n1 - n2)))
+    return ModuleSpec(family, rank, module, p, mode=mode, basis=basis), coeffs, (rank - n1 - n2, n1, n2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(module_orbits())
+def test_template_weight_is_the_builders_combination_weight(case):
+    spec, coeffs, counts = case
+    matrix = build_weight_matrix(spec).mod(spec.p)
+    assert combination_weight(matrix, coeffs) == orbit_weight(module_templates(spec), spec.p, counts)
 
 
 @pytest.mark.parametrize(
@@ -78,10 +149,10 @@ def test_matrix_without_permutation_symmetry_is_rejected():
     ids=["thm2.3/ext2/n=38", "thm2.3/ext3/n=30"],
 )
 def test_macwilliams_identity_past_the_caps(spec):
-    # MacWilliams & Sloane (1977), ch. 5: the transform of an orbit-counted
+    # MacWilliams & Sloane (1977), ch. 5: the transform of a counted
     # distribution (3^37 and 3^28 codewords) is that of the dual code
-    code, dist = module_code(spec)
-    b = krawtchouk_transform(code.p, code.n, code.k, dist)
+    rep = module_code(spec)
+    b = krawtchouk_transform(rep.p, rep.n, rep.k, rep.weight_distribution)
     assert b[0] == 1
     assert min(b) >= 0
-    assert sum(b) == code.p ** (code.n - code.k)
+    assert sum(b) == rep.p ** (rep.n - rep.k)

@@ -1,5 +1,9 @@
-"""Tests for the weight-matrix constructors and the reference fixtures."""
+"""Tests for the weight-matrix constructors, their column templates and the
+reference fixtures."""
 
+import itertools
+from collections import Counter
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -21,9 +25,11 @@ from liecodes.repweights import (
     exceptional_minimal_matrix,
     ext_weight_matrix_A,
     fixture_matrix,
+    module_templates,
     to_cartan_h,
 )
 from liecodes.rootsys import EXCEPTIONAL_RANKS
+from liecodes.verify import module_code
 
 
 def column_multiset(entries):
@@ -300,6 +306,8 @@ def test_build_weight_matrix_legality():
     ]:
         with pytest.raises(ValueError):
             build_weight_matrix(bad)
+        with pytest.raises(ValueError):
+            module_code(bad)
     with pytest.raises(ValueError, match="needs a mode"):
         d_adjoint_spin_matrix(6, None)
 
@@ -338,14 +346,88 @@ def test_module_fields_and_smallest_ranks(family, module):
         for p in (2, 3, 5):
             spec = ModuleSpec(family, rank, module, p, mode=mode)
             if p not in fields:
-                with pytest.raises(ValueError):
-                    build_weight_matrix(spec)
+                for check in (build_weight_matrix, module_code):
+                    with pytest.raises(ValueError):
+                        check(spec)
                 continue
             wm = build_weight_matrix(spec)
             assert (wm.family, wm.rank) == (family, rank)
             if family in ("A", "D"):
-                with pytest.raises(ValueError):
-                    build_weight_matrix(ModuleSpec(family, rank - 1, module, p, mode=mode))
+                assert module_code(spec).n == wm.cols
+                for check in (build_weight_matrix, module_code):
+                    with pytest.raises(ValueError):
+                        check(ModuleSpec(family, rank - 1, module, p, mode=mode))
+
+
+# the largest rank whose weight matrix the 2^22-entry size cap allows
+LARGEST_RANK = {
+    ("A", "ext2"): 203,
+    ("A", "ext3"): 71,
+    ("A", "ext4"): 41,
+    ("A", "adjoint"): 203,
+    ("D", "ext2"): 161,
+    ("D", "ext3"): 50,
+    ("D", "spin"): 18,
+    ("D", "adjoint_plus_spin"): 18,
+}
+
+
+def expand_templates(templates, rank):
+    """The columns the templates list on `rank` coordinate rows, and the
+    multiplicity of each, times 24 to make it an integer."""
+    blocks, weights = [], []
+    for coeffs, share in templates:
+        if coeffs is None:
+            bits = (np.arange(2**rank)[None, :] >> np.arange(rank)[:, None]) & 1
+            block = np.where(bits[:, bits.sum(axis=0) % 2 == rank % 2], 2, 1)
+            blocks.append(block)
+            weights += [24 * share] * block.shape[1]
+            continue
+        rows = np.array(list(itertools.combinations(range(rank), len(coeffs)))).T
+        for arrangement, times in Counter(itertools.permutations(coeffs)).items():
+            block = np.zeros((rank, rows.shape[1]), dtype=np.int64)
+            block[rows, np.arange(rows.shape[1])] = np.array(arrangement)[:, None]
+            blocks.append(block)
+            weights += [24 * share * times] * rows.shape[1]
+    assert all(w.denominator == 1 for w in weights)
+    return np.hstack(blocks), np.array(weights, dtype=np.int64)
+
+
+def columns_up_to_scalars(entries, p, weights):
+    """Distinct columns mod p scaled to a leading 1, as bytes, and their
+    weighted counts."""
+    a = np.asarray(entries, dtype=np.int64) % p
+    # 1 and 2 are their own inverses mod 2 and mod 3
+    a = a * a[np.argmax(a != 0, axis=0), np.arange(a.shape[1])] % p
+    keys = np.ascontiguousarray(a.T.astype(np.uint8)).view(f"V{a.shape[0]}").ravel()
+    cols, inverse = np.unique(keys, return_inverse=True)
+    return cols.tolist(), np.bincount(inverse, weights=weights).tolist()
+
+
+TEMPLATE_MODULES = [
+    (family, module, mode, basis)
+    for family, modules in ALLOWED_MODULES.items()
+    if family in ("A", "D")
+    for module in modules
+    for mode in (ADJOINT_SPIN_MODES if module == "adjoint_plus_spin" else (None,))
+    for basis in (("cartan_h", "matrix_unit_E") if family == "A" else (None,))
+]
+
+
+@pytest.mark.parametrize("largest", [False, True], ids=["smallest", "largest"])
+@pytest.mark.parametrize("family,module,mode,basis", TEMPLATE_MODULES)
+def test_templates_list_the_builders_columns(family, module, mode, basis, largest):
+    rank = (LARGEST_RANK if largest else MIN_RANK)[family, module]
+    spec = ModuleSpec(family, rank, module, 3, mode=mode, basis=basis)
+    cols, weights = expand_templates(module_templates(spec), rank)
+    if basis == "cartan_h":
+        cols = cols[:-1] - cols[1:]
+    built = build_weight_matrix(spec).entries
+    for p in (2, 3) if (family, module) in BINARY_MODULES else (3,):
+        assert columns_up_to_scalars(cols, p, weights) == columns_up_to_scalars(built, p, [24] * built.shape[1])
+    if largest:
+        with pytest.raises(ValueError, match="entries, over"):
+            module_templates(replace(spec, rank=rank + 1))
 
 
 def test_to_cartan_h_families():
