@@ -1,11 +1,13 @@
 """Weight matrices of the module families under study.
 
 Rows are eigenvalue vectors of a fixed diagonal basis, either the Cartan
-generators h_i ("cartan_h") or diagonal matrix units / their differences
-("matrix_unit_E").  Columns are labeled module basis vectors of nonzero
-weight.  Entries are exact integers, except for the spin constructions,
-which are meaningful only after reducing the half-integer eigenvalues
-modulo 3 (1/2 = -1 = 2 in F3); those carry the `mod3_only` flag.
+generators h_i ("cartan_h") or the coordinate rows ("matrix_unit_E": the
+diagonal matrix units of sl(n), the E_ii - E_(m+i,m+i) of o(2m)), which
+the sl(n) and o(2m) builders give.  Columns are labeled module basis
+vectors of nonzero weight.  Entries are exact integers, except for the
+spin constructions, which are meaningful only after reducing the
+half-integer eigenvalues modulo 3 (1/2 = -1 = 2 in F3); those carry the
+`mod3_only` flag.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, perm
+from math import comb, factorial, log2, perm
 from operator import mul
 
 import numpy as np
@@ -128,73 +130,66 @@ def orbit_weight(templates: tuple, p: int, counts: tuple[int, int, int]) -> int:
     return int(total)
 
 
-def _check_size(module: str, rows: int, templates: tuple) -> tuple:
-    """The templates, unless their matrix would have over _MAX_ENTRIES entries."""
-    cols = template_columns(rows, templates)
-    if rows * cols > _MAX_ENTRIES:
-        raise ValueError(f"{module} would have {rows} x {cols} = {rows * cols} entries, over {_MAX_ENTRIES}")
-    return templates
+def _count_text(x: int) -> str:
+    """x in digits, or as a power of two past 2^64 (the digits of 2^(m-1)
+    for a large spin module would not print)."""
+    if x < 1 << 64:
+        return str(x)
+    e = x.bit_length() - 1
+    return f"2^{e}" if x == 1 << e else f"about 2^{log2(x):.1f}"
 
 
 def _subset_label(subset: tuple[int, ...]) -> str:
     return "{" + ",".join(map(str, subset)) + "}"
 
 
-def ext_templates_A(n: int, r: int, basis: str = "cartan_h") -> tuple:
+def ext_templates_A(n: int, r: int) -> tuple:
     """Column templates of sl(n) on the degree-r exterior power: r ones."""
     if not 1 <= r <= n - 1:
         raise ValueError(f"ext{r} of sl(n) needs 1 <= r <= n - 1, got n={n}")
-    if basis not in _BASES:
-        raise ValueError(f"unknown basis {basis!r}; expected one of {list(_BASES)}")
-    return _check_size(f"ext{r} of sl({n})", n, (((1,) * r, Fraction(1, factorial(r))),))
+    return (((1,) * r, Fraction(1, factorial(r))),)
 
 
-def ext_weight_matrix_A(n: int, r: int, basis: str = "cartan_h") -> WeightMatrix:
-    """Weight matrix of sl(n) on the degree-r exterior power.
+def ext_weight_matrix_A(n: int, r: int) -> WeightMatrix:
+    """Weight matrix of sl(n) on the degree-r exterior power, on the n
+    matrix-unit rows: row i is the indicator of i belonging to the subset.
 
-    Columns are the r-subsets of {1..n} in lexicographic order.  In the
-    matrix_unit_E basis, row i is the indicator of i belonging to the
-    subset; cartan_h rows are consecutive differences of those.
+    Columns are the r-subsets of {1..n} in lexicographic order.
     """
-    ext_templates_A(n, r, basis)
+    ext_templates_A(n, r)
     subsets = list(itertools.combinations(range(1, n + 1), r))
     e = np.zeros((n, len(subsets)), dtype=np.int64)
     e[np.array(subsets).T - 1, np.arange(len(subsets))] = 1
     labels = tuple(_subset_label(s) for s in subsets)
-    wm = WeightMatrix("A", n, f"ext{r}", "matrix_unit_E", False, e, labels)
-    return wm if basis == "matrix_unit_E" else to_cartan_h(wm)
+    return WeightMatrix("A", n, f"ext{r}", "matrix_unit_E", False, e, labels)
 
 
-def adjoint_templates_A(n: int, basis: str = "cartan_h") -> tuple:
+def adjoint_templates_A(n: int) -> tuple:
     """Column templates of sl(n) on its adjoint module: (1, -1)."""
     if n < 3:
         raise ValueError(f"adjoint of sl(n) needs n >= 3, got n={n}")
-    if basis not in _BASES:
-        raise ValueError(f"unknown basis {basis!r}; expected one of {list(_BASES)}")
-    return _check_size(f"adjoint of sl({n})", n, (((1, -1), Fraction(1, 2)),))
+    return (((1, -1), Fraction(1, 2)),)
 
 
-def adjoint_weight_matrix_A(n: int, basis: str = "cartan_h") -> WeightMatrix:
-    """Weight matrix of sl(n) on its adjoint module, positive roots only.
+def adjoint_weight_matrix_A(n: int) -> WeightMatrix:
+    """Weight matrix of sl(n) on its adjoint module, positive roots only, on
+    the n matrix-unit rows: row r acts by delta_(r,i) - delta_(r,j).
 
-    Columns are the root vectors for e_i - e_j (i < j, lexicographic).  The
-    matrix_unit_E rows act by delta_(r,i) - delta_(r,j); cartan_h rows are
-    consecutive differences and generate the adjoint weight code.
+    Columns are the root vectors for e_i - e_j (i < j, lexicographic).
     """
-    adjoint_templates_A(n, basis)
+    adjoint_templates_A(n)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     e = np.zeros((n, len(pairs)), dtype=np.int64)
     e[np.array(pairs).T - 1, np.arange(len(pairs))] = [[1], [-1]]
     labels = tuple(f"e{i}-e{j}" for i, j in pairs)
-    wm = WeightMatrix("A", n, "adjoint", "matrix_unit_E", False, e, labels)
-    return wm if basis == "matrix_unit_E" else to_cartan_h(wm)
+    return WeightMatrix("A", n, "adjoint", "matrix_unit_E", False, e, labels)
 
 
 def d_lambda2_templates(m: int) -> tuple:
     """Column templates of o(2m) on its degree-2 exterior module."""
     if m < 3:
         raise ValueError(f"ext2 of o(2m) needs m >= 3, got m={m}")
-    return _check_size(f"ext2 of o({2 * m})", m, (((1, 1), Fraction(1, 2)), ((1, -1), Fraction(1, 2))))
+    return (((1, 1), Fraction(1, 2)), ((1, -1), Fraction(1, 2)))
 
 
 def d_lambda2_matrix(m: int) -> WeightMatrix:
@@ -219,8 +214,7 @@ def d_lambda3_templates(m: int) -> tuple:
     e_i + e_j - e_l with l = i or j is e_j or e_i, m - 1 times each."""
     if m < 3:
         raise ValueError(f"ext3 of o(2m) needs m >= 3, got m={m}")
-    templates = (((1, 1, 1), Fraction(1, 6)), ((1, 1, -1), Fraction(1, 2)), ((1,), Fraction(m - 1)))
-    return _check_size(f"ext3 of o({2 * m})", m, templates)
+    return (((1, 1, 1), Fraction(1, 6)), ((1, 1, -1), Fraction(1, 2)), ((1,), Fraction(m - 1)))
 
 
 def d_lambda3_matrix(m: int) -> WeightMatrix:
@@ -241,45 +235,38 @@ def d_lambda3_matrix(m: int) -> WeightMatrix:
     return WeightMatrix("D", m, "ext3", "matrix_unit_E", False, rows, labels)
 
 
-def d_spin_templates(m: int, half: bool = False) -> tuple:
-    """Column templates of the spin module of o(2m); `half` keeps one
-    column of each +- pair."""
+def d_spin_templates(m: int) -> tuple:
+    """Column templates of the spin module of o(2m)."""
     if m < 3:
         raise ValueError(f"spin of o(2m) needs m >= 3, got m={m}")
-    if half and m % 2:
-        raise ValueError("the half-column spin matrix needs even m")
-    return _check_size(f"spin of o({2 * m})", m, ((None, Fraction(1, 2) if half else Fraction(1)),))
+    return ((None, Fraction(1)),)
 
 
-def d_spin_matrix(m: int, half: bool = False) -> WeightMatrix:
+def d_spin_matrix(m: int) -> WeightMatrix:
     """Spin weight matrix of o(2m), reduced to F3.
 
     Columns are the subsets S of {1..m} with |S| = m (mod 2); the entry in
     row r is 2 (that is, 1/2 = -1) when r lies in S and 1 (-1/2) otherwise.
-    With `half` set, only subsets containing 1 are kept, one per +- pair of
-    weights; that requires even m.
     """
-    d_spin_templates(m, half)
+    d_spin_templates(m)
     sizes = range(m % 2, m + 1, 2)
-    subsets = sorted(s for k in sizes for s in itertools.combinations(range(1, m + 1), k) if not half or 1 in s)
+    subsets = sorted(s for k in sizes for s in itertools.combinations(range(1, m + 1), k))
     rows = np.array([[2 if r in s else 1 for s in subsets] for r in range(1, m + 1)], dtype=np.int64)
     labels = tuple(_subset_label(s) for s in subsets)
     return WeightMatrix("D", m, "spin", "matrix_unit_E", True, rows, labels)
 
 
 def d_adjoint_spin_templates(m: int, mode: str) -> tuple:
-    """Column templates of o(2m) on adjoint-plus-spin, by blocks; the size
-    cap holds block by block."""
+    """Column templates of o(2m) on adjoint-plus-spin, by blocks."""
     if m < 4:
         raise ValueError(f"adjoint_plus_spin of o(2m) needs m >= 4, got m={m}")
     if mode not in ADJOINT_SPIN_MODES:
         raise ValueError(f"adjoint_plus_spin needs a mode, one of {list(ADJOINT_SPIN_MODES)}; got {mode!r}")
-    ext2 = d_lambda2_templates(m)
-    if mode == "direct_sum":
-        return ext2 + d_spin_templates(m)
-    if m % 2 == 0:
-        return ext2 + d_spin_templates(m, half=True)
-    return tuple((c, 2 * share) for c, share in ext2) + d_spin_templates(m)
+    # shares of the ext2 and spin blocks: weight_code keeps one column of
+    # each +- pair, doubling ext2 for odd m and halving spin for even m
+    shares = (1, 1) if mode == "direct_sum" else (2, 1) if m % 2 else (1, Fraction(1, 2))
+    blocks = (d_lambda2_templates(m), d_spin_templates(m))
+    return tuple((c, k * share) for k, block in zip(shares, blocks) for c, share in block)
 
 
 def d_adjoint_spin_matrix(m: int, mode: str) -> WeightMatrix:
@@ -291,14 +278,17 @@ def d_adjoint_spin_matrix(m: int, mode: str) -> WeightMatrix:
     always uses [ext2 | spin], the generator of the direct-sum code.
     """
     d_adjoint_spin_templates(m, mode)
-    c2 = d_lambda2_matrix(m)
-    spin = d_spin_matrix(m, half=mode == "weight_code" and m % 2 == 0)
+    c2, spin = d_lambda2_matrix(m), d_spin_matrix(m)
     blocks, labels = [c2.entries], c2.column_labels
+    keep = np.ones(spin.cols, dtype=bool)
     if mode == "weight_code" and m % 2:
         blocks.append(-c2.entries)
         labels += tuple("-" + lab for lab in c2.column_labels)
-    entries = np.hstack(blocks + [spin.entries])
-    return WeightMatrix("D", m, "adjoint_plus_spin", "matrix_unit_E", True, entries, labels + spin.column_labels)
+    elif mode == "weight_code":
+        keep = spin.entries[0] == 2  # the subsets containing 1
+    entries = np.hstack(blocks + [spin.entries[:, keep]])
+    labels += tuple(itertools.compress(spin.column_labels, keep))
+    return WeightMatrix("D", m, "adjoint_plus_spin", "matrix_unit_E", True, entries, labels)
 
 
 _MINIMAL_ORBITS = {
@@ -427,15 +417,14 @@ def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:
     """
     if wm.basis == "cartan_h":
         return wm
-    e = wm.entries
-    if wm.family == "A":
-        if wm.rows != wm.rank:
-            raise ValueError("need all matrix-unit rows to change basis")
-        rows = e[:-1] - e[1:]
-    elif wm.family == "D":
-        rows = np.vstack([e[:-1] - e[1:], e[-2:-1] + e[-1:]])
-    else:
+    if wm.family not in ("A", "D"):
         raise ValueError(f"no Cartan-basis transition for family {wm.family!r}")
+    if wm.rows != wm.rank:
+        raise ValueError("need all matrix-unit rows to change basis")
+    e = wm.entries
+    rows = e[:-1] - e[1:]
+    if wm.family == "D":
+        rows = np.vstack([rows, e[-2:-1] + e[-1:]])
     return WeightMatrix(wm.family, wm.rank, wm.module, "cartan_h", wm.mod3_only, rows, wm.column_labels)
 
 
@@ -451,19 +440,15 @@ class ModuleSpec:
     basis: str | None = None  # optional override for the sl(n) families
 
 
-def _sl(r: int):
-    return lambda ms: (ms.rank, r, ms.basis or "cartan_h")
-
-
 # (family, module) -> (fields it is defined over, arguments of a request,
-# builder, column templates); the templates function checks the rank, basis,
-# mode and size bounds, and the builder calls it first.  The exceptional
-# modules have no templates.
+# builder, column templates); the templates function checks the rank and
+# mode bounds, and the builder calls it first.  The exceptional modules have
+# no templates.
 _MODULES = {
-    ("A", "ext2"): ((2, 3), _sl(2), ext_weight_matrix_A, ext_templates_A),
-    ("A", "ext3"): ((2, 3), _sl(3), ext_weight_matrix_A, ext_templates_A),
-    ("A", "ext4"): ((3,), _sl(4), ext_weight_matrix_A, ext_templates_A),
-    ("A", "adjoint"): ((3,), lambda ms: (ms.rank, ms.basis or "cartan_h"), adjoint_weight_matrix_A, adjoint_templates_A),
+    ("A", "ext2"): ((2, 3), lambda ms: (ms.rank, 2), ext_weight_matrix_A, ext_templates_A),
+    ("A", "ext3"): ((2, 3), lambda ms: (ms.rank, 3), ext_weight_matrix_A, ext_templates_A),
+    ("A", "ext4"): ((3,), lambda ms: (ms.rank, 4), ext_weight_matrix_A, ext_templates_A),
+    ("A", "adjoint"): ((3,), lambda ms: (ms.rank,), adjoint_weight_matrix_A, adjoint_templates_A),
     ("D", "ext2"): ((3,), lambda ms: (ms.rank,), d_lambda2_matrix, d_lambda2_templates),
     ("D", "ext3"): ((3,), lambda ms: (ms.rank,), d_lambda3_matrix, d_lambda3_templates),
     ("D", "spin"): ((3,), lambda ms: (ms.rank,), d_spin_matrix, d_spin_templates),
@@ -484,7 +469,8 @@ ALLOWED_MODULES = {family: tuple(mod for fam, mod in _MODULES if fam == family) 
 def module_templates(ms: ModuleSpec) -> tuple | None:
     """The column templates of an sl(n) or o(2m) module request, None for an
     exceptional one, or ValueError: the module table decides which (family,
-    module) pairs exist and over which fields, the templates the rest."""
+    module) pairs exist and over which fields, the templates the ranks and
+    modes; then the basis is checked, and the size of the matrix."""
     allowed = ALLOWED_MODULES.get(ms.family)
     if allowed is None:
         raise ValueError(f"unknown family {ms.family!r}; expected one of {sorted(ALLOWED_MODULES)}")
@@ -501,12 +487,25 @@ def module_templates(ms: ModuleSpec) -> tuple | None:
     if ms.family in EXCEPTIONAL_RANKS and ms.rank != EXCEPTIONAL_RANKS[ms.family]:
         raise ValueError(f"family {ms.family} has rank {EXCEPTIONAL_RANKS[ms.family]}")
     _, args, _, templates = entry
-    return templates and templates(*args(ms))
+    if templates is None:
+        return None
+    templates = templates(*args(ms))
+    if ms.basis not in (None, *_BASES):
+        raise ValueError(f"unknown basis {ms.basis!r}; expected one of {list(_BASES)}")
+    rows, cols = ms.rank, template_columns(ms.rank, templates)
+    if rows * cols > _MAX_ENTRIES:
+        algebra = f"sl({rows})" if ms.family == "A" else f"o({2 * rows})"
+        size = f"{rows} x {_count_text(cols)} = {_count_text(rows * cols)}"
+        raise ValueError(f"{ms.module} of {algebra} would have {size} entries, over {_MAX_ENTRIES}")
+    return templates
 
 
 def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
     """Construct the weight matrix of a module request, or raise the
-    ValueError of `module_templates`."""
+    ValueError of `module_templates`.  The builders give the coordinate rows;
+    an sl(n) matrix moves to the Cartan generators unless the request asks
+    for matrix_unit_E."""
     module_templates(ms)
     _, args, build, _ = _MODULES[ms.family, ms.module]
-    return build(*args(ms))
+    wm = build(*args(ms))
+    return to_cartan_h(wm) if ms.family == "A" and ms.basis != "matrix_unit_E" else wm

@@ -4,12 +4,14 @@ Roots are integer coefficient vectors on the simple roots; weights are
 integer eigenvalue tuples on the Cartan generators h_1..h_n.  Entry [i][j]
 of a Cartan matrix is the value of simple root i on generator j, so the
 pairing of a root beta = sum_j c_j alpha_j with generator i is the dot
-product of c with column i.  Node indices are 0-based throughout.
+product of c with column i.  Node indices are 0-based throughout.  Roots
+and weights both come from one Weyl-orbit search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 __all__ = [
@@ -87,62 +89,57 @@ def pairing_vector(cm: CartanMatrix, root_coeffs: Sequence[int]) -> tuple[int, .
     return tuple(sum(cj * C[j][i] for j, cj in enumerate(c)) for i in range(cm.rank))
 
 
+def _orbit(seeds, reflect, rank: int) -> set[tuple[int, ...]]:
+    """Breadth-first closure of `seeds` under the simple reflections;
+    `reflect(v, i)` is the image of v under s_i, or None for a move the
+    search leaves out."""
+    seen = set(seeds)
+    level = list(seen)
+    while level:
+        found = []
+        for v in level:
+            for i in range(rank):
+                w = reflect(v, i)
+                if w is not None and w not in seen:
+                    seen.add(w)
+                    found.append(w)
+        level = found
+    return seen
+
+
 def positive_roots(cm: CartanMatrix) -> list[tuple[int, ...]]:
     """All positive roots, as coefficient vectors sorted by (height, lex).
 
-    Generated by height induction: each known root is extended through every
-    simple-root string, with the upward string length fixed by the pairing
-    and the downward length found by lookup.
+    Every root is a Weyl image of a simple root, and s_i permutes the
+    positive roots other than alpha_i (Humphreys 1972, 10.3(c) and 10.2
+    Lemma B), so the orbit search from the simple roots finds them all once
+    it leaves out the one move alpha_i -> -alpha_i.  s_i changes
+    coefficient i only, by minus the pairing of the root with generator i.
     """
-    n = cm.rank
-    C = cm.entries
+    n, columns = cm.rank, list(zip(*cm.entries))
+
+    def reflect(c, i):
+        ci = c[i] - sum(map(mul, c, columns[i]))
+        return None if ci < 0 else c[:i] + (ci,) + c[i + 1 :]
+
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    known = set(simple)
-    level = simple
-    while level:
-        found = []
-        for beta in level:
-            for i in range(n):
-                pairing = sum(cj * C[j][i] for j, cj in enumerate(beta) if cj)
-                down = 0
-                lower = list(beta)
-                while True:
-                    lower[i] -= 1
-                    if lower[i] < 0 or tuple(lower) not in known:
-                        break
-                    down += 1
-                if down - pairing > 0:
-                    up = list(beta)
-                    up[i] += 1
-                    cand = tuple(up)
-                    if cand not in known:
-                        known.add(cand)
-                        found.append(cand)
-        level = found
-    return sorted(known, key=lambda r: (sum(r), r))
+    return sorted(_orbit(simple, reflect, n), key=lambda r: (sum(r), r))
 
 
 def weyl_orbit(cm: CartanMatrix, dominant: Sequence[int]) -> list[tuple[int, ...]]:
-    """Orbit of a dominant weight under the simple reflections, sorted lex."""
+    """Orbit of a dominant weight under the simple reflections, sorted lex;
+    s_i subtracts w_i times row i of the Cartan matrix."""
     mu = tuple(int(x) for x in dominant)
     if len(mu) != cm.rank:
         raise ValueError(f"expected {cm.rank} weight coordinates, got {len(mu)}")
     if any(x < 0 for x in mu):
         raise ValueError("weight must be dominant (all coordinates >= 0)")
     C = cm.entries
-    seen = {mu}
-    queue = [mu]
-    while queue:
-        cur = queue.pop()
-        for i in range(cm.rank):
-            ci = cur[i]
-            if ci == 0:
-                continue
-            nxt = tuple(cur[j] - ci * C[i][j] for j in range(cm.rank))
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return sorted(seen)
+
+    def reflect(w, i):
+        return tuple([wj - w[i] * cij for wj, cij in zip(w, C[i])]) if w[i] else None
+
+    return sorted(_orbit([mu], reflect, cm.rank))
 
 
 def reflect_coroot_coeffs(cm: CartanMatrix, node: int, coeffs: Sequence[int]) -> tuple[int, ...]:

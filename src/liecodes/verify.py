@@ -409,9 +409,9 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     if templates is None:
         return row_space_code(build_weight_matrix(spec).mod(spec.p))
     p, r = spec.p, spec.rank
-    # the Cartan-basis sl(n) code is spanned by the X_i - X_(i+1): its words
-    # are the c . X with c_1 + ... + c_r = 0
-    sum_zero = spec.family == "A" and spec.basis in (None, "cartan_h")
+    # the Cartan-basis sl(n) code (the basis `build_weight_matrix` gives) is
+    # spanned by the X_i - X_(i+1): its words are the c . X with c_1 + ... + c_r = 0
+    sum_zero = spec.family == "A" and spec.basis != "matrix_unit_E"
     n = template_columns(r, templates)
     counts = [0] * (n + 1)
     for n1 in range(r + 1):
@@ -576,7 +576,7 @@ def reproduce_table(table_id: str) -> tuple[TableRow, ...]:
     rows: list[TableRow] = []
     if table_id in _BINARY_CUBE_TABLES:
         n, stated, fixes = _BINARY_CUBE_TABLES[table_id]
-        matrix = ext_weight_matrix_A(n, 3, "matrix_unit_E").mod(2)
+        matrix = ext_weight_matrix_A(n, 3).mod(2)
         for t in range(1, n // 2 + 1):
             coeffs = [1] * (2 * t) + [0] * (n - 2 * t)
             rows.append(_table_row(f"t={t}", stated[t - 1], combination_weight(matrix, coeffs), fixes.get(t)))
@@ -596,12 +596,12 @@ def reproduce_table(table_id: str) -> tuple[TableRow, ...]:
         stated = (40, 44, 48, 34, 60, 30, 46, 50)
         # the (4,4) combination needs all eight matrix-unit rows; the first
         # seven are the printed generator
-        matrix = ext_weight_matrix_A(8, 4, "matrix_unit_E").mod(3)
+        matrix = ext_weight_matrix_A(8, 4).mod(3)
         for (s, t), want in zip(_ST_PAIRS, stated):
             rows.append(_table_row(f"(s,t)=({s},{t})", want, combination_weight(matrix, _pm_coeffs(8, s, t)), None))
     elif table_id == "6.3":
         stated = (26, 40, 42, 32, 30, 24, 38, 34)
-        matrix = adjoint_weight_matrix_A(8, "matrix_unit_E").mod(3)
+        matrix = adjoint_weight_matrix_A(8).mod(3)
         for (s, t), want in zip(_ST_PAIRS, stated):
             doubled = 2 * combination_weight(matrix, _pm_coeffs(8, s, t))
             rows.append(_table_row(f"(s,t)=({s},{t})", want, doubled, None))

@@ -257,9 +257,9 @@ def test_criterion_10_property_suites():
     )
 
     for n in range(3, 13):
-        b2 = ext_weight_matrix_A(n, 2, "matrix_unit_E").mod(3)
-        ell = adjoint_weight_matrix_A(n, "matrix_unit_E").mod(3)
-        b3 = ext_weight_matrix_A(n, 3, "matrix_unit_E").mod(3) if n >= 4 else None
+        b2 = ext_weight_matrix_A(n, 2).mod(3)
+        ell = adjoint_weight_matrix_A(n).mod(3)
+        b3 = ext_weight_matrix_A(n, 3).mod(3) if n >= 4 else None
         for s in range(n + 1):
             for t in range(n - s + 1):
                 coeffs = [1] * s + [-1] * t + [0] * (n - s - t)

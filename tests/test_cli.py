@@ -1,10 +1,12 @@
 """End-to-end tests of the command line front end."""
 
 import dataclasses
+import hashlib
 import json
 import time
 
 import numpy as np
+import pytest
 from liecodes.cli import _build_parser, _matrix_payload, _report_payload, _suite_payload, run
 from liecodes.fieldcodes import FpMatrix, analyze, parse_matrix_text, row_space_code
 from liecodes.repweights import exceptional_minimal_matrix
@@ -59,16 +61,42 @@ def test_report_at_the_size_cap(capsys):
 
 
 def test_oversized_module_is_a_usage_error(capsys):
-    # the builders refuse before they allocate: 30 x 2^29 and 300 x C(300, 3) entries
+    # refused before anything is allocated: 30 x 2^29, 300 x C(300, 3) and
+    # 16000 x 2^15999 entries; the last count has too many digits to print
     for argv, size in (
         (["report", "--family", "D", "--m", "30", "--module", "spin"], "30 x 536870912"),
         (["matrix", "--family", "A", "--n", "300", "--module", "ext3"], "300 x 4455100"),
+        (
+            ["report", "--family", "D", "--m", "16000", "--module", "spin"],
+            "spin of o(32000) would have 16000 x 2^15999",
+        ),
     ):
         started = time.perf_counter()
         code, out, err = invoke(capsys, *argv, "--field", "3")
         assert time.perf_counter() - started < 1.0
         assert code == 2 and not out
         assert err.startswith("liecodes: error: ") and size in err
+        assert err.rstrip().endswith(f"entries, over {1 << 22}")
+
+
+# SHA-256 of `liecodes matrix --family F --module M --field 3`, text format,
+# as first recorded: the column order of the exceptional modules is fixed
+EXCEPTIONAL_MATRIX_TEXT_SHA256 = {
+    ("F4", "minimal"): "8c114ff4293997f99a5cfcdf9b86bc7baf50dde9881e2d14e7280bd6c5387d0f",
+    ("F4", "adjoint"): "50d256e3e201423bffb0a8e6e0d5234e5941df2099007e6c9de6b295a4544e60",
+    ("E6", "minimal"): "8e704f2c9a047c4a6cfa8ab6f42968c0d82b20f1df542f8eb5bca15284bd7d77",
+    ("E6", "adjoint"): "acd6d5481263a5da47aec7e7282c2690d13026dd3e2378fa50924ed6d7b81887",
+    ("E7", "minimal"): "5b6f176c695897cd3b5238a8f26f86cd3168340a4563181d564f71abd4ba4c9d",
+    ("E7", "adjoint"): "8faccfdabe21fccb83b95efc68cc4377ae2aa8b429d3110601242b98cf9b1677",
+    ("E8", "adjoint"): "c617769c2c7ae6bfcbf6597bbe6e736a3da06cf166ee29dc0fbabd724ef58352",
+}
+
+
+@pytest.mark.parametrize("family,module", sorted(EXCEPTIONAL_MATRIX_TEXT_SHA256))
+def test_exceptional_matrix_text_is_pinned(capsys, family, module):
+    code, out, err = invoke(capsys, "matrix", "--family", family, "--module", module, "--field", "3")
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == EXCEPTIONAL_MATRIX_TEXT_SHA256[family, module]
 
 
 def test_verify_filter_exit_zero(capsys):

@@ -21,6 +21,7 @@ from liecodes.repweights import (
     exceptional_adjoint_matrix,
     ext_weight_matrix_A,
     fixture_matrix,
+    to_cartan_h,
 )
 from liecodes.verify import registered_cases, run_case
 
@@ -109,11 +110,11 @@ def test_rref_idempotent_on_random(seed=11):
 
 
 def test_row_space_code_examples():
-    code = row_space_code(ext_weight_matrix_A(4, 2, "cartan_h").mod(2))
+    code = row_space_code(to_cartan_h(ext_weight_matrix_A(4, 2)).mod(2))
     assert (code.n, code.k) == (6, 2)
     zero = row_space_code(FpMatrix(3, np.zeros((2, 5), dtype=np.int64)))
     assert zero.k == 0
-    k_code = row_space_code(adjoint_weight_matrix_A(6, "cartan_h").mod(3))
+    k_code = row_space_code(to_cartan_h(adjoint_weight_matrix_A(6)).mod(3))
     assert k_code.k == 4
 
 
@@ -188,8 +189,8 @@ def test_e6_minimal_no_small_weights():
 def test_min_distance_matches_distribution():
     for wm, p in [
         (exceptional_adjoint_matrix("F4"), 3),
-        (ext_weight_matrix_A(7, 3, "cartan_h"), 3),
-        (ext_weight_matrix_A(8, 2, "cartan_h"), 2),
+        (to_cartan_h(ext_weight_matrix_A(7, 3)), 3),
+        (to_cartan_h(ext_weight_matrix_A(8, 2)), 2),
         (d_spin_matrix(5), 3),
     ]:
         code = row_space_code(wm.mod(p))
@@ -216,7 +217,7 @@ def test_oracle_equivalence_on_random_codes():
 
 def test_krawtchouk_transform_of_small_codes():
     # the transform of a code's distribution is its dual's distribution
-    for wm, p in [(fixture_matrix("F4_minimal"), 3), (ext_weight_matrix_A(6, 2, "cartan_h"), 2)]:
+    for wm, p in [(fixture_matrix("F4_minimal"), 3), (to_cartan_h(ext_weight_matrix_A(6, 2)), 2)]:
         code = row_space_code(wm.mod(p))
         got = krawtchouk_transform(p, code.n, code.k, weight_distribution(code))
         assert got == list(weight_distribution(dual_code(code)))
@@ -272,7 +273,7 @@ def test_f4_minimal_inside_its_dual():
 
 
 def test_analyze_doubly_even_case():
-    rep = analyze(row_space_code(ext_weight_matrix_A(6, 2, "cartan_h").mod(2)))
+    rep = analyze(row_space_code(to_cartan_h(ext_weight_matrix_A(6, 2)).mod(2)))
     assert rep.params() == (15, 4, 8)
     assert rep.doubly_even and rep.even and rep.self_orthogonal
 
@@ -285,12 +286,12 @@ def test_analyze_zero_code():
 
 
 def test_analyze_sl7_cube_not_orthogonal():
-    rep = analyze(row_space_code(ext_weight_matrix_A(7, 3, "cartan_h").mod(3)))
+    rep = analyze(row_space_code(to_cartan_h(ext_weight_matrix_A(7, 3)).mod(3)))
     assert not rep.self_orthogonal
 
 
 def test_distribution_report_takes_a_counted_distribution():
-    code = row_space_code(ext_weight_matrix_A(6, 2, "cartan_h").mod(2))
+    code = row_space_code(to_cartan_h(ext_weight_matrix_A(6, 2)).mod(2))
     dist = list(weight_distribution(code))
     assert distribution_report(2, code.n, code.k, dist, True) == analyze(code)
     for bad in (dist[:-1], [dist[0] + 1] + dist[1:]):
@@ -353,7 +354,7 @@ def test_column_permutation_and_negation_invariance(seed=5):
 # row combinations
 
 def test_combination_weight_examples():
-    b3 = ext_weight_matrix_A(10, 3, "matrix_unit_E").mod(2)
+    b3 = ext_weight_matrix_A(10, 3).mod(2)
     assert combination_weight(b3, [1, 1] + [0] * 8) == 56
     assert combination_weight(b3, [0] * 10) == 0
     spin = d_spin_matrix(5).mod(3)

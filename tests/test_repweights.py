@@ -48,28 +48,30 @@ def column_multiset_up_to_sign(entries):
 # sl(n) exterior powers
 
 def test_ext_matrix_unit_rows():
-    wm = ext_weight_matrix_A(4, 2, "matrix_unit_E")
+    # the builder gives the n matrix-unit rows; a request picks the basis
+    wm = ext_weight_matrix_A(4, 2)
+    assert wm.basis == "matrix_unit_E"
     assert wm.entries.shape == (4, 6)
     assert wm.entries[0].tolist() == [1, 1, 1, 0, 0, 0]
 
 
 def test_ext_cartan_rows_are_differences():
     for n, r in [(4, 2), (6, 3), (8, 4)]:
-        e = ext_weight_matrix_A(n, r, "matrix_unit_E").entries
-        h = ext_weight_matrix_A(n, r, "cartan_h").entries
-        assert np.array_equal(h, e[:-1] - e[1:])
-    assert ext_weight_matrix_A(4, 2, "cartan_h").entries[0].tolist() == [0, 1, 1, -1, -1, 0]
+        e = ext_weight_matrix_A(n, r).entries
+        h = build_weight_matrix(ModuleSpec("A", n, f"ext{r}", 3))
+        assert h.basis == "cartan_h" and np.array_equal(h.entries, e[:-1] - e[1:])
+    assert to_cartan_h(ext_weight_matrix_A(4, 2)).entries[0].tolist() == [0, 1, 1, -1, -1, 0]
 
 
 @pytest.mark.parametrize("n,r", [(5, 2), (7, 3), (8, 4)])
 def test_ext_column_count(n, r):
-    assert ext_weight_matrix_A(n, r, "matrix_unit_E").cols == comb(n, r)
+    assert ext_weight_matrix_A(n, r).cols == comb(n, r)
 
 
 def test_ext_odd_row_relation_mod2():
     # over F2 the odd-indexed Cartan rows of the square power sum to zero
     for m in (3, 4, 5):
-        h = ext_weight_matrix_A(2 * m, 2, "cartan_h").mod(2).entries
+        h = to_cartan_h(ext_weight_matrix_A(2 * m, 2)).mod(2).entries
         assert not (h[0::2].sum(axis=0) % 2).any()
 
 
@@ -85,19 +87,19 @@ def test_ext_rejects_bad_degree():
 
 def test_adjoint_rows_sum_to_zero():
     for n in (3, 5, 8):
-        rows = adjoint_weight_matrix_A(n, "matrix_unit_E").entries
+        rows = adjoint_weight_matrix_A(n).entries
         assert not rows.sum(axis=0).any()
 
 
 def test_adjoint_cartan_column_for_first_simple_root():
-    k = adjoint_weight_matrix_A(4, "cartan_h")
+    k = to_cartan_h(adjoint_weight_matrix_A(4))
     col = list(k.column_labels).index("e1-e2")
     assert k.entries[:, col].tolist() == [2, -1, 0]
 
 
 def test_adjoint_k_code_sl6():
     # enumeration gives [15,4,9]; the stated distance 3 is a documented typo
-    rep = analyze(row_space_code(adjoint_weight_matrix_A(6, "cartan_h").mod(3)))
+    rep = analyze(row_space_code(to_cartan_h(adjoint_weight_matrix_A(6)).mod(3)))
     assert rep.params() == (15, 4, 9)
     assert rep.self_orthogonal
 
@@ -131,6 +133,14 @@ def test_lambda3_codes():
     assert analyze(row_space_code(d_lambda3_matrix(4).mod(3))).params() == (28, 4, 15)
 
 
+def spin_block_of_weight_code(m):
+    """The spin columns of o(2m) on adjoint-plus-spin for even m: one per +-
+    pair of weights, those of the subsets containing 1 (entry 2 in row 1)."""
+    block = d_adjoint_spin_matrix(m, "weight_code").entries[:, m * (m - 1) :]
+    assert (block[0] == 2).all()
+    return block
+
+
 def test_spin_shapes_and_weights():
     wm = d_spin_matrix(5)
     assert wm.cols == 16
@@ -139,7 +149,7 @@ def test_spin_shapes_and_weights():
 
     assert combination_weight(m5, [1, 0, 0, 0, 0]) == 16
     assert combination_weight(m5, [1, 1, 0, 0, 0]) == 8
-    assert d_spin_matrix(8, half=True).cols == 64
+    assert spin_block_of_weight_code(8).shape == (8, 64)
 
 
 def test_spin_code_m6_exception():
@@ -147,8 +157,6 @@ def test_spin_code_m6_exception():
 
 
 def test_spin_rejects_bad_requests():
-    with pytest.raises(ValueError):
-        d_spin_matrix(5, half=True)
     with pytest.raises(ValueError):
         d_spin_matrix(6).mod(2)
 
@@ -218,9 +226,9 @@ def test_opposite_representative_choice_same_report():
         flipped = analyze(row_space_code(FpMatrix.reduce(3, -wm.entries)))
         assert flipped.params() == rep.params()
         assert flipped.weight_distribution == rep.weight_distribution
-    half = d_spin_matrix(8, half=True)
-    rep = analyze(row_space_code(half.mod(3)))
-    flipped = analyze(row_space_code(FpMatrix.reduce(3, -half.entries)))
+    half = spin_block_of_weight_code(8)
+    rep = analyze(row_space_code(FpMatrix.reduce(3, half)))
+    flipped = analyze(row_space_code(FpMatrix.reduce(3, -half)))
     assert flipped.weight_distribution == rep.weight_distribution
 
 
@@ -267,9 +275,9 @@ def test_fixture_row_weights_as_published():
 
     # binary row weights of the sl(n) exterior matrices
     for n in (6, 10):
-        h2 = ext_weight_matrix_A(n, 2, "cartan_h").mod(2)
+        h2 = to_cartan_h(ext_weight_matrix_A(n, 2)).mod(2)
         assert all(combination_weight(h2, unit(i, n - 1)) == 2 * (n - 2) for i in range(n - 1))
-        h3 = ext_weight_matrix_A(n, 3, "cartan_h").mod(2)
+        h3 = to_cartan_h(ext_weight_matrix_A(n, 3)).mod(2)
         assert all(combination_weight(h3, unit(i, n - 1)) == (n - 2) * (n - 3) for i in range(n - 1))
 
 
@@ -431,14 +439,19 @@ def test_templates_list_the_builders_columns(family, module, mode, basis, larges
 
 
 def test_to_cartan_h_families():
-    e = ext_weight_matrix_A(5, 2, "matrix_unit_E")
+    e = ext_weight_matrix_A(5, 2)
     h = to_cartan_h(e)
-    assert np.array_equal(h.entries, ext_weight_matrix_A(5, 2, "cartan_h").entries)
+    assert np.array_equal(h.entries, e.entries[:-1] - e.entries[1:])
+    assert np.array_equal(h.entries, build_weight_matrix(ModuleSpec("A", 5, "ext2", 3)).entries)
     d = to_cartan_h(d_lambda2_matrix(4))
     assert d.rows == 4
     g = d_lambda2_matrix(4).entries
     assert np.array_equal(d.entries[-1], g[-2] + g[-1])
-    full = ext_weight_matrix_A(8, 4, "matrix_unit_E")
+    full = ext_weight_matrix_A(8, 4)
     seven = WeightMatrix("A", 8, "ext4", "matrix_unit_E", False, full.entries[:7], full.column_labels)
     with pytest.raises(ValueError):
         to_cartan_h(seven)  # the eighth matrix-unit row is missing
+    o10 = d_lambda2_matrix(5)
+    four = WeightMatrix("D", 5, "ext2", "matrix_unit_E", False, o10.entries[:4], o10.column_labels)
+    with pytest.raises(ValueError, match="need all matrix-unit rows"):
+        to_cartan_h(four)  # the fifth e_i row is missing

@@ -96,6 +96,16 @@ def test_every_positive_root_has_positive_pairing_entry():
             assert any(x > 0 for x in pairing_vector(cm, root))
 
 
+@pytest.mark.parametrize("family,rank", [("A", 6), ("D", 5), ("E6", 6), ("E7", 7), ("E8", 8)])
+def test_roots_are_the_weight_orbit_of_the_highest_root(family, rank):
+    # all roots of a simply-laced system have one length, so their weights
+    # are one Weyl orbit: that of the highest root, the last one listed
+    cm = cartan_matrix(family, rank)
+    weights = [pairing_vector(cm, root) for root in positive_roots(cm)]
+    negated = [tuple(-x for x in w) for w in weights]
+    assert weyl_orbit(cm, weights[-1]) == sorted(weights + negated)
+
+
 def test_weyl_orbit_a1():
     cm = cartan_matrix("A", 1)
     assert weyl_orbit(cm, (1,)) == [(-1,), (1,)]

@@ -65,9 +65,9 @@ def pm_coeffs(total, s, t):
 
 def test_closed_forms_match_enumeration_small():
     for n in (5, 8):
-        b2 = ext_weight_matrix_A(n, 2, "matrix_unit_E").mod(3)
-        b3 = ext_weight_matrix_A(n, 3, "matrix_unit_E").mod(3)
-        ell = adjoint_weight_matrix_A(n, "matrix_unit_E").mod(3)
+        b2 = ext_weight_matrix_A(n, 2).mod(3)
+        b3 = ext_weight_matrix_A(n, 3).mod(3)
+        ell = adjoint_weight_matrix_A(n).mod(3)
         for s in range(n + 1):
             for t in range(n - s + 1):
                 coeffs = pm_coeffs(n, s, t)
