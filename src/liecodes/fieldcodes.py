@@ -85,15 +85,32 @@ class FpMatrix:
 
 
 def format_matrix_text(m: FpMatrix) -> str:
-    """Render a matrix in the shared text format: 'p rows cols' then rows."""
-    lines = [f"{m.p} {m.rows} {m.cols}"]
-    for row in m.entries:
-        lines.append(" ".join(str(int(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    """Render a matrix in the shared text format: 'p rows cols' then rows.
+
+    Entries are single digits, so each row is one run of bytes: a digit and
+    a space per entry, the last space replaced by a newline.
+    """
+    body = np.full((m.rows, 2 * m.cols), ord(" "), dtype=np.uint8)
+    np.add(m.entries, ord("0"), out=body[:, ::2], casting="unsafe")  # no int64 temporary
+    body[:, -1] = ord("\n")
+    return f"{m.p} {m.rows} {m.cols}\n" + str(body, "ascii")
+
+
+def _check_entry(token: str, p: int) -> None:
+    """Raise the error for a token that is not an entry modulo p."""
+    try:
+        v = int(token)
+    except ValueError as exc:
+        raise ValueError(f"non-numeric matrix entry {token!r}") from exc
+    if not 0 <= v < p:
+        raise ValueError(f"entry {v} out of range for modulus {p}")
 
 
 def parse_matrix_text(text: str) -> FpMatrix:
-    """Parse the shared text format, rejecting out-of-range symbols."""
+    """Parse the shared text format, rejecting out-of-range symbols.
+
+    The error names the first bad entry in reading order.
+    """
     tokens = text.split()
     if len(tokens) < 3:
         raise ValueError("matrix text needs a 'p rows cols' header")
@@ -108,17 +125,17 @@ def parse_matrix_text(text: str) -> FpMatrix:
     body = tokens[3:]
     if len(body) != rows * cols:
         raise ValueError(f"expected {rows * cols} entries, found {len(body)}")
-    values = []
-    for tok in body:
-        try:
-            v = int(tok)
-        except ValueError as exc:
-            raise ValueError(f"non-numeric matrix entry {tok!r}") from exc
-        if not 0 <= v < p:
-            raise ValueError(f"entry {v} out of range for modulus {p}")
-        values.append(v)
-    a = np.array(values, dtype=np.int64).reshape(rows, cols) if rows else np.zeros((0, cols), dtype=np.int64)
-    return FpMatrix(p, a)
+    try:
+        a = np.array(body, dtype=np.int64)
+    except (ValueError, OverflowError):
+        # a token int() cannot read, or one past int64; find the first bad one
+        for token in body:
+            _check_entry(token, p)
+        raise
+    bad = (a < 0) | (a >= p)
+    if bad.any():
+        _check_entry(body[bad.argmax()], p)
+    return FpMatrix(p, a.reshape(rows, cols))
 
 
 def rref(m: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:

@@ -17,7 +17,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, log2, perm
+from math import comb, factorial, ldexp, log2, perm
 from operator import mul
 
 import numpy as np
@@ -98,9 +98,18 @@ _MAX_ENTRIES = 1 << 22
 # subset S with |S| = r (mod 2), 1 (-1/2) on the others.
 
 
+def _column_terms(rank: int, templates: tuple) -> tuple[int, Fraction]:
+    """(a, b): the templates give a + b 2^(rank - 1) columns on `rank`
+    coordinate rows, b 2^(rank - 1) of them from the spin templates."""
+    a = sum(share * perm(rank, len(c)) for c, share in templates if c is not None)
+    b = sum(share for c, share in templates if c is None)
+    return int(a), b
+
+
 def template_columns(rank: int, templates: tuple) -> int:
     """Number of columns the templates give on `rank` coordinate rows."""
-    return int(sum(share * (2 ** (rank - 1) if c is None else perm(rank, len(c))) for c, share in templates))
+    a, b = _column_terms(rank, templates)
+    return a + int(b * 2 ** (rank - 1))
 
 
 @functools.cache
@@ -130,13 +139,19 @@ def orbit_weight(templates: tuple, p: int, counts: tuple[int, int, int]) -> int:
     return int(total)
 
 
-def _count_text(x: int) -> str:
-    """x in digits, or as a power of two past 2^64 (the digits of 2^(m-1)
-    for a large spin module would not print)."""
-    if x < 1 << 64:
-        return str(x)
-    e = x.bit_length() - 1
-    return f"2^{e}" if x == 1 << e else f"about 2^{log2(x):.1f}"
+def _count_text(a: int, b: Fraction, e: int) -> str:
+    """The count a + b 2^e in digits, or as a power of two past 2^64 (the
+    digits of 2^(m-1) for a large spin module would not print).  2^e is
+    formed only for e <= 64; past that the text is read off the exponent."""
+    if not b or e <= 64:
+        x = int(a + b * 2**e)
+        if x < 1 << 64:
+            return str(x)
+        top = x.bit_length() - 1
+        return f"2^{top}" if x == 1 << top else f"about 2^{log2(x):.1f}"
+    if not a and (b.numerator * b.denominator).bit_count() == 1:
+        return f"2^{e + round(log2(b))}"
+    return f"about 2^{e + log2(b + ldexp(a, -e)):.1f}"
 
 
 def _subset_label(subset: tuple[int, ...]) -> str:
@@ -251,7 +266,12 @@ def d_spin_matrix(m: int) -> WeightMatrix:
     d_spin_templates(m)
     sizes = range(m % 2, m + 1, 2)
     subsets = sorted(s for k in sizes for s in itertools.combinations(range(1, m + 1), k))
-    rows = np.array([[2 if r in s else 1 for s in subsets] for r in range(1, m + 1)], dtype=np.int64)
+    rows = np.ones((m, len(subsets)), dtype=np.int64)
+    # the row of each element of each subset, then the subset's column
+    rows[
+        np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64) - 1,
+        np.repeat(np.arange(len(subsets)), [len(s) for s in subsets]),
+    ] = 2
     labels = tuple(_subset_label(s) for s in subsets)
     return WeightMatrix("D", m, "spin", "matrix_unit_E", True, rows, labels)
 
@@ -492,10 +512,13 @@ def module_templates(ms: ModuleSpec) -> tuple | None:
     templates = templates(*args(ms))
     if ms.basis not in (None, *_BASES):
         raise ValueError(f"unknown basis {ms.basis!r}; expected one of {list(_BASES)}")
-    rows, cols = ms.rank, template_columns(ms.rank, templates)
-    if rows * cols > _MAX_ENTRIES:
+    rows = ms.rank
+    a, b = _column_terms(rows, templates)
+    # past 64 rows a spin module is refused from the exponent alone: forming
+    # 2^(rows - 1) would take time and memory linear in rows
+    if (b and rows > 64) or rows * (a + int(b * 2 ** (rows - 1))) > _MAX_ENTRIES:
         algebra = f"sl({rows})" if ms.family == "A" else f"o({2 * rows})"
-        size = f"{rows} x {_count_text(cols)} = {_count_text(rows * cols)}"
+        size = f"{rows} x {_count_text(a, b, rows - 1)} = {_count_text(rows * a, rows * b, rows - 1)}"
         raise ValueError(f"{ms.module} of {algebra} would have {size} entries, over {_MAX_ENTRIES}")
     return templates
 

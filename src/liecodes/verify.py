@@ -663,24 +663,33 @@ def branch_equivalences() -> tuple[BranchCheck, ...]:
 def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int, seed: int = 0) -> int:
     """Count combination weights changed by random reflection words.
 
-    The matrix is moved to the Cartan-generator basis first; coefficient
-    vectors are then acted on by words of simple reflections, which must
-    leave every combination weight unchanged.
+    The matrix is moved to the Cartan-generator basis first.  A simple
+    reflection is a linear map on coefficient vectors, so it is built once
+    as an integer matrix whose rows are its images of the unit vectors, and
+    a word of reflections acts as a product of these.  Each trial draws a
+    coefficient vector in -2..2 and a word of 1 to 10 reflections; all
+    trials move together, position by position, a trial whose word is over
+    keeping its vector.  One product with the matrix then gives the weights
+    of every vector before and after its word, which must agree.
     """
     hm = to_cartan_h(wm)
     cartan_rank = hm.rank - 1 if hm.family == "A" else hm.rank
     cm = cartan_matrix(hm.family, cartan_rank)
     matrix = hm.mod(p)
+    unit = np.eye(cartan_rank, dtype=np.int64)
+    reflections = np.array([[reflect_coroot_coeffs(cm, i, e) for e in unit] for i in range(cartan_rank)])
     rng = np.random.default_rng(seed)
-    violations = 0
-    for _ in range(trials):
-        coeffs = tuple(int(x) for x in rng.integers(-2, 3, size=cartan_rank))
-        moved = coeffs
-        for _ in range(int(rng.integers(1, 11))):
-            moved = reflect_coroot_coeffs(cm, int(rng.integers(0, cartan_rank)), moved)
-        if combination_weight(matrix, coeffs) != combination_weight(matrix, moved):
-            violations += 1
-    return violations
+    coeffs = rng.integers(-2, 3, size=(trials, cartan_rank))
+    lengths = rng.integers(1, 11, size=trials)
+    nodes = rng.integers(0, cartan_rank, size=(10, trials))
+    moved = coeffs
+    for step, node in enumerate(nodes):
+        reflected = np.einsum("tj,tjk->tk", moved, reflections[node])
+        moved = np.where((lengths > step)[:, None], reflected, moved)
+    words = np.vstack([coeffs, moved]) @ matrix.entries
+    words %= p  # in place: the product is the largest array here
+    weights = np.count_nonzero(words, axis=1)
+    return int(np.count_nonzero(weights[:trials] != weights[trials:]))
 
 
 def to_json(report: SuiteReport, stable: bool = False) -> str:

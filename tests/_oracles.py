@@ -7,7 +7,8 @@ exact integer arithmetic too, and `dual_code` gives the code it describes.
 The closed forms are the paper's codeword weights of partial row sums,
 against which the weight-matrix builders are checked.  The orbit count over
 a built weight matrix is the second engine behind the template count past
-the reach of enumeration.
+the reach of enumeration.  The Weyl-invariance fuzz and the matrix text
+format have loop versions here, one trial and one entry at a time.
 """
 
 from itertools import product
@@ -15,7 +16,9 @@ from math import comb
 
 import numpy as np
 
-from liecodes.fieldcodes import FpMatrix, LinearCode, row_space_code
+from liecodes.fieldcodes import FpMatrix, LinearCode, combination_weight, row_space_code
+from liecodes.repweights import to_cartan_h
+from liecodes.rootsys import cartan_matrix, reflect_coroot_coeffs
 
 
 def all_codewords(p, basis_rows, n):
@@ -180,3 +183,30 @@ def orbit_weight_distribution(coords, p, k, sum_zero):
     if counts[0] != kernel:
         raise ValueError(f"{counts[0]} coefficient vectors give the zero word; a code of dimension {k} has {kernel}")
     return tuple(c // kernel for c in counts)
+
+
+def weyl_violations_by_loop(wm, p, trials, seed=0):
+    """`weyl_invariance_violations` one trial at a time: the same draws from
+    the same seed, each word applied one reflection after another with
+    Python integers."""
+    hm = to_cartan_h(wm)
+    rank = hm.rank - 1 if hm.family == "A" else hm.rank
+    cm = cartan_matrix(hm.family, rank)
+    matrix = hm.mod(p)
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(-2, 3, size=(trials, rank)).tolist()
+    lengths = rng.integers(1, 11, size=trials).tolist()
+    nodes = rng.integers(0, rank, size=(10, trials)).T.tolist()
+    violations = 0
+    for start, length, word in zip(coeffs, lengths, nodes):
+        moved = start
+        for node in word[:length]:
+            moved = reflect_coroot_coeffs(cm, node, moved)
+        violations += combination_weight(matrix, start) != combination_weight(matrix, moved)
+    return violations
+
+
+def matrix_text_by_loop(m):
+    """The shared text format, one entry at a time."""
+    lines = [f"{m.p} {m.rows} {m.cols}"] + [" ".join(str(int(v)) for v in row) for row in m.entries]
+    return "\n".join(lines) + "\n"

@@ -61,19 +61,27 @@ def test_report_at_the_size_cap(capsys):
 
 
 def test_oversized_module_is_a_usage_error(capsys):
-    # refused before anything is allocated: 30 x 2^29, 300 x C(300, 3) and
-    # 16000 x 2^15999 entries; the last count has too many digits to print
-    for argv, size in (
-        (["report", "--family", "D", "--m", "30", "--module", "spin"], "30 x 536870912"),
-        (["matrix", "--family", "A", "--n", "300", "--module", "ext3"], "300 x 4455100"),
+    # refused before anything is allocated: 30 x 2^29, 300 x C(300, 3),
+    # 16000 x 2^15999 and 10^8 x 2^(10^8 - 1) entries; the last two counts
+    # have too many digits to print, and the last is refused from its
+    # exponent, without forming 2^(10^8 - 1)
+    for argv, size, budget in (
+        (["report", "--family", "D", "--m", "30", "--module", "spin"], "30 x 536870912", 1.0),
+        (["matrix", "--family", "A", "--n", "300", "--module", "ext3"], "300 x 4455100", 1.0),
         (
             ["report", "--family", "D", "--m", "16000", "--module", "spin"],
             "spin of o(32000) would have 16000 x 2^15999",
+            1.0,
+        ),
+        (
+            ["report", "--family", "D", "--m", "100000000", "--module", "spin"],
+            "spin of o(200000000) would have 100000000 x 2^99999999 = about 2^100000025.6",
+            0.2,
         ),
     ):
         started = time.perf_counter()
         code, out, err = invoke(capsys, *argv, "--field", "3")
-        assert time.perf_counter() - started < 1.0
+        assert time.perf_counter() - started < budget
         assert code == 2 and not out
         assert err.startswith("liecodes: error: ") and size in err
         assert err.rstrip().endswith(f"entries, over {1 << 22}")
@@ -97,6 +105,22 @@ def test_exceptional_matrix_text_is_pinned(capsys, family, module):
     code, out, err = invoke(capsys, "matrix", "--family", family, "--module", module, "--field", "3")
     assert code == 0 and not err
     assert hashlib.sha256(out.encode()).hexdigest() == EXCEPTIONAL_MATRIX_TEXT_SHA256[family, module]
+
+
+# SHA-256 of `liecodes matrix` stdout, text format, as written entry by entry
+# before the text was rendered from one byte buffer (E8 adjoint is above)
+MATRIX_TEXT_SHA256 = {
+    "--family D --m 12 --module adjoint_plus_spin --mode direct_sum --field 3":
+        "3d43991df42c69789ddb873784dbb3f8979295c9f5bafb8df0b3570b13d59ffc",
+    "--family A --n 20 --module ext3 --field 2": "54d10f59b3e3cc612993b5d8419b56e8f83d62a70d813fe77f7cd4ad5568dafc",
+}
+
+
+@pytest.mark.parametrize("args", sorted(MATRIX_TEXT_SHA256))
+def test_matrix_text_is_pinned(capsys, args):
+    code, out, err = invoke(capsys, "matrix", *args.split())
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_TEXT_SHA256[args]
 
 
 def test_verify_filter_exit_zero(capsys):

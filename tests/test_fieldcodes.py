@@ -25,7 +25,7 @@ from liecodes.repweights import (
 )
 from liecodes.verify import registered_cases, run_case
 
-from _oracles import dual_code, krawtchouk_transform, naive_min_distance, naive_weight_distribution
+from _oracles import dual_code, krawtchouk_transform, matrix_text_by_loop, naive_min_distance, naive_weight_distribution
 
 
 def random_fp_matrix(rng, p, max_rows=4, max_cols=20):
@@ -60,19 +60,41 @@ def test_text_format_round_trip():
     assert parse_matrix_text(text) == m
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "3 1",  # truncated header
-        "3 1 2\n0 3",  # out-of-range symbol
-        "2 1 2\n0",  # wrong entry count
-        "2 1 2\n0 x",  # non-numeric entry
-        "7 1 1\n0",  # unsupported modulus
-    ],
-)
+def test_text_format_matches_the_loop_version(seed=5):
+    rng = np.random.default_rng(seed)
+    for p in (2, 3):
+        for _ in range(20):
+            m = random_fp_matrix(rng, p)
+            text = format_matrix_text(m)
+            assert text == matrix_text_by_loop(m)
+            assert parse_matrix_text(text) == m
+
+
+def test_text_format_round_trip_without_rows():
+    m = FpMatrix(3, np.zeros((0, 4), dtype=np.int64))
+    assert format_matrix_text(m) == "3 0 4\n"
+    assert parse_matrix_text("3 0 4\n") == m
+
+
+# each malformed text and the error it raises
+TEXT_ERRORS = {
+    "3 1": "matrix text needs a 'p rows cols' header",  # truncated header
+    "3 1 2\n0 3": "entry 3 out of range for modulus 3",  # out-of-range symbol
+    "2 1 2\n0": "expected 2 entries, found 1",  # wrong entry count
+    "2 1 2\n0 x": "non-numeric matrix entry 'x'",  # non-numeric entry
+    "7 1 1\n0": "modulus must be one of (2, 3), got 7",  # unsupported modulus
+    # the first bad entry in reading order is named
+    "3 1 3\n0 5 x": "entry 5 out of range for modulus 3",
+    "3 1 3\n0 x 5": "non-numeric matrix entry 'x'",
+    "2 1 2\n99999999999999999999999 x": "entry 99999999999999999999999 out of range for modulus 2",
+}
+
+
+@pytest.mark.parametrize("text", list(TEXT_ERRORS))
 def test_text_format_rejects(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         parse_matrix_text(text)
+    assert str(info.value) == TEXT_ERRORS[text]
 
 
 # ---------------------------------------------------------------------------

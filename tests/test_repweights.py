@@ -1,6 +1,7 @@
 """Tests for the weight-matrix constructors, their column templates and the
 reference fixtures."""
 
+import hashlib
 import itertools
 from collections import Counter
 from dataclasses import replace
@@ -159,6 +160,29 @@ def test_spin_code_m6_exception():
 def test_spin_rejects_bad_requests():
     with pytest.raises(ValueError):
         d_spin_matrix(6).mod(2)
+
+
+# SHA-256 over the entries and labels of the spin matrices of o(6)..o(24)
+# and the adjoint-plus-spin matrices of o(8)..o(24), as built entry by entry
+# before the membership array
+SPIN_BUILDER_SHA256 = {
+    "spin": "33b6a1fc61c1f9370226bf4c0fdff410199a097517dcb19085b0c709e5abb276",
+    "weight_code": "a988fb558448300dd406f633993ec1708d0d335f6d78c229611f12ceb6ec3820",
+    "direct_sum": "e2dd02eaf2b8864e4cb51d99b404c1e0a95075588886045d2a4d7be658fdec2b",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPIN_BUILDER_SHA256))
+def test_spin_builders_are_pinned(kind):
+    if kind == "spin":
+        matrices = [d_spin_matrix(m) for m in range(3, 13)]
+    else:
+        matrices = [d_adjoint_spin_matrix(m, kind) for m in range(4, 13)]
+    digest = hashlib.sha256()
+    for wm in matrices:
+        digest.update(wm.entries.tobytes())
+        digest.update("\n".join(wm.column_labels).encode())
+    assert digest.hexdigest() == SPIN_BUILDER_SHA256[kind]
 
 
 def test_adjoint_spin_blocks():

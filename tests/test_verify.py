@@ -30,7 +30,7 @@ from liecodes.verify import (
     weyl_invariance_violations,
 )
 
-from _oracles import closed_form_weight
+from _oracles import closed_form_weight, weyl_violations_by_loop
 
 ANNOTATED_CASE_IDS = {
     "thm2.3/ext3/n=6",
@@ -255,6 +255,27 @@ def test_weyl_invariance_spot_checks():
     ):
         wm = build_weight_matrix(spec)
         assert weyl_invariance_violations(wm, spec.p, 200, seed=99) == 0
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModuleSpec("A", 8, "ext3", 3, basis="matrix_unit_E"),
+        ModuleSpec("D", 6, "ext2", 3),
+        ModuleSpec("E6", 6, "minimal", 3),
+    ],
+    ids=lambda spec: f"{spec.family}-{spec.module}",
+)
+def test_weyl_invariance_fuzz_catches_a_wrong_entry(spec):
+    # one entry off by one: the columns are no longer a union of Weyl
+    # orbits, so reflection words must change some combination weights
+    wm = build_weight_matrix(spec)
+    entries = wm.entries.copy()
+    entries[0, 0] += 1
+    broken = dataclasses.replace(wm, entries=entries)
+    violations = weyl_invariance_violations(broken, spec.p, 200, seed=99)
+    assert violations > 0
+    assert violations == weyl_violations_by_loop(broken, spec.p, 200, seed=99)
 
 
 def test_every_binary_doubly_even_case_is_self_orthogonal():
