@@ -3,10 +3,11 @@
 Generator matrices carry entries reduced modulo p.  Weight distributions,
 and minimum distances read off them, come from exhaustive enumeration of the
 row space.  The basis is packed into uint64 bit planes (one plane over F2,
-planes for symbols 1 and 2 over F3).  A table holds every combination of the
-first basis rows; each combination of the remaining rows is then added
-across the whole table in one vectorized step and the resulting weights are
-counted with a population count and a histogram.
+planes for symbols 1 and 2 over F3).  One table holds every combination of
+the first basis rows and a second every combination of the remaining rows.
+Each column of the second whose last nonzero coefficient is 1 is added
+across the whole first table in one vectorized step, and the resulting
+weights are counted with a population count and a histogram.
 """
 
 from __future__ import annotations
@@ -34,13 +35,6 @@ __all__ = [
 SUPPORTED_PRIMES = (2, 3)
 
 
-def _as_int_matrix(entries) -> np.ndarray:
-    a = np.array(entries, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("matrix entries must form a two-dimensional array")
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class FpMatrix:
     """An integer matrix with every entry reduced modulo p, p in {2, 3}.
@@ -54,7 +48,9 @@ class FpMatrix:
     def __post_init__(self) -> None:
         if self.p not in SUPPORTED_PRIMES:
             raise ValueError(f"modulus must be one of {SUPPORTED_PRIMES}, got {self.p}")
-        a = _as_int_matrix(self.entries)
+        a = np.array(self.entries, dtype=np.int64)
+        if a.ndim != 2:
+            raise ValueError("matrix entries must form a two-dimensional array")
         if a.shape[1] < 1:
             raise ValueError("a matrix needs at least one column")
         if a.size and (int(a.min()) < 0 or int(a.max()) >= self.p):
@@ -65,7 +61,7 @@ class FpMatrix:
     @classmethod
     def reduce(cls, p: int, entries) -> "FpMatrix":
         """Reduce an arbitrary integer matrix modulo p."""
-        return cls(p, np.mod(_as_int_matrix(entries), p))
+        return cls(p, np.mod(np.asarray(entries, dtype=np.int64), p))
 
     @property
     def rows(self) -> int:
@@ -202,7 +198,7 @@ def combination_weight(m: FpMatrix, coeffs: Sequence[int]) -> int:
 # weight enumeration
 
 # Byte budget of the table of row combinations.  A table this size stays in
-# the L2 cache while every outer word is added across it.
+# the L2 cache while every outer column is added across it.
 _TABLE_BYTES = 1 << 18
 
 
@@ -252,62 +248,33 @@ def _combinations(p: int, rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def _valuation(p: int, i: int) -> int:
-    """Number of trailing zero base-p digits of i > 0."""
-    j = 0
-    while i % p == 0:
-        i //= p
-        j += 1
-    return j
-
-
 def weight_distribution(c: LinearCode) -> tuple[int, ...]:
     """Codeword counts A_0..A_n by Hamming weight; the counts sum to p^k.
 
     Meet in the middle: the first a basis rows give a table of all p^a
-    combinations, and each combination u of the remaining rows is added
-    across the whole table at once.  Over F3, c and 2c have the same weight,
-    so only outer words whose last nonzero coefficient is 1 are visited and
-    each counts twice.
+    combinations and the remaining rows an outer table of all theirs.  Each
+    outer column u is added across the whole first table at once.  Over F3,
+    c and 2c have the same weight, so only outer columns whose last nonzero
+    coefficient is 1 are visited, columns p^j to 2p^j - 1 for outer row j,
+    and each counts p - 1 times.
     """
     p, n = c.p, c.n
     rows = _pack_planes(c)
     a = _table_rows(p, c.k, rows.shape[-1])
     table = _combinations(p, rows[:a])
-    support = table[0] if p == 2 else table[0] | table[1]
-    x = np.empty_like(support)
-    y = np.empty_like(support)
-    ones = np.empty(support.shape, dtype=np.uint8)
-    # the narrowest unsigned type that holds a weight; a sum in it is cheap
-    weights = np.empty(support.shape[1], dtype=np.min_scalar_type(n))
+    outer = _combinations(p, rows[a:])
 
     def histogram(words: np.ndarray) -> np.ndarray:
-        np.bitwise_count(words, out=ones)
-        np.add.reduce(ones, axis=0, out=weights)
+        support = words[0] if p == 2 else words[0] | words[1]
+        # the narrowest unsigned type that holds a weight; a sum in it is cheap
+        weights = np.bitwise_count(support).sum(axis=0, dtype=np.min_scalar_type(n))
         return np.bincount(weights, minlength=n + 1)
 
-    outer = np.zeros(n + 1, dtype=np.int64)
-    sums: list[np.ndarray] = []  # sums[j] = outer row 0 + ... + outer row j
-    for m, lead in enumerate(rows[a:]):
-        # u = lead + every combination of the outer rows before it, counted
-        # up in base p: a step that raises digit j and wraps the digits below
-        # it from p-1 to 0 adds sums[j]
-        u = lead
-        for i in range(p**m):
-            if i:
-                u = _add(p, u, sums[_valuation(p, i)])
-            if p == 2:
-                np.bitwise_xor(support, u[0][:, None], out=x)
-            else:
-                # t + u vanishes where both vanish or {t, u} = {1, 2}
-                np.bitwise_or(support, (u[0] | u[1])[:, None], out=x)
-                np.bitwise_and(table[0], u[1][:, None], out=y)
-                x ^= y
-                np.bitwise_and(table[1], u[0][:, None], out=y)
-                x ^= y
-            outer += histogram(x)
-        sums.append(_add(p, sums[-1], lead) if sums else lead)
-    return tuple((histogram(support) + (p - 1) * outer).tolist())
+    dist = histogram(table)
+    for j in range(c.k - a):
+        for u in range(p**j, 2 * p**j):
+            dist += (p - 1) * histogram(_add(p, table, outer[..., u, None]))
+    return tuple(dist.tolist())
 
 
 @dataclass(frozen=True)

@@ -450,7 +450,8 @@ def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:
 
 @dataclass(frozen=True)
 class ModuleSpec:
-    """A (family, rank, module, field) request plus mode flags; `build_weight_matrix` checks it."""
+    """A (family, rank, module, field) request plus mode flags; `module_templates`
+    checks it, for both `build_weight_matrix` and `verify.module_code`."""
 
     family: str
     rank: int

@@ -162,10 +162,19 @@ def test_table_split_agrees_with_oracle(monkeypatch):
     check_random_codes_against_oracle()
 
 
-@pytest.mark.parametrize("p", [2, 3])
-@pytest.mark.parametrize("n", [63, 64, 65, 128])
-def test_padding_words_agree_with_oracle(p, n, seed=17):
+@pytest.mark.parametrize(
+    "n, p, table_bytes",
+    [
+        # the default cases keep their ids; at _TABLE_BYTES = 0 every basis row is an outer row
+        pytest.param(n, p, table_bytes, id=f"{n}-{p}{suffix}")
+        for table_bytes, suffix in ((fieldcodes._TABLE_BYTES, ""), (0, "-all_outer"))
+        for n in (63, 64, 65, 128)
+        for p in (2, 3)
+    ],
+)
+def test_padding_words_agree_with_oracle(monkeypatch, n, p, table_bytes, seed=17):
     # n one below, at and above a 64-bit word boundary; k = 0, 1 and 4
+    monkeypatch.setattr(fieldcodes, "_TABLE_BYTES", table_bytes)
     rng = np.random.default_rng(seed + n + p)
     for k in (0, 1, 4):
         code = row_space_code(FpMatrix(p, rng.integers(0, p, size=(k, n))))
