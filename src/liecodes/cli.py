@@ -19,7 +19,6 @@ from .rootsys import EXCEPTIONAL_RANKS
 from .verify import (
     SuiteReport,
     TableRow,
-    VerifyLimits,
     module_code,
     reproduce_table,
     run_suite,
@@ -57,11 +56,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("report", help="emit the code report of a module")
     common(pr, True)
 
-    limits = VerifyLimits()
     pv = sub.add_parser("verify", help="run the claim verification suite")
     pv.add_argument("--filter", default=None, help="case id pattern, e.g. thm2.2 or thm3.*")
-    pv.add_argument("--max-n", type=int, default=limits.max_n, help="largest sl(n) size to run")
-    pv.add_argument("--max-m", type=int, default=limits.max_m, help="largest o(2m) size to run")
     pv.add_argument("--include-optional", action="store_true", help="run the large flagged cases as well")
     pv.add_argument("--stable", action="store_true", help="zero timing fields for byte-identical output")
     common(pv, with_module=False)
@@ -250,8 +246,7 @@ def run(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "verify":
-            limits = VerifyLimits(max_n=args.max_n, max_m=args.max_m)
-            suite = run_suite(filter=args.filter, limits=limits, include_optional=args.include_optional)
+            suite = run_suite(filter=args.filter, include_optional=args.include_optional)
             _write_payload(_suite_payload(suite, args.format, args.stable), args.output)
             return EXIT_OK if suite.totals["failed"] == 0 else EXIT_VERIFY_FAILED
 

@@ -23,7 +23,7 @@ from operator import mul
 import numpy as np
 
 from .fieldcodes import FpMatrix
-from .rootsys import EXCEPTIONAL_RANKS, cartan_matrix, pairing_vector, positive_roots, weyl_orbit
+from .rootsys import EXCEPTIONAL_RANKS, cartan_matrix, positive_roots, weyl_orbit
 
 __all__ = [
     "WeightMatrix",
@@ -37,7 +37,6 @@ __all__ = [
     "exceptional_minimal_matrix",
     "exceptional_adjoint_matrix",
     "fixture_matrix",
-    "FIXTURE_NAMES",
     "build_weight_matrix",
     "module_templates",
     "template_columns",
@@ -84,7 +83,6 @@ class WeightMatrix:
         return FpMatrix.reduce(p, self.entries)
 
 
-_BASES = ("cartan_h", "matrix_unit_E")
 ADJOINT_SPIN_MODES = ("weight_code", "direct_sum")
 
 # Ten times the entries of the 40 x 9880 cube matrix of sl(40)
@@ -345,13 +343,14 @@ def exceptional_minimal_matrix(family: str) -> WeightMatrix:
 
 
 def exceptional_adjoint_matrix(family: str) -> WeightMatrix:
-    """Adjoint weight matrix of F4, E6, E7 or E8: one column per positive root."""
+    """Adjoint weight matrix of F4, E6, E7 or E8: one column per positive
+    root, its pairings c @ C with the Cartan generators."""
     if family not in EXCEPTIONAL_RANKS:
         raise ValueError(f"adjoint matrix known for F4, E6, E7, E8; got {family!r}")
     rank = EXCEPTIONAL_RANKS[family]
     cm = cartan_matrix(family, rank)
     roots = positive_roots(cm)
-    entries = np.array([pairing_vector(cm, r) for r in roots], dtype=np.int64).T
+    entries = (np.array(roots) @ np.array(cm.entries)).T
     labels = tuple(_weight_label(r) for r in roots)
     return WeightMatrix(family, rank, "adjoint", "cartan_h", False, entries, labels)
 
@@ -414,15 +413,12 @@ _FIXTURES: dict[str, tuple[str, int, str, tuple[str, ...]]] = {
     ),
 }
 
-FIXTURE_NAMES = tuple(sorted(_FIXTURES))
-
-
 def fixture_matrix(name: str) -> WeightMatrix:
     """One of the verbatim reference matrices, exactly as published."""
     try:
         family, rank, module, rows = _FIXTURES[name]
     except KeyError:
-        raise ValueError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}") from None
+        raise ValueError(f"unknown fixture {name!r}; known: {', '.join(sorted(_FIXTURES))}") from None
     entries = _parse_rows(rows)
     labels = tuple(f"c{j + 1}" for j in range(entries.shape[1]))
     return WeightMatrix(family, rank, module, "cartan_h", False, entries, labels)
@@ -458,7 +454,7 @@ class ModuleSpec:
     module: str
     p: int
     mode: str | None = None  # adjoint_plus_spin: weight_code | direct_sum
-    basis: str | None = None  # optional override for the sl(n) families
+    basis: str | None = None  # "matrix_unit_E" keeps the sl(n) coordinate rows
 
 
 # (family, module) -> (fields it is defined over, arguments of a request,
@@ -511,8 +507,8 @@ def module_templates(ms: ModuleSpec) -> tuple | None:
     if templates is None:
         return None
     templates = templates(*args(ms))
-    if ms.basis not in (None, *_BASES):
-        raise ValueError(f"unknown basis {ms.basis!r}; expected one of {list(_BASES)}")
+    if ms.basis not in (None, "matrix_unit_E"):
+        raise ValueError(f"unknown basis {ms.basis!r}; the one override is 'matrix_unit_E'")
     rows = ms.rank
     a, b = _column_terms(rows, templates)
     # past 64 rows a spin module is refused from the exponent alone: forming

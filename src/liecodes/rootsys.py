@@ -18,7 +18,6 @@ __all__ = [
     "CartanMatrix",
     "cartan_matrix",
     "positive_roots",
-    "pairing_vector",
     "weyl_orbit",
     "reflect_coroot_coeffs",
     "EXCEPTIONAL_RANKS",
@@ -78,15 +77,6 @@ def cartan_matrix(family: str, rank: int) -> CartanMatrix:
     for i, j in _edges(family, rank):
         rows[i][j] = rows[j][i] = -1
     return CartanMatrix(family, rank, tuple(tuple(r) for r in rows))
-
-
-def pairing_vector(cm: CartanMatrix, root_coeffs: Sequence[int]) -> tuple[int, ...]:
-    """Eigenvalue tuple of a root on the Cartan generators h_1..h_n."""
-    c = [int(x) for x in root_coeffs]
-    if len(c) != cm.rank:
-        raise ValueError(f"expected {cm.rank} root coefficients, got {len(c)}")
-    C = cm.entries
-    return tuple(sum(cj * C[j][i] for j, cj in enumerate(c)) for i in range(cm.rank))
 
 
 def _orbit(seeds, reflect, rank: int) -> set[tuple[int, ...]]:

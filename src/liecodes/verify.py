@@ -46,7 +46,7 @@ __all__ = [
     "registered_cases",
     "run_case",
     "run_suite",
-    "suite_to_dict",
+    "to_json",
     "reproduce_table",
     "TABLE_IDS",
     "TableRow",
@@ -474,19 +474,15 @@ def _matches(case_id: str, pattern: str | None) -> bool:
     return fnmatch.fnmatch(case_id, pattern) or fnmatch.fnmatch(case_id, pattern + "*")
 
 
-def run_suite(
-    filter: str | None = None,
-    limits: VerifyLimits | None = None,
-    include_optional: bool = False,
-) -> SuiteReport:
-    """Run every registered case matching the filter, in registry order."""
-    limits = limits or VerifyLimits()
+def run_suite(filter: str | None = None, include_optional: bool = False) -> SuiteReport:
+    """Run every registered case matching the filter, in registry order, at
+    the default `VerifyLimits`, which every registered case is within."""
     selected = [
         c
         for c in registered_cases()
         if _matches(c.case_id, filter) and (include_optional or not c.optional)
     ]
-    results = [run_case(c, limits) for c in selected]
+    results = [run_case(c) for c in selected]
     discrepancies: list[dict] = []
     for res in results:
         case = res.case
@@ -513,8 +509,9 @@ def run_suite(
     return SuiteReport(tuple(results), totals, tuple(discrepancies))
 
 
-def suite_to_dict(report: SuiteReport, stable: bool = False) -> dict:
-    """JSON-ready form of a suite report; `stable` zeroes the timing field."""
+def to_json(report: SuiteReport, stable: bool = False) -> str:
+    """Deterministic JSON rendering of a suite report; `stable` zeroes the
+    timing field."""
     out_cases = []
     for res in report.results:
         case = res.case
@@ -530,7 +527,8 @@ def suite_to_dict(report: SuiteReport, stable: bool = False) -> dict:
         if case.annotation is not None:
             entry["annotation"] = {"stated": case.annotation.stated, "note": case.annotation.note}
         out_cases.append(entry)
-    return {"cases": out_cases, "totals": dict(report.totals), "discrepancies": [dict(d) for d in report.discrepancies]}
+    payload = {"cases": out_cases, "totals": report.totals, "discrepancies": list(report.discrepancies)}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -690,8 +688,3 @@ def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int, seed: int 
     words %= p  # in place: the product is the largest array here
     weights = np.count_nonzero(words, axis=1)
     return int(np.count_nonzero(weights[:trials] != weights[trials:]))
-
-
-def to_json(report: SuiteReport, stable: bool = False) -> str:
-    """Deterministic JSON rendering of a suite report."""
-    return json.dumps(suite_to_dict(report, stable=stable), indent=2, sort_keys=True) + "\n"

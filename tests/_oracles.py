@@ -8,7 +8,8 @@ The closed forms are the paper's codeword weights of partial row sums,
 against which the weight-matrix builders are checked.  The orbit count over
 a built weight matrix is the second engine behind the template count past
 the reach of enumeration.  The Weyl-invariance fuzz and the matrix text
-format have loop versions here, one trial and one entry at a time.
+format have loop versions here, one trial and one entry at a time, and
+the pairings of a root with the Cartan generators one sum at a time.
 """
 
 from itertools import product
@@ -183,6 +184,13 @@ def orbit_weight_distribution(coords, p, k, sum_zero):
     if counts[0] != kernel:
         raise ValueError(f"{counts[0]} coefficient vectors give the zero word; a code of dimension {k} has {kernel}")
     return tuple(c // kernel for c in counts)
+
+
+def pairing_vector(cm, root_coeffs):
+    """Eigenvalue tuple of a root on the Cartan generators h_1..h_n: entry i
+    pairs the coefficients with column i of the Cartan matrix."""
+    C = cm.entries
+    return tuple(sum(cj * C[j][i] for j, cj in enumerate(root_coeffs)) for i in range(cm.rank))
 
 
 def weyl_violations_by_loop(wm, p, trials, seed=0):

@@ -7,10 +7,10 @@ import time
 
 import numpy as np
 import pytest
-from liecodes.cli import _build_parser, _matrix_payload, _report_payload, _suite_payload, run
+from liecodes.cli import _matrix_payload, _report_payload, _suite_payload, run
 from liecodes.fieldcodes import FpMatrix, analyze, parse_matrix_text, row_space_code
 from liecodes.repweights import exceptional_minimal_matrix
-from liecodes.verify import SuiteReport, VerifyLimits, registered_cases, run_case, run_suite, to_json
+from liecodes.verify import SuiteReport, registered_cases, run_case, run_suite, to_json
 
 
 def invoke(capsys, *argv):
@@ -123,8 +123,77 @@ def test_matrix_text_is_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_TEXT_SHA256[args]
 
 
+# SHA-256 of stdout for each payload format of each command, as first
+# recorded; nothing else pins the text and CSV renderings or matrix labels
+PAYLOAD_SHA256 = {
+    "matrix --family D --m 5 --module adjoint_plus_spin --mode weight_code --field 3 --format csv":
+        "ac38a9cfdf67591d7c65ff5287c88d913738c948e80f6ea96754738df410336c",
+    "matrix --family D --m 5 --module adjoint_plus_spin --mode weight_code --field 3 --format json":
+        "c3df82f1f529927643958ee2dab02ed73cc2a69b3ba5d547e9bbef4527b25aed",
+    "matrix --family E6 --module minimal --field 3 --format csv":
+        "ceff198680b9cd5405f5f8e679958ab2f09cbb3d5a6a8e11416c5b9d81c10964",
+    "matrix --family E6 --module minimal --field 3 --format json":
+        "9330583e819dec75e7f85db0d42b28a9ac0454512480bf737114e2b33fc62314",
+    "report --family A --n 8 --module ext3 --field 2 --format csv":
+        "d1210c8ecb32d8cfdb458e3b83ef8cece6ef0f08c29cffae6fcd62191e387048",
+    "report --family A --n 8 --module ext3 --field 2 --format json":
+        "73a8d628da38be63f9ae66af75025ee6d0a5c254002824b17aab16cb191e36e9",
+    "report --family A --n 8 --module ext3 --field 2 --format text":
+        "015838099765d6a4e17209ed6dda07beebe9c8f632c86b0b065631b640a91154",
+    "report --family D --m 6 --module spin --field 3 --format csv":
+        "7cd0a08eeee81005cabcf5c240e304bbf5d97e17eba0f5c7409dd5ca9e93df52",
+    "report --family D --m 6 --module spin --field 3 --format json":
+        "4fc9c460ff4c2f0f623eeba30b40b2b533b58624318d27e8a916a02c2d63c5f6",
+    "report --family D --m 6 --module spin --field 3 --format text":
+        "e3441141c1eda46e9f6eddf9c6f1c2b04e1525fa46aed8a0d83de21e5d160a5e",
+    "report --family E8 --module adjoint --field 3 --format csv":
+        "d59ca0cc50c10815677e4cb54e447fb9c4fc8cb466587faa81f467869858257e",
+    "report --family E8 --module adjoint --field 3 --format json":
+        "9aa43e274e1119f523ad06cf38ab8efd9752415190a8b7ba8b5f53a44887286f",
+    "report --family E8 --module adjoint --field 3 --format text":
+        "61285be46abac281baba6f924dcdaa28ced96a3253b21ad92b78d34ede0525df",
+    "report --family F4 --module minimal --field 3 --format csv":
+        "2c3935067a19f98b077e564182264fab91460e667079f0bfe7d4a13f070992aa",
+    "report --family F4 --module minimal --field 3 --format json":
+        "3b63489cd190e59e69fcdfa77d87c4baef472c3088f15815ce55a3bfc1ebc685",
+    "report --family F4 --module minimal --field 3 --format text":
+        "d7da87a0d84dad52a31576c2ce54f50c131e59d2f932d404b58c272a34f1a961",
+    "table 2.4 --format csv":
+        "3b6c3018b0ea0779c0f87a703053d185480055eb8d4ee66a94e21b846255b258",
+    "table 2.4 --format json":
+        "de107d5e0b7182e1368614f89bc0696c1971f22bb4f9e3faa4a633b1f2bff36c",
+    "table 2.4 --format text":
+        "6b05142eaf035aa50eb1ed8c4098a012344dfacc8c4854365906614572af3434",
+    "table 3.5 --format csv":
+        "17d897bda7e8c9222c32387ab9bbd32f5ff00f16b0c533e9307e70f38678d0dc",
+    "table 3.5 --format json":
+        "41c67a6f1306ddb917df261724e90a4e380101393305e3ac23c5ab043b37d90d",
+    "table 3.5 --format text":
+        "6e499ed607d5e18cb3796d9db98eb02278068f3abfa5bcda59034a4a1f4baf0d",
+    "table 6.3 --format csv":
+        "43ce88f300ab7318d6b45ba1957eea55088ebbbc1844b706791a3f5ddeaac32c",
+    "table 6.3 --format json":
+        "1f9e480d3a654d47c5c687a9185d1d2582c437bd5a7d551fafb5f0375e5f7101",
+    "table 6.3 --format text":
+        "bf40aafad4a78355848053201de45a0f8840cfd44f180d11e63f9ff89dcccc17",
+    "verify --include-optional --stable --format csv":
+        "af06079e77620306b87d204e870314764a042f3b0f18af5b8a7f1065bf7735e9",
+    "verify --include-optional --stable --format json":
+        "ba91e2a5c5a0fd70fb3849f6b3a16de7ba704b1d6a4f726048f6a06a6d99e68a",
+    "verify --include-optional --stable --format text":
+        "3cf9382e994125542cdce9a6dab38693379eadfb4fe86efd502f45d9f6cf0078",
+}
+
+
+@pytest.mark.parametrize("args", sorted(PAYLOAD_SHA256))
+def test_payload_is_pinned(capsys, args):
+    code, out, err = invoke(capsys, *args.split())
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == PAYLOAD_SHA256[args]
+
+
 def test_verify_filter_exit_zero(capsys):
-    code, out, _ = invoke(capsys, "verify", "--filter", "thm2.2", "--max-n", "15")
+    code, out, _ = invoke(capsys, "verify", "--filter", "thm2.2")
     assert code == 0
     assert out.count("PASS") == 6
 
@@ -173,12 +242,6 @@ def test_suite_of_unregistered_cases_renders():
     text = _suite_payload(report, "text", stable=True)
     assert text.startswith("PASS  custom ")
     assert "(documented discrepancy: " + case.annotation.note + ")" in text
-
-
-def test_verify_defaults_are_the_library_limits():
-    args = _build_parser().parse_args(["verify"])
-    limits = VerifyLimits()
-    assert (args.max_n, args.max_m) == (limits.max_n, limits.max_m)
 
 
 def test_verify_empty_filter(capsys):
@@ -251,9 +314,15 @@ def test_matrix_payload_csv():
 
 
 def test_workers_flag(capsys):
-    # enumeration runs in one process; the removed flag is a usage error
-    for command in ("report", "verify"):
-        args = ["--family", "E7", "--module", "adjoint", "--field", "3"] if command == "report" else []
-        code, out, err = invoke(capsys, command, *args, "--workers", "2")
+    # enumeration runs in one process, and verify runs every registered
+    # claim: the removed flags are usage errors
+    report = ["report", "--family", "E7", "--module", "adjoint", "--field", "3"]
+    for argv in (
+        [*report, "--workers", "2"],
+        ["verify", "--workers", "2"],
+        ["verify", "--max-n", "15"],
+        ["verify", "--max-m", "11"],
+    ):
+        code, out, err = invoke(capsys, *argv)
         assert code == 2 and not out
-        assert "--workers" in err
+        assert argv[-2] in err

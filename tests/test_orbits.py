@@ -38,7 +38,7 @@ EXTENDED_SPECS = (
 BINARY_SPECS = tuple(
     ModuleSpec("A", n, module, 2, basis=basis)
     for module in ("ext2", "ext3")
-    for basis in ("cartan_h", "matrix_unit_E")
+    for basis in (None, "matrix_unit_E")
     for n in range(4, 10)
 )
 
@@ -71,7 +71,7 @@ def test_orbits_agree_with_enumeration():
 def test_template_count_agrees_with_orbit_oracle():
     for spec in registered_specs() + list(EXTENDED_SPECS + LARGE_SPECS):
         report = module_code(spec)
-        cartan = spec.family == "A" and spec.basis in (None, "cartan_h")
+        cartan = spec.family == "A" and spec.basis is None
         coords = build_weight_matrix(replace(spec, basis="matrix_unit_E") if spec.family == "A" else spec)
         # the oracle raises unless k is the dimension of the code
         assert report.weight_distribution == orbit_weight_distribution(coords.entries, spec.p, report.k, cartan), spec

@@ -29,8 +29,10 @@ from liecodes.repweights import (
     module_templates,
     to_cartan_h,
 )
-from liecodes.rootsys import EXCEPTIONAL_RANKS
+from liecodes.rootsys import EXCEPTIONAL_RANKS, cartan_matrix, positive_roots
 from liecodes.verify import module_code
+
+from _oracles import pairing_vector
 
 
 def column_multiset(entries):
@@ -268,6 +270,14 @@ def test_adjoint_column_counts(family, cols):
     assert exceptional_adjoint_matrix(family).cols == cols
 
 
+@pytest.mark.parametrize("family", ["F4", "E6", "E7", "E8"])
+def test_adjoint_entries_are_root_pairings(family):
+    # the integer entries, not only their residues mod 3, column by column
+    cm = cartan_matrix(family, EXCEPTIONAL_RANKS[family])
+    expected = [pairing_vector(cm, root) for root in positive_roots(cm)]
+    assert list(map(tuple, exceptional_adjoint_matrix(family).entries.T.tolist())) == expected
+
+
 def test_e8_adjoint_code():
     assert analyze(row_space_code(exceptional_adjoint_matrix("E8").mod(3))).params() == (120, 8, 57)
 
@@ -320,6 +330,7 @@ def test_build_weight_matrix_legality():
         ModuleSpec("D", 5, "ext2", 3, basis="cartan_h"),
         ModuleSpec("E6", 6, "minimal", 3, basis="matrix_unit_E"),
         ModuleSpec("A", 5, "ext2", 3, basis="weyl"),
+        ModuleSpec("A", 6, "ext2", 3, basis="cartan_h"),  # a label of built matrices, not a request
         ModuleSpec("D", 6, "adjoint_plus_spin", 3),  # missing mode
         ModuleSpec("F4", 4, "spin", 3),
         ModuleSpec("F4", 5, "minimal", 3),
@@ -436,6 +447,8 @@ def columns_up_to_scalars(entries, p, weights):
     return cols.tolist(), np.bincount(inverse, weights=weights).tolist()
 
 
+# basis is the one the built matrix has, as `WeightMatrix.basis` labels it
+# (None: the builder's coordinate rows); the default request gives cartan_h
 TEMPLATE_MODULES = [
     (family, module, mode, basis)
     for family, modules in ALLOWED_MODULES.items()
@@ -450,11 +463,13 @@ TEMPLATE_MODULES = [
 @pytest.mark.parametrize("family,module,mode,basis", TEMPLATE_MODULES)
 def test_templates_list_the_builders_columns(family, module, mode, basis, largest):
     rank = (LARGEST_RANK if largest else MIN_RANK)[family, module]
-    spec = ModuleSpec(family, rank, module, 3, mode=mode, basis=basis)
+    spec = ModuleSpec(family, rank, module, 3, mode=mode, basis=None if basis == "cartan_h" else basis)
     cols, weights = expand_templates(module_templates(spec), rank)
     if basis == "cartan_h":
         cols = cols[:-1] - cols[1:]
-    built = build_weight_matrix(spec).entries
+    wm = build_weight_matrix(spec)
+    assert basis in (None, wm.basis)
+    built = wm.entries
     for p in (2, 3) if (family, module) in BINARY_MODULES else (3,):
         assert columns_up_to_scalars(cols, p, weights) == columns_up_to_scalars(built, p, [24] * built.shape[1])
     if largest:

@@ -25,7 +25,6 @@ from liecodes.verify import (
     reproduce_table,
     run_case,
     run_suite,
-    suite_to_dict,
     to_json,
     weyl_invariance_violations,
 )
@@ -164,6 +163,9 @@ def test_full_suite_passes_with_documented_discrepancies():
     assert suite.totals["skipped"] == 0
     flagged = {d["case_id"] for d in suite.discrepancies}
     assert flagged == ANNOTATED_CASE_IDS - {"cor3.4/m=11"}  # optional case not run by default
+    # the suite runs at the default limits, which no registered case exceeds
+    full = run_suite(include_optional=True)
+    assert (full.totals["cases"], full.totals["passed"], full.totals["skipped"]) == (56, 56, 0)
 
 
 def test_optional_case_needs_flag():
@@ -175,13 +177,12 @@ def test_optional_case_needs_flag():
 
 def test_suite_json_schema():
     suite = run_suite(filter="thm4.*")
-    payload = suite_to_dict(suite, stable=True)
+    payload = json.loads(to_json(suite, stable=True))
     assert set(payload) == {"cases", "totals", "discrepancies"}
     for entry in payload["cases"]:
         assert {"case_id", "citation", "expected", "computed", "pass", "skipped", "millis"} <= set(entry)
         assert entry["millis"] == 0.0
         assert {"n", "k", "d", "flags"} == set(entry["expected"])
-    json.dumps(payload)  # serializable
 
 
 def test_annotations_record_stated_and_computed():
