@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -58,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the claim verification suite")
     pv.add_argument("--filter", default=None, help="case id pattern, e.g. thm2.2 or thm3.*")
-    pv.add_argument("--include-optional", action="store_true", help="run the large flagged cases as well")
+    pv.add_argument("--include-optional", action="store_true", help="add the optional [1134,11,549] claim")
     pv.add_argument("--stable", action="store_true", help="zero timing fields for byte-identical output")
     common(pv, with_module=False)
 
@@ -184,23 +185,12 @@ def _suite_payload(report: SuiteReport, fmt: str, stable: bool) -> str:
 
 
 def _table_payload(rows: tuple[TableRow, ...], fmt: str) -> str:
+    names = [f.name for f in dataclasses.fields(TableRow)]
     if fmt == "json":
-        payload = [
-            {
-                "label": r.label,
-                "stated": r.stated,
-                "computed": r.computed,
-                "match": r.match,
-                "annotated": r.annotated,
-            }
-            for r in rows
-        ]
+        payload = [{name: getattr(r, name) for name in names} for r in rows]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        return _csv_text(
-            ["label", "stated", "computed", "match", "annotated"],
-            [[r.label, r.stated, r.computed, r.match, r.annotated] for r in rows],
-        )
+        return _csv_text(names, [[getattr(r, name) for name in names] for r in rows])
     lines = [f"{'label':<14} {'stated':>7} {'computed':>9}  note"]
     for r in rows:
         note = "ok"
@@ -247,6 +237,8 @@ def run(argv=None) -> int:
 
         if args.command == "verify":
             suite = run_suite(filter=args.filter, include_optional=args.include_optional)
+            if not suite.results:
+                raise ValueError(f"--filter {args.filter!r} selects no claim")
             _write_payload(_suite_payload(suite, args.format, args.stable), args.output)
             return EXIT_OK if suite.totals["failed"] == 0 else EXIT_VERIFY_FAILED
 

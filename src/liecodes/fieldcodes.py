@@ -253,7 +253,8 @@ def weight_distribution(c: LinearCode) -> tuple[int, ...]:
 
     Meet in the middle: the first a basis rows give a table of all p^a
     combinations and the remaining rows an outer table of all theirs.  Each
-    outer column u is added across the whole first table at once.  Over F3,
+    outer column u is added across the whole first table at once, of which
+    only the support is formed.  Over F3,
     c and 2c have the same weight, so only outer columns whose last nonzero
     coefficient is 1 are visited, columns p^j to 2p^j - 1 for outer row j,
     and each counts p - 1 times.
@@ -264,16 +265,33 @@ def weight_distribution(c: LinearCode) -> tuple[int, ...]:
     table = _combinations(p, rows[:a])
     outer = _combinations(p, rows[a:])
 
-    def histogram(words: np.ndarray) -> np.ndarray:
-        support = words[0] if p == 2 else words[0] | words[1]
+    def histogram(support: np.ndarray) -> np.ndarray:
         # the narrowest unsigned type that holds a weight; a sum in it is cheap
         weights = np.bitwise_count(support).sum(axis=0, dtype=np.min_scalar_type(n))
         return np.bincount(weights, minlength=n + 1)
 
-    dist = histogram(table)
+    support = table[0] if p == 2 else table[0] | table[1]
+    dist = histogram(support)
+    if a == c.k:
+        return tuple(dist.tolist())
+    # the outer loop forms only the support of each sum, in buffers it
+    # reuses: fresh table-sized temporaries for every outer column cost more
+    # than the arithmetic
+    moved, cancel = np.empty_like(support), np.empty_like(table)
     for j in range(c.k - a):
         for u in range(p**j, 2 * p**j):
-            dist += (p - 1) * histogram(_add(p, table, outer[..., u, None]))
+            column = outer[..., u, None]
+            if p == 2:
+                np.bitwise_xor(support, column[0], out=moved)
+            else:
+                # over F3 a sum is nonzero on the union of the two supports
+                # except where the terms are 1 and 2 (cancel[0]) or 2 and 1
+                # (cancel[1]): disjoint subsets of the union, which XOR removes
+                np.bitwise_or(support, column[0] | column[1], out=moved)
+                np.bitwise_and(table, column[::-1], out=cancel)
+                moved ^= cancel[0]
+                moved ^= cancel[1]
+            dist += (p - 1) * histogram(moved)
     return tuple(dist.tolist())
 
 

@@ -104,10 +104,15 @@ def _column_terms(rank: int, templates: tuple) -> tuple[int, Fraction]:
     return int(a), b
 
 
+def _count(a: int, b: Fraction, e: int) -> int:
+    """a + b 2^e; 2^e is formed only when b is nonzero, that is for spin
+    templates, so a count without them takes no time linear in e."""
+    return a + int(b * 2**e) if b else a
+
+
 def template_columns(rank: int, templates: tuple) -> int:
     """Number of columns the templates give on `rank` coordinate rows."""
-    a, b = _column_terms(rank, templates)
-    return a + int(b * 2 ** (rank - 1))
+    return _count(*_column_terms(rank, templates), rank - 1)
 
 
 @functools.cache
@@ -142,7 +147,7 @@ def _count_text(a: int, b: Fraction, e: int) -> str:
     digits of 2^(m-1) for a large spin module would not print).  2^e is
     formed only for e <= 64; past that the text is read off the exponent."""
     if not b or e <= 64:
-        x = int(a + b * 2**e)
+        x = _count(a, b, e)
         if x < 1 << 64:
             return str(x)
         top = x.bit_length() - 1
@@ -513,7 +518,7 @@ def module_templates(ms: ModuleSpec) -> tuple | None:
     a, b = _column_terms(rows, templates)
     # past 64 rows a spin module is refused from the exponent alone: forming
     # 2^(rows - 1) would take time and memory linear in rows
-    if (b and rows > 64) or rows * (a + int(b * 2 ** (rows - 1))) > _MAX_ENTRIES:
+    if (b and rows > 64) or rows * _count(a, b, rows - 1) > _MAX_ENTRIES:
         algebra = f"sl({rows})" if ms.family == "A" else f"o({2 * rows})"
         size = f"{rows} x {_count_text(a, b, rows - 1)} = {_count_text(rows * a, rows * b, rows - 1)}"
         raise ValueError(f"{ms.module} of {algebra} would have {size} entries, over {_MAX_ENTRIES}")

@@ -302,71 +302,38 @@ def registered_cases() -> tuple[TheoremCase, ...]:
             )
         )
 
-    # Combined adjoint-plus-spin codes of o(2m).
-    cases.append(
-        _case(
-            "cor3.4/m=8",
-            ModuleSpec("D", 8, "adjoint_plus_spin", 3, mode="weight_code"),
-            120,
-            8,
-            57,
-            orth=True,
-            citation="ternary weight code of o(16) on adjoint plus spin",
+    # Combined adjoint-plus-spin codes of o(2m): (m, mode, n, d, stated k);
+    # the computed rank is m, and a stated dimension other than m is recorded
+    for m, mode, n, d, stated_k in (
+        (8, "weight_code", 120, 57, 8),
+        (9, "weight_code", 400, 186, 8),
+        (5, "direct_sum", 36, 21, 5),
+        (6, "direct_sum", 62, 27, 6),
+        (11, "direct_sum", 1134, 549, 8),
+    ):
+        annotation = None
+        if stated_k != m:
+            annotation = Annotation(
+                stated={"k": stated_k},
+                note=f"stated dimension {stated_k} contradicts the computed rank (the construction has m = {m} rows)",
+            )
+        cases.append(
+            _case(
+                f"cor3.4/m={m}",
+                ModuleSpec("D", m, "adjoint_plus_spin", 3, mode=mode),
+                n,
+                m,
+                d,
+                orth=True,
+                citation=(
+                    f"ternary weight code of o({2 * m}) on adjoint plus spin"
+                    if mode == "weight_code"
+                    else f"ternary direct-sum code of o({2 * m}): square exterior plus spin"
+                ),
+                annotation=annotation,
+                optional=m == 11,
+            )
         )
-    )
-    cases.append(
-        _case(
-            "cor3.4/m=9",
-            ModuleSpec("D", 9, "adjoint_plus_spin", 3, mode="weight_code"),
-            400,
-            9,
-            186,
-            orth=True,
-            citation="ternary weight code of o(18) on adjoint plus spin",
-            annotation=Annotation(
-                stated={"k": 8},
-                note="stated dimension 8 contradicts the computed rank (the construction has m = 9 rows)",
-            ),
-        )
-    )
-    cases.append(
-        _case(
-            "cor3.4/m=5",
-            ModuleSpec("D", 5, "adjoint_plus_spin", 3, mode="direct_sum"),
-            36,
-            5,
-            21,
-            orth=True,
-            citation="ternary direct-sum code of o(10): square exterior plus spin",
-        )
-    )
-    cases.append(
-        _case(
-            "cor3.4/m=6",
-            ModuleSpec("D", 6, "adjoint_plus_spin", 3, mode="direct_sum"),
-            62,
-            6,
-            27,
-            orth=True,
-            citation="ternary direct-sum code of o(12): square exterior plus spin",
-        )
-    )
-    cases.append(
-        _case(
-            "cor3.4/m=11",
-            ModuleSpec("D", 11, "adjoint_plus_spin", 3, mode="direct_sum"),
-            1134,
-            11,
-            549,
-            orth=True,
-            citation="ternary direct-sum code of o(22): square exterior plus spin",
-            annotation=Annotation(
-                stated={"k": 8},
-                note="stated dimension 8 contradicts the computed rank (the construction has m = 11 rows)",
-            ),
-            optional=True,
-        )
-    )
 
     # Exceptional families.
     exceptional = (
@@ -549,69 +516,57 @@ def _pm_coeffs(total: int, s: int, t: int) -> list[int]:
 
 _ST_PAIRS = ((1, 1), (2, 2), (3, 3), (4, 4), (3, 0), (6, 0), (4, 1), (5, 2))
 
-# table id -> (stated values, fixes for entries superseded by computation)
-_BINARY_CUBE_TABLES = {
+# table id -> (n of the binary cube power of sl(n), or the module of o(2m) or
+# sl(8); stated values; {entry index: the value computation gives where it
+# supersedes the stated one}), in the order of the paper
+_TABLES = {
     "2.1": (10, (56, 64, 56, 64, 120), {}),
     "2.2": (11, (72, 88, 80, 80, 120), {}),
     "2.3": (14, (132, 184, 188, 176, 180, 232, 364), {}),
-    "2.4": (15, (156, 224, 216, 224, 220, 256, 364), {3: 236}),
+    "2.4": (15, (156, 224, 216, 224, 220, 256, 364), {2: 236}),
     "2.5": (6, (12, 8, 20), {}),
     "2.6": (7, (20, 16, 20), {}),
+    "3.1": ("spin", (8, 11, 12, 43, 112, 171, 260), {}),
+    "3.2": ("ext2", (8, 13, 15, 14, 10), {}),
+    "3.3": ("spin", (16, 8, 12, 10, 11), {}),
+    "3.4": ("ext2", (10, 17, 21, 22, 20, 15), {}),
+    "3.5": ("spin", (32, 16, 24, 20, 22, 21), {5: 30}),
+    "6.2": ("ext4", (40, 44, 48, 34, 60, 30, 46, 50), {}),
+    "6.3": ("adjoint", (26, 40, 42, 32, 30, 24, 38, 34), {}),
 }
-_D_TABLES = {
-    "3.2": (5, "ext2", (8, 13, 15, 14, 10), {}),
-    "3.3": (5, "spin", (16, 8, 12, 10, 11), {}),
-    "3.4": (6, "ext2", (10, 17, 21, 22, 20, 15), {}),
-    "3.5": (6, "spin", (32, 16, 24, 20, 22, 21), {6: 30}),
-}
-_SPIN_BAR_STATED = {4: 8, 5: 11, 6: 12, 7: 43, 8: 112, 9: 171, 10: 260}
 
-TABLE_IDS = ("2.1", "2.2", "2.3", "2.4", "2.5", "2.6", "3.1", "3.2", "3.3", "3.4", "3.5", "6.2", "6.3")
+TABLE_IDS = tuple(_TABLES)
 
 
 def reproduce_table(table_id: str) -> tuple[TableRow, ...]:
     """Recompute one published weight table entry for entry."""
-    rows: list[TableRow] = []
-    if table_id in _BINARY_CUBE_TABLES:
-        n, stated, fixes = _BINARY_CUBE_TABLES[table_id]
-        matrix = ext_weight_matrix_A(n, 3).mod(2)
-        for t in range(1, n // 2 + 1):
-            coeffs = [1] * (2 * t) + [0] * (n - 2 * t)
-            rows.append(_table_row(f"t={t}", stated[t - 1], combination_weight(matrix, coeffs), fixes.get(t)))
-    elif table_id == "3.1":
-        for m in range(4, 11):
-            matrix = d_spin_matrix(m).mod(3)
-            coeffs = [1] * (m - 1) + [-1]
-            rows.append(_table_row(f"m={m}", _SPIN_BAR_STATED[m], combination_weight(matrix, coeffs), None))
-    elif table_id in _D_TABLES:
-        m, module, stated, fixes = _D_TABLES[table_id]
-        wm = d_lambda2_matrix(m) if module == "ext2" else d_spin_matrix(m)
-        matrix = wm.mod(3)
-        for t in range(1, m + 1):
-            coeffs = [1] * t + [0] * (m - t)
-            rows.append(_table_row(f"t={t}", stated[t - 1], combination_weight(matrix, coeffs), fixes.get(t)))
-    elif table_id == "6.2":
-        stated = (40, 44, 48, 34, 60, 30, 46, 50)
-        # the (4,4) combination needs all eight matrix-unit rows; the first
-        # seven are the printed generator
-        matrix = ext_weight_matrix_A(8, 4).mod(3)
-        for (s, t), want in zip(_ST_PAIRS, stated):
-            rows.append(_table_row(f"(s,t)=({s},{t})", want, combination_weight(matrix, _pm_coeffs(8, s, t)), None))
-    elif table_id == "6.3":
-        stated = (26, 40, 42, 32, 30, 24, 38, 34)
-        matrix = adjoint_weight_matrix_A(8).mod(3)
-        for (s, t), want in zip(_ST_PAIRS, stated):
-            doubled = 2 * combination_weight(matrix, _pm_coeffs(8, s, t))
-            rows.append(_table_row(f"(s,t)=({s},{t})", want, doubled, None))
-    else:
+    if table_id not in _TABLES:
         raise ValueError(f"unknown table {table_id!r}; known: {', '.join(TABLE_IDS)}")
-    return tuple(rows)
-
-
-def _table_row(label: str, stated: int, computed: int, fixed: int | None) -> TableRow:
-    if fixed is None:
-        return TableRow(label, stated, computed, computed == stated, False)
-    return TableRow(label, stated, computed, computed == fixed, True)
+    matrix_of, stated, fixes = _TABLES[table_id]
+    if table_id.startswith("2."):
+        n = matrix_of
+        matrix = ext_weight_matrix_A(n, 3).mod(2)
+        pairs = [
+            (f"t={t}", combination_weight(matrix, [1] * (2 * t) + [0] * (n - 2 * t))) for t in range(1, n // 2 + 1)
+        ]
+    elif table_id == "3.1":
+        pairs = [(f"m={m}", combination_weight(d_spin_matrix(m).mod(3), [1] * (m - 1) + [-1])) for m in range(4, 11)]
+    elif table_id.startswith("3."):
+        m = len(stated)
+        matrix = (d_lambda2_matrix(m) if matrix_of == "ext2" else d_spin_matrix(m)).mod(3)
+        pairs = [(f"t={t}", combination_weight(matrix, [1] * t + [0] * (m - t))) for t in range(1, m + 1)]
+    else:
+        # the (4,4) combination of 6.2 needs all eight matrix-unit rows; the
+        # first seven are the printed generator.  6.3 states doubled weights.
+        if matrix_of == "ext4":
+            matrix, scale = ext_weight_matrix_A(8, 4).mod(3), 1
+        else:
+            matrix, scale = adjoint_weight_matrix_A(8).mod(3), 2
+        pairs = [(f"(s,t)=({s},{t})", scale * combination_weight(matrix, _pm_coeffs(8, s, t))) for s, t in _ST_PAIRS]
+    return tuple(
+        TableRow(label, want, got, got == fixes.get(i, want), i in fixes)
+        for i, ((label, got), want) in enumerate(zip(pairs, stated, strict=True))
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,18 @@ def test_oversized_module_is_a_usage_error(capsys):
             "spin of o(200000000) would have 100000000 x 2^99999999 = about 2^100000025.6",
             0.2,
         ),
+        # no spin columns: the count has no 2^(10^8 - 1) term, and that
+        # power is not formed
+        (
+            ["report", "--family", "D", "--m", "100000000", "--module", "ext3"],
+            "ext3 of o(200000000) would have 100000000 x about 2^79.1",
+            0.2,
+        ),
+        (
+            ["matrix", "--family", "A", "--n", "100000000", "--module", "ext2"],
+            "ext2 of sl(100000000) would have 100000000 x 4999999950000000",
+            0.2,
+        ),
     ):
         started = time.perf_counter()
         code, out, err = invoke(capsys, *argv, "--field", "3")
@@ -123,8 +135,9 @@ def test_matrix_text_is_pinned(capsys, args):
     assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_TEXT_SHA256[args]
 
 
-# SHA-256 of stdout for each payload format of each command, as first
-# recorded; nothing else pins the text and CSV renderings or matrix labels
+# SHA-256 of stdout for each payload format of each command, and of every
+# table in JSON, as first recorded; nothing else pins the text and CSV
+# renderings, matrix labels or the table rows
 PAYLOAD_SHA256 = {
     "matrix --family D --m 5 --module adjoint_plus_spin --mode weight_code --field 3 --format csv":
         "ac38a9cfdf67591d7c65ff5287c88d913738c948e80f6ea96754738df410336c",
@@ -158,18 +171,38 @@ PAYLOAD_SHA256 = {
         "3b63489cd190e59e69fcdfa77d87c4baef472c3088f15815ce55a3bfc1ebc685",
     "report --family F4 --module minimal --field 3 --format text":
         "d7da87a0d84dad52a31576c2ce54f50c131e59d2f932d404b58c272a34f1a961",
+    "table 2.1 --format json":
+        "ece356f76721e65c1dbb3c927a866fac2b595414035966b2c075ba4855aad1e1",
+    "table 2.2 --format json":
+        "b3e88f444a95a90c4a82ecf7ca7653b63e50ccd36bba0b85ecd4b7412508a891",
+    "table 2.3 --format json":
+        "4a043bc3ea2405824b166192366fd8f5ea9d8e5ccbcf28b400399114d8f0f2c9",
     "table 2.4 --format csv":
         "3b6c3018b0ea0779c0f87a703053d185480055eb8d4ee66a94e21b846255b258",
     "table 2.4 --format json":
         "de107d5e0b7182e1368614f89bc0696c1971f22bb4f9e3faa4a633b1f2bff36c",
     "table 2.4 --format text":
         "6b05142eaf035aa50eb1ed8c4098a012344dfacc8c4854365906614572af3434",
+    "table 2.5 --format json":
+        "e7adf42b1ee1976d0296eb3e3916bf7b24387e4c6adedbd2056e6307ef9cbd9f",
+    "table 2.6 --format json":
+        "f46775441e654d0732f2e15d4e76e7460e225adad05a55e64bfb9196403bc689",
+    "table 3.1 --format json":
+        "98a82370f21b0086f2062cb546522f6231e71020c8a08c2234164a36bdcd8bb5",
+    "table 3.2 --format json":
+        "2b78b7defddd9d55f9b5d717559ec7669dfecfd662657f0b434c7124616f9b58",
+    "table 3.3 --format json":
+        "c7b359d0f423649b3be6d7a59f033f42e69fcf52b16e52c440948e5ffa8d2c86",
+    "table 3.4 --format json":
+        "73b0abffc25bac576c4a19cee4dfe17a8e7a71f8ded772923f4ebc7d3e44603f",
     "table 3.5 --format csv":
         "17d897bda7e8c9222c32387ab9bbd32f5ff00f16b0c533e9307e70f38678d0dc",
     "table 3.5 --format json":
         "41c67a6f1306ddb917df261724e90a4e380101393305e3ac23c5ab043b37d90d",
     "table 3.5 --format text":
         "6e499ed607d5e18cb3796d9db98eb02278068f3abfa5bcda59034a4a1f4baf0d",
+    "table 6.2 --format json":
+        "c63eecd55eebad1570838ca2d6fc9d6211b73b97074db752b26a5b24094765dd",
     "table 6.3 --format csv":
         "43ce88f300ab7318d6b45ba1957eea55088ebbbc1844b706791a3f5ddeaac32c",
     "table 6.3 --format json":
@@ -245,9 +278,10 @@ def test_suite_of_unregistered_cases_renders():
 
 
 def test_verify_empty_filter(capsys):
-    code, out, _ = invoke(capsys, "verify", "--filter", "nothing-here")
-    assert code == 0
-    assert "total: 0" in out
+    # a pattern that selects no claim is a usage error, so a typo cannot pass
+    code, out, err = invoke(capsys, "verify", "--filter", "nothing-here")
+    assert code == 2 and not out
+    assert err.startswith("liecodes: error: ") and "'nothing-here'" in err
 
 
 def test_usage_error_lists_valid_values(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from math import comb
 
 import pytest
@@ -234,7 +235,10 @@ def test_table_63_values():
 
 
 def test_unknown_table_rejected():
-    with pytest.raises(ValueError):
+    # the error lists the tables in TABLE_IDS order, the order of the paper
+    known = "2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 3.1, 3.2, 3.3, 3.4, 3.5, 6.2, 6.3"
+    assert ", ".join(TABLE_IDS) == known
+    with pytest.raises(ValueError, match=f"known: {re.escape(known)}$"):
         reproduce_table("9.9")
 
 
