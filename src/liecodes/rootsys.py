@@ -11,6 +11,7 @@ and weights both come from one Weyl-orbit search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import mul
 from typing import Sequence
 
@@ -97,7 +98,8 @@ def _orbit(seeds, reflect, rank: int) -> set[tuple[int, ...]]:
     return seen
 
 
-def positive_roots(cm: CartanMatrix) -> list[tuple[int, ...]]:
+@cache
+def positive_roots(cm: CartanMatrix) -> tuple[tuple[int, ...], ...]:
     """All positive roots, as coefficient vectors sorted by (height, lex).
 
     Every root is a Weyl image of a simple root, and s_i permutes the
@@ -105,6 +107,8 @@ def positive_roots(cm: CartanMatrix) -> list[tuple[int, ...]]:
     Lemma B), so the orbit search from the simple roots finds them all once
     it leaves out the one move alpha_i -> -alpha_i.  s_i changes
     coefficient i only, by minus the pairing of the root with generator i.
+    Computed once per Cartan matrix; the tuple keeps the cached value
+    immutable.
     """
     n, columns = cm.rank, list(zip(*cm.entries))
 
@@ -113,7 +117,7 @@ def positive_roots(cm: CartanMatrix) -> list[tuple[int, ...]]:
         return None if ci < 0 else c[:i] + (ci,) + c[i + 1 :]
 
     simple = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    return sorted(_orbit(simple, reflect, n), key=lambda r: (sum(r), r))
+    return tuple(sorted(_orbit(simple, reflect, n), key=lambda r: (sum(r), r)))
 
 
 def weyl_orbit(cm: CartanMatrix, dominant: Sequence[int]) -> list[tuple[int, ...]]:

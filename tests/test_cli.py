@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from liecodes.cli import _matrix_payload, _report_payload, _suite_payload, run
+from liecodes.cli import _build_parser, _matrix_payload, _report_payload, _suite_payload, run
 from liecodes.fieldcodes import FpMatrix, analyze, parse_matrix_text, row_space_code
 from liecodes.repweights import exceptional_minimal_matrix
 from liecodes.verify import SuiteReport, registered_cases, run_case, run_suite, to_json
@@ -143,10 +143,22 @@ PAYLOAD_SHA256 = {
         "ac38a9cfdf67591d7c65ff5287c88d913738c948e80f6ea96754738df410336c",
     "matrix --family D --m 5 --module adjoint_plus_spin --mode weight_code --field 3 --format json":
         "c3df82f1f529927643958ee2dab02ed73cc2a69b3ba5d547e9bbef4527b25aed",
+    "matrix --family E6 --module adjoint --field 3 --format json":
+        "c8546e244e710f5cde5b6a29bc5bc7d3ba2136b224f28391af66993a3e88dc1a",
     "matrix --family E6 --module minimal --field 3 --format csv":
         "ceff198680b9cd5405f5f8e679958ab2f09cbb3d5a6a8e11416c5b9d81c10964",
     "matrix --family E6 --module minimal --field 3 --format json":
         "9330583e819dec75e7f85db0d42b28a9ac0454512480bf737114e2b33fc62314",
+    "matrix --family E7 --module adjoint --field 3 --format json":
+        "6b952def117570c01be08820c3f192201ad2564d7d165f973c65c2c04c38d1df",
+    "matrix --family E7 --module minimal --field 3 --format json":
+        "784cb578ba177cd29bb904b5743fbc50b8bd98b2269752e6edced8dd313fec81",
+    "matrix --family E8 --module adjoint --field 3 --format json":
+        "515eca9ad8bcbf330458b95d6cbc5ab68eed07b408180e8f17d7b09e10dea9d4",
+    "matrix --family F4 --module adjoint --field 3 --format json":
+        "9de76d71190070a3d934a731e5c4532939e6155db4f7c1c9b2d82d8f0531336e",
+    "matrix --family F4 --module minimal --field 3 --format json":
+        "5f6ccffcab096e55b9bbad6102f80e5cf222b3c74c011b6e5af81ce71a49e602",
     "report --family A --n 8 --module ext3 --field 2 --format csv":
         "d1210c8ecb32d8cfdb458e3b83ef8cece6ef0f08c29cffae6fcd62191e387048",
     "report --family A --n 8 --module ext3 --field 2 --format json":
@@ -301,6 +313,25 @@ def test_usage_error_lists_valid_values(capsys):
         code, out, err = invoke(capsys, "matrix", *extra, "--field", "3")
         assert code == 2 and not out
         assert flag in err
+
+
+def test_parser_is_reused_after_errors_and_help(capsys):
+    # one parser serves the whole process, so no failed or help call may
+    # leave state behind for the next one
+    assert _build_parser() is _build_parser()
+    code, out, err = invoke(capsys, "verify", "--workers", "2")
+    assert code == 2 and not out and "--workers" in err
+    code, out, err = invoke(capsys, "verify", "--filter", "nothing-here")
+    assert code == 2 and not out and "'nothing-here'" in err
+    code, out, err = invoke(capsys, "table", "--help")
+    assert code == 0 and out.startswith("usage: liecodes table") and not err
+    code, out, err = invoke(capsys, "table", "9.9")
+    assert code == 2 and not out and "known: 2.1, " in err
+    args = "table 2.4 --format text"
+    code, out, err = invoke(capsys, *args.split())
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == PAYLOAD_SHA256[args]
+    test_usage_error_lists_valid_values(capsys)
 
 
 def test_usage_error_bad_choice(capsys):

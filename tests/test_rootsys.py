@@ -64,6 +64,12 @@ def test_positive_root_counts(family, rank, count):
     assert len(positive_roots(cartan_matrix(family, rank))) == count
 
 
+def test_positive_roots_are_an_immutable_cached_value():
+    roots = positive_roots(cartan_matrix("E8", 8))
+    assert isinstance(roots, tuple) and all(type(r) is tuple for r in roots)
+    assert positive_roots(cartan_matrix("E8", 8)) == roots
+
+
 def test_f4_roots_exactly_as_published():
     roots = positive_roots(cartan_matrix("F4", 4))
     assert sorted(roots) == sorted(F4_POSITIVE_ROOTS)
