@@ -126,20 +126,33 @@ def _placements(coeffs: tuple[int, ...], p: int) -> tuple[tuple[int, int, int, i
 
 def orbit_weight(templates: tuple, p: int, counts: tuple[int, int, int]) -> int:
     """Weight over F_p of the word c . X, where counts[v] coefficients of c
-    are v; any permutation of c gives the same weight."""
+    are v; any permutation of c gives the same weight.  The count is in
+    exact integers: a template whose hits times its share is not whole
+    raises ValueError."""
     n0, n1, n2 = counts
-    total = Fraction(0)
+    total = 0
     for coeffs, share in templates:
         if coeffs is None:
-            # with a of the n1 ones and b of the n2 twos in S the entry is
-            # n1 + a + 2 n2 - b; the zeros in S only fix the parity of |S|
-            ab = [(a, b) for a in range(n1 + 1) for b in range(n2 + 1) if (n1 + a + 2 * n2 - b) % 3]
-            hits = sum(comb(n1, a) * comb(n2, b) * (2 ** (n0 - 1) if n0 else 1 - (n1 + n2 - a - b) % 2) for a, b in ab)
+            # with j = |S & ones| + |twos - S| the entry is n1 + n2 + j (mod
+            # 3), and C(n1 + n2, j) subsets of the nonzero rows have that j;
+            # the zeros in S fix the parity of |S| in 2^(n0 - 1) ways, and
+            # with no zeros |S| = j + n2 (mod 2) must be that of n1 + n2
+            nonzero = n1 + n2
+            hits = sum(
+                comb(nonzero, j)
+                for j in range(nonzero + 1)
+                if (nonzero + j) % 3 and (n0 or (nonzero - j + n2) % 2 == 0)
+            ) << max(n0 - 1, 0)
         else:
             # k_v positions on rows of coefficient v go there in perm(n_v, k_v) ways
             hits = sum(w * perm(n0, k0) * perm(n1, k1) * perm(n2, k2) for w, k0, k1, k2 in _placements(coeffs, p))
-        total += share * hits
-    return int(total)
+        # a template counts each column 1/share times: its equal coefficients
+        # in every order, or both columns of a +- pair
+        whole, rest = divmod(hits * share.numerator, share.denominator)
+        if rest:
+            raise ValueError(f"template {coeffs} counts {hits} x {share} columns, not a whole number")
+        total += whole
+    return total
 
 
 def _count_text(a: int, b: Fraction, e: int) -> str:
@@ -326,6 +339,15 @@ def _weight_label(w: tuple[int, ...]) -> str:
     return "(" + ",".join(str(x) for x in w) + ")"
 
 
+@functools.cache
+def _minimal_orbit(family: str) -> tuple[tuple[int, ...], ...]:
+    """The kept columns of a minimal module, searched once per process."""
+    node, keep_half = _MINIMAL_ORBITS[family]
+    rank = EXCEPTIONAL_RANKS[family]
+    orbit = weyl_orbit(cartan_matrix(family, rank), tuple(1 if i == node else 0 for i in range(rank)))
+    return tuple(w for w in orbit if not keep_half or next(x for x in w if x) > 0)
+
+
 def exceptional_minimal_matrix(family: str) -> WeightMatrix:
     """Weight matrix of the minimal module of F4, E6 or E7.
 
@@ -335,16 +357,10 @@ def exceptional_minimal_matrix(family: str) -> WeightMatrix:
     """
     if family not in _MINIMAL_ORBITS:
         raise ValueError(f"minimal-module matrix known for F4, E6, E7; got {family!r}")
-    node, keep_half = _MINIMAL_ORBITS[family]
-    rank = EXCEPTIONAL_RANKS[family]
-    cm = cartan_matrix(family, rank)
-    highest = tuple(1 if i == node else 0 for i in range(rank))
-    orbit = weyl_orbit(cm, highest)
-    if keep_half:
-        orbit = [w for w in orbit if next(x for x in w if x) > 0]
+    orbit = _minimal_orbit(family)
     entries = np.array(orbit, dtype=np.int64).T
     labels = tuple(_weight_label(w) for w in orbit)
-    return WeightMatrix(family, rank, "minimal", "cartan_h", False, entries, labels)
+    return WeightMatrix(family, EXCEPTIONAL_RANKS[family], "minimal", "cartan_h", False, entries, labels)
 
 
 def exceptional_adjoint_matrix(family: str) -> WeightMatrix:

@@ -370,7 +370,9 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     permutes the template columns up to sign, so the weight of c . X depends
     only on how many coefficients of c are 0, 1 and 2: the distribution is a
     sum over those O(r^2) compositions, each counted with its multinomial
-    orbit size.  No weight matrix is built.
+    orbit size.  No weight matrix is built.  Each orbit costs a few integer
+    products per template and O(r) work per spin template, so a code takes
+    O(r^2) orbits and O(r^3) work with spin columns.
     """
     templates = module_templates(spec)
     if templates is None:

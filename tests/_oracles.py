@@ -10,15 +10,19 @@ a built weight matrix is the second engine behind the template count past
 the reach of enumeration.  The Weyl-invariance fuzz and the matrix text
 format have loop versions here, one trial and one entry at a time, and
 the pairings of a root with the Cartan generators one sum at a time.
+The weight of a template orbit has its first form here too: a sum of
+Fraction shares, and a spin orbit weighed by a double sum over how many
+ones and how many twos lie in the subset.
 """
 
+from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, perm
 
 import numpy as np
 
 from liecodes.fieldcodes import FpMatrix, LinearCode, combination_weight, row_space_code
-from liecodes.repweights import to_cartan_h
+from liecodes.repweights import _placements, to_cartan_h
 from liecodes.rootsys import cartan_matrix, reflect_coroot_coeffs
 
 
@@ -184,6 +188,24 @@ def orbit_weight_distribution(coords, p, k, sum_zero):
     if counts[0] != kernel:
         raise ValueError(f"{counts[0]} coefficient vectors give the zero word; a code of dimension {k} has {kernel}")
     return tuple(c // kernel for c in counts)
+
+
+def orbit_weight_by_pairs(templates, p, counts):
+    """Weight over F_p of the word c . X, where counts[v] coefficients of c
+    are v; any permutation of c gives the same weight."""
+    n0, n1, n2 = counts
+    total = Fraction(0)
+    for coeffs, share in templates:
+        if coeffs is None:
+            # with a of the n1 ones and b of the n2 twos in S the entry is
+            # n1 + a + 2 n2 - b; the zeros in S only fix the parity of |S|
+            ab = [(a, b) for a in range(n1 + 1) for b in range(n2 + 1) if (n1 + a + 2 * n2 - b) % 3]
+            hits = sum(comb(n1, a) * comb(n2, b) * (2 ** (n0 - 1) if n0 else 1 - (n1 + n2 - a - b) % 2) for a, b in ab)
+        else:
+            # k_v positions on rows of coefficient v go there in perm(n_v, k_v) ways
+            hits = sum(w * perm(n0, k0) * perm(n1, k1) * perm(n2, k2) for w, k0, k1, k2 in _placements(coeffs, p))
+        total += share * hits
+    return int(total)
 
 
 def pairing_vector(cm, root_coeffs):

@@ -165,12 +165,36 @@ PAYLOAD_SHA256 = {
         "73a8d628da38be63f9ae66af75025ee6d0a5c254002824b17aab16cb191e36e9",
     "report --family A --n 8 --module ext3 --field 2 --format text":
         "015838099765d6a4e17209ed6dda07beebe9c8f632c86b0b065631b640a91154",
+    "report --family D --m 12 --module adjoint_plus_spin --mode direct_sum --field 3 --format csv":
+        "8d82d138b49f044ede602d080b61c7df978287750e02395dbefd0a5958f3c615",
+    "report --family D --m 12 --module adjoint_plus_spin --mode direct_sum --field 3 --format json":
+        "3d37d94effe0cce87c6c714c4d1c009c3d645b515da39ec36484b195f18ff97d",
+    "report --family D --m 12 --module adjoint_plus_spin --mode direct_sum --field 3 --format text":
+        "341b62b93f80ed2d1d6889f732611f33581e2be70e17a20174c03cb142e09530",
+    "report --family D --m 12 --module spin --field 3 --format csv":
+        "70f1ab40920589e5dd59d824aaae0c4ec76cfade033909bdeab6f44f9ce08095",
+    "report --family D --m 12 --module spin --field 3 --format json":
+        "307453c66c7c0a2a3b70b53271f7e3ea4c5ad534ecef523e000b201227cf387c",
+    "report --family D --m 12 --module spin --field 3 --format text":
+        "e5372f9e688e8d096547dbafcc152f0e40935600c62493418e4817db5fef987e",
     "report --family D --m 6 --module spin --field 3 --format csv":
         "7cd0a08eeee81005cabcf5c240e304bbf5d97e17eba0f5c7409dd5ca9e93df52",
     "report --family D --m 6 --module spin --field 3 --format json":
         "4fc9c460ff4c2f0f623eeba30b40b2b533b58624318d27e8a916a02c2d63c5f6",
     "report --family D --m 6 --module spin --field 3 --format text":
         "e3441141c1eda46e9f6eddf9c6f1c2b04e1525fa46aed8a0d83de21e5d160a5e",
+    "report --family D --m 8 --module ext3 --field 3 --format csv":
+        "70e62536bc79c3423d30e6c904506ad99e471de953b613fb26ecc980c6899f81",
+    "report --family D --m 8 --module ext3 --field 3 --format json":
+        "70c58777bc37b5b184ab5320965141dba1c1af8c488b0570d8e2b2ebfee7d581",
+    "report --family D --m 8 --module ext3 --field 3 --format text":
+        "fb84d57264c214e727702c3f32e76edc18781c99037b449d50754f04f98d0442",
+    "report --family D --m 9 --module adjoint_plus_spin --mode weight_code --field 3 --format csv":
+        "9fcf99bcef9db98817271e4a658e2f1e3a637c4679f4a04d8d16f34307aeab0e",
+    "report --family D --m 9 --module adjoint_plus_spin --mode weight_code --field 3 --format json":
+        "8e99c4b21530c148bb829665a46099b25d7c586adae9e6862d9596ce3ab994ba",
+    "report --family D --m 9 --module adjoint_plus_spin --mode weight_code --field 3 --format text":
+        "3e07a943aed2f489e1bbcd1de207e2de2d06ce56361f0a0e2628c1486e9d2c41",
     "report --family E8 --module adjoint --field 3 --format csv":
         "d59ca0cc50c10815677e4cb54e447fb9c4fc8cb466587faa81f467869858257e",
     "report --family E8 --module adjoint --field 3 --format json":

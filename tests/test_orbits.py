@@ -4,13 +4,14 @@ matrix and the builders' own combination weights."""
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecodes import fieldcodes
+from liecodes import fieldcodes, repweights
 from liecodes.fieldcodes import FpMatrix, LinearCode, analyze, combination_weight, row_space_code
 from liecodes.repweights import (
     ADJOINT_SPIN_MODES,
@@ -23,7 +24,7 @@ from liecodes.repweights import (
 )
 from liecodes.verify import module_code, registered_cases
 
-from _oracles import krawtchouk_transform, naive_weight_distribution, orbit_weight_distribution
+from _oracles import krawtchouk_transform, naive_weight_distribution, orbit_weight_by_pairs, orbit_weight_distribution
 
 # the modules of the benchmark's extended range, 0.5M to 2.1M codewords each
 EXTENDED_SPECS = (
@@ -141,6 +142,36 @@ def test_template_weight_is_the_builders_combination_weight(case):
     spec, coeffs, counts = case
     matrix = build_weight_matrix(spec).mod(spec.p)
     assert combination_weight(matrix, coeffs) == orbit_weight(module_templates(spec), spec.p, counts)
+
+
+def test_template_weight_matches_the_fraction_and_pair_sums():
+    # every composition of every A/D module's templates at ranks 3..30, over
+    # every field it allows; the templates are read from the module table, as
+    # the size check of `module_templates` refuses spin past rank 18
+    checked = set()
+    for (family, module), (fields, args, _, templates) in repweights._MODULES.items():
+        if templates is None:
+            continue
+        modes = ADJOINT_SPIN_MODES if module == "adjoint_plus_spin" else (None,)
+        for p, mode, rank in itertools.product(fields, modes, range(3, 31)):
+            try:
+                tmpl = templates(*args(ModuleSpec(family, rank, module, p, mode=mode)))
+            except ValueError:
+                continue  # below the module's smallest rank
+            for n1 in range(rank + 1):
+                for n2 in range(rank - n1 + 1 if p == 3 else 1):
+                    counts = (rank - n1 - n2, n1, n2)
+                    want = orbit_weight_by_pairs(tmpl, p, counts)
+                    assert orbit_weight(tmpl, p, counts) == want, (module, mode, p, counts)
+            checked.add((family, module, p, mode))
+    assert {(f, m) for f, m, _, _ in checked} == {(f, m) for f in ("A", "D") for m in ALLOWED_MODULES[f]}
+    assert len(checked) == 11
+
+
+def test_template_weight_must_be_a_whole_count():
+    # one position of coefficient 1 hits one column; at share 1/2 that is half a column
+    with pytest.raises(ValueError, match="counts 1 x 1/2 columns, not a whole number"):
+        orbit_weight((((1,), Fraction(1, 2)),), 3, (2, 1, 0))
 
 
 @pytest.mark.parametrize(

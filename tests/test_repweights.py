@@ -10,6 +10,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from liecodes import repweights
 from liecodes.fieldcodes import FpMatrix, analyze, row_space_code
 from liecodes.repweights import (
     ADJOINT_SPIN_MODES,
@@ -243,6 +244,16 @@ def test_discarded_pair_members_are_negations():
         kept = [tuple(c) for c in exceptional_minimal_matrix(family).entries.T.tolist()]
         dropped = [tuple(-x for x in c) for c in kept]
         assert sorted(kept + dropped) == sorted(orbit)
+
+
+def test_minimal_orbit_is_searched_once_per_process(monkeypatch):
+    first = {family: exceptional_minimal_matrix(family) for family in ("F4", "E6", "E7")}
+    calls = []
+    monkeypatch.setattr(repweights, "weyl_orbit", lambda *args: calls.append(args))
+    for family, wm in first.items():
+        again = exceptional_minimal_matrix(family)
+        assert np.array_equal(again.entries, wm.entries) and again.column_labels == wm.column_labels
+    assert calls == []
 
 
 def test_opposite_representative_choice_same_report():
