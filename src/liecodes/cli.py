@@ -16,7 +16,7 @@ import sys
 from functools import cache
 
 from .fieldcodes import SUPPORTED_PRIMES, CodeReport, FpMatrix, LinearCode, analyze, format_matrix_text
-from .repweights import ADJOINT_SPIN_MODES, ALLOWED_MODULES, ModuleSpec, build_weight_matrix
+from .repweights import ADJOINT_SPIN_MODES, ALLOWED_MODULES, ModuleSpec, build_weight_matrix, column_labels
 from .rootsys import EXCEPTIONAL_RANKS
 from .verify import (
     SuiteReport,
@@ -100,9 +100,12 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _matrix_payload(matrix: FpMatrix, labels: tuple[str, ...], fmt: str) -> str:
+def _matrix_payload(matrix: FpMatrix, spec: ModuleSpec, fmt: str) -> str:
+    """The matrix of `spec` in a payload format; only json and csv name the
+    columns, so only they form the labels."""
     if fmt == "text":
         return format_matrix_text(matrix)
+    labels = column_labels(spec)
     if fmt == "json":
         payload = {
             "p": matrix.p,
@@ -226,8 +229,7 @@ def run(argv=None) -> int:
     try:
         if args.command == "matrix":
             spec = _module_spec(args)
-            wm = build_weight_matrix(spec)
-            payload = _matrix_payload(wm.mod(spec.p), wm.column_labels, args.format)
+            payload = _matrix_payload(build_weight_matrix(spec).mod(spec.p), spec, args.format)
             _write_payload(payload, args.output)
             return EXIT_OK
 

@@ -28,11 +28,30 @@ __all__ = [
     "analyze",
     "distribution_report",
     "combination_weight",
+    "frozen",
+    "read_only",
     "parse_matrix_text",
     "format_matrix_text",
 ]
 
 SUPPORTED_PRIMES = (2, 3)
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """`a`, made read-only.  Handed to an `FpMatrix` or a `WeightMatrix`, a
+    fresh int64 array frozen this way is kept, not copied."""
+    a.setflags(write=False)
+    return a
+
+
+def read_only(entries) -> np.ndarray:
+    """The entries as a read-only int64 array.  An int64 array that owns its
+    memory and is already read-only (see `frozen`) is kept; anything else is
+    copied, so that later writes by the caller do not reach the matrix."""
+    if isinstance(entries, np.ndarray) and entries.dtype == np.int64:
+        if entries.flags.owndata and not entries.flags.writeable:
+            return entries
+    return frozen(np.array(entries, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,20 +67,19 @@ class FpMatrix:
     def __post_init__(self) -> None:
         if self.p not in SUPPORTED_PRIMES:
             raise ValueError(f"modulus must be one of {SUPPORTED_PRIMES}, got {self.p}")
-        a = np.array(self.entries, dtype=np.int64)
+        a = read_only(self.entries)
         if a.ndim != 2:
             raise ValueError("matrix entries must form a two-dimensional array")
         if a.shape[1] < 1:
             raise ValueError("a matrix needs at least one column")
         if a.size and (int(a.min()) < 0 or int(a.max()) >= self.p):
             raise ValueError(f"entries must lie in 0..{self.p - 1}")
-        a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
     @classmethod
     def reduce(cls, p: int, entries) -> "FpMatrix":
         """Reduce an arbitrary integer matrix modulo p."""
-        return cls(p, np.mod(np.asarray(entries, dtype=np.int64), p))
+        return cls(p, frozen(np.mod(np.asarray(entries, dtype=np.int64), p)))
 
     @property
     def rows(self) -> int:
@@ -102,35 +120,65 @@ def _check_entry(token: str, p: int) -> None:
         raise ValueError(f"entry {v} out of range for modulus {p}")
 
 
+# the ASCII characters str.split() splits on
+_ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
+
+
+def _one_character_tokens(body: str, count: int) -> np.ndarray | None:
+    """The tokens of a body of `count` one-character ASCII tokens, each but
+    the last followed by one whitespace character (the body
+    `format_matrix_text` writes), as their character codes; None for any
+    other body.  `body` starts with a token."""
+    end = 2 * count - 1  # just past the last token
+    if not count or len(body) < end or not body.isascii():
+        return None
+    codes = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
+    space = _ASCII_SPACE[codes]
+    if space[:end:2].any() or not space[1:end:2].all() or not space[end:].all():
+        return None
+    return codes[:end:2]
+
+
 def parse_matrix_text(text: str) -> FpMatrix:
     """Parse the shared text format, rejecting out-of-range symbols.
 
-    The error names the first bad entry in reading order.
+    The error names the first bad entry in reading order.  A body of
+    one-character tokens is read from its bytes with one conversion; any
+    other is split into tokens, which numpy converts.
     """
-    tokens = text.split()
-    if len(tokens) < 3:
+    head = text.split(maxsplit=3)
+    if len(head) < 3:
         raise ValueError("matrix text needs a 'p rows cols' header")
     try:
-        p, rows, cols = (int(t) for t in tokens[:3])
+        p, rows, cols = (int(t) for t in head[:3])
     except ValueError as exc:
-        raise ValueError(f"malformed matrix header {tokens[:3]!r}") from exc
+        raise ValueError(f"malformed matrix header {head[:3]!r}") from exc
     if p not in SUPPORTED_PRIMES:
         raise ValueError(f"modulus must be one of {SUPPORTED_PRIMES}, got {p}")
     if rows < 0 or cols < 1:
         raise ValueError(f"bad matrix shape {rows}x{cols}")
-    body = tokens[3:]
-    if len(body) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, found {len(body)}")
+    body = head[3] if len(head) > 3 else ""
+    codes = _one_character_tokens(body, rows * cols)
+    if codes is not None:
+        bad = (codes < ord("0")) | (codes >= ord("0") + p)
+        if bad.any():
+            _check_entry(chr(codes[bad.argmax()]), p)
+        a = np.empty((rows, cols), dtype=np.int64)
+        np.subtract(codes.reshape(rows, cols), ord("0"), out=a)
+        return FpMatrix(p, frozen(a))
+    tokens = body.split()
+    if len(tokens) != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, found {len(tokens)}")
     try:
-        a = np.array(body, dtype=np.int64)
+        a = np.array(tokens, dtype=np.int64)
     except (ValueError, OverflowError):
         # a token int() cannot read, or one past int64; find the first bad one
-        for token in body:
+        for token in tokens:
             _check_entry(token, p)
         raise
     bad = (a < 0) | (a >= p)
     if bad.any():
-        _check_entry(body[bad.argmax()], p)
+        _check_entry(tokens[bad.argmax()], p)
     return FpMatrix(p, a.reshape(rows, cols))
 
 

@@ -3,8 +3,9 @@
 Rows are eigenvalue vectors of a fixed diagonal basis, either the Cartan
 generators h_i ("cartan_h") or the coordinate rows ("matrix_unit_E": the
 diagonal matrix units of sl(n), the E_ii - E_(m+i,m+i) of o(2m)), which
-the sl(n) and o(2m) builders give.  Columns are labeled module basis
-vectors of nonzero weight.  Entries are exact integers, except for the
+the sl(n) and o(2m) builders give.  Columns are module basis vectors of
+nonzero weight; `column_labels` names them, formed from the request only
+when a payload prints them.  Entries are exact integers, except for the
 spin constructions, which are meaningful only after reducing the
 half-integer eigenvalues modulo 3 (1/2 = -1 = 2 in F3); those carry the
 `mod3_only` flag.
@@ -22,7 +23,7 @@ from operator import mul
 
 import numpy as np
 
-from .fieldcodes import FpMatrix
+from .fieldcodes import FpMatrix, frozen, read_only
 from .rootsys import EXCEPTIONAL_RANKS, cartan_matrix, positive_roots, weyl_orbit
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "exceptional_adjoint_matrix",
     "fixture_matrix",
     "build_weight_matrix",
+    "column_labels",
     "module_templates",
     "template_columns",
     "orbit_weight",
@@ -47,7 +49,7 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Integer eigenvalue matrix with labeled columns.
+    """Integer eigenvalue matrix, read-only.
 
     `rank` is the defining parameter of the algebra: n for sl(n), m for
     o(2m), the Lie rank for the exceptional families.
@@ -59,14 +61,9 @@ class WeightMatrix:
     basis: str  # "cartan_h" | "matrix_unit_E"
     mod3_only: bool
     entries: np.ndarray
-    column_labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        a = np.array(self.entries, dtype=np.int64)
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-        if a.shape[1] != len(self.column_labels):
-            raise ValueError("one label per column required")
+        object.__setattr__(self, "entries", read_only(self.entries))
 
     @property
     def rows(self) -> int:
@@ -170,8 +167,15 @@ def _count_text(a: int, b: Fraction, e: int) -> str:
     return f"about 2^{e + log2(b + ldexp(a, -e)):.1f}"
 
 
-def _subset_label(subset: tuple[int, ...]) -> str:
-    return "{" + ",".join(map(str, subset)) + "}"
+def _subset_label(members) -> str:
+    """The label of a subset, given the names of its members."""
+    return "{" + ",".join(members) + "}"
+
+
+def _subsets(n: int, r: int) -> np.ndarray:
+    """The r-subsets of {0..n-1} in lexicographic order, one per row."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), r))
+    return np.fromiter(flat, dtype=np.intp, count=comb(n, r) * r).reshape(-1, r)
 
 
 def ext_templates_A(n: int, r: int) -> tuple:
@@ -188,11 +192,14 @@ def ext_weight_matrix_A(n: int, r: int) -> WeightMatrix:
     Columns are the r-subsets of {1..n} in lexicographic order.
     """
     ext_templates_A(n, r)
-    subsets = list(itertools.combinations(range(1, n + 1), r))
+    subsets = _subsets(n, r)
     e = np.zeros((n, len(subsets)), dtype=np.int64)
-    e[np.array(subsets).T - 1, np.arange(len(subsets))] = 1
-    labels = tuple(_subset_label(s) for s in subsets)
-    return WeightMatrix("A", n, f"ext{r}", "matrix_unit_E", False, e, labels)
+    e[subsets.T, np.arange(len(subsets))] = 1
+    return WeightMatrix("A", n, f"ext{r}", "matrix_unit_E", False, frozen(e))
+
+
+def _ext_labels_A(n: int, r: int) -> tuple[str, ...]:
+    return tuple(_subset_label(map(str, s)) for s in (_subsets(n, r) + 1).tolist())
 
 
 def adjoint_templates_A(n: int) -> tuple:
@@ -209,11 +216,14 @@ def adjoint_weight_matrix_A(n: int) -> WeightMatrix:
     Columns are the root vectors for e_i - e_j (i < j, lexicographic).
     """
     adjoint_templates_A(n)
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    pairs = _subsets(n, 2)
     e = np.zeros((n, len(pairs)), dtype=np.int64)
-    e[np.array(pairs).T - 1, np.arange(len(pairs))] = [[1], [-1]]
-    labels = tuple(f"e{i}-e{j}" for i, j in pairs)
-    return WeightMatrix("A", n, "adjoint", "matrix_unit_E", False, e, labels)
+    e[pairs.T, np.arange(len(pairs))] = [[1], [-1]]
+    return WeightMatrix("A", n, "adjoint", "matrix_unit_E", False, frozen(e))
+
+
+def _adjoint_labels_A(n: int) -> tuple[str, ...]:
+    return tuple(f"e{i}-e{j}" for i, j in (_subsets(n, 2) + 1).tolist())
 
 
 def d_lambda2_templates(m: int) -> tuple:
@@ -231,13 +241,17 @@ def d_lambda2_matrix(m: int) -> WeightMatrix:
     (weight e_i - e_j), interleaved in lexicographic pair order.
     """
     d_lambda2_templates(m)
-    pairs = list(itertools.combinations(range(1, m + 1), 2))
+    pairs = _subsets(m, 2)
     rows = np.zeros((m, 2 * len(pairs)), dtype=np.int64)
-    for idx, (i, j) in enumerate(pairs):
-        rows[i - 1, 2 * idx : 2 * idx + 2] = 1
-        rows[j - 1, 2 * idx : 2 * idx + 2] = (1, -1)
-    labels = tuple(f"e{i}{sign}e{j}" for i, j in pairs for sign in "+-")
-    return WeightMatrix("D", m, "ext2", "matrix_unit_E", False, rows, labels)
+    # a view of the same entries: the sum and difference column of each pair
+    both, cols = rows.reshape(m, len(pairs), 2), np.arange(len(pairs))
+    both[pairs[:, 0], cols] = 1
+    both[pairs[:, 1], cols] = (1, -1)
+    return WeightMatrix("D", m, "ext2", "matrix_unit_E", False, frozen(rows))
+
+
+def _d_lambda2_labels(m: int) -> tuple[str, ...]:
+    return tuple(f"e{i}{sign}e{j}" for i, j in (_subsets(m, 2) + 1).tolist() for sign in "+-")
 
 
 def d_lambda3_templates(m: int) -> tuple:
@@ -255,15 +269,23 @@ def d_lambda3_matrix(m: int) -> WeightMatrix:
     m * C(m,2) columns of weight e_i + e_j - e_l (i < j, l arbitrary).
     """
     d_lambda3_templates(m)
-    triples = list(itertools.combinations(range(1, m + 1), 3))
-    mixed = [(i, j, l) for i, j in itertools.combinations(range(1, m + 1), 2) for l in range(1, m + 1)]
-    rows = np.zeros((m, len(triples) + len(mixed)), dtype=np.int64)
-    for col, ((i, j, l), sign) in enumerate([(t, 1) for t in triples] + [(t, -1) for t in mixed]):
-        rows[i - 1, col] += 1
-        rows[j - 1, col] += 1
-        rows[l - 1, col] += sign
-    labels = tuple([f"e{i}+e{j}+e{l}" for i, j, l in triples] + [f"e{i}+e{j}-e{l}" for i, j, l in mixed])
-    return WeightMatrix("D", m, "ext3", "matrix_unit_E", False, rows, labels)
+    triples, pairs = _subsets(m, 3), _subsets(m, 2)
+    rows = np.zeros((m, len(triples) + len(pairs) * m), dtype=np.int64)
+    rows[triples.T, np.arange(len(triples))] = 1
+    # the column of pair (i, j) and row l, one row per pair
+    mixed = len(triples) + np.arange(len(pairs) * m).reshape(-1, m)
+    rows[pairs[:, :1], mixed] = 1
+    rows[pairs[:, 1:], mixed] = 1
+    rows[np.arange(m), mixed] -= 1
+    return WeightMatrix("D", m, "ext3", "matrix_unit_E", False, frozen(rows))
+
+
+def _d_lambda3_labels(m: int) -> tuple[str, ...]:
+    triples, pairs = (_subsets(m, 3) + 1).tolist(), (_subsets(m, 2) + 1).tolist()
+    return tuple(
+        [f"e{i}+e{j}+e{l}" for i, j, l in triples]
+        + [f"e{i}+e{j}-e{l}" for i, j in pairs for l in range(1, m + 1)]
+    )
 
 
 def d_spin_templates(m: int) -> tuple:
@@ -273,6 +295,31 @@ def d_spin_templates(m: int) -> tuple:
     return ((None, Fraction(1)),)
 
 
+def _spin_masks(m: int) -> np.ndarray:
+    """The spin columns of o(2m): the subsets S of {1..m} with |S| = m (mod
+    2) in lexicographic order, each the mask with bit i - 1 set for i in S."""
+    masks = np.zeros(1, dtype=np.int64)
+    # the subsets of {i..m} in order: the empty one, then each subset of
+    # {i+1..m} with i added, then the nonempty subsets of {i+1..m}
+    for bit in range(m - 1, -1, -1):
+        masks = np.concatenate([masks[:1], masks | 1 << bit, masks[1:]])
+    return masks[np.bitwise_count(masks) % 2 == m % 2]
+
+
+def _spin_rows(m: int, masks: np.ndarray) -> np.ndarray:
+    """The spin columns of `masks`: 2 in row r for r in S, 1 elsewhere."""
+    rows = np.right_shift(masks, np.arange(m)[:, None])
+    rows &= 1
+    rows += 1
+    return rows
+
+
+def _spin_labels(m: int, masks: np.ndarray) -> tuple[str, ...]:
+    names = [str(i) for i in range(1, m + 1)]
+    members = (_spin_rows(m, masks) == 2).T.tolist()
+    return tuple(_subset_label(itertools.compress(names, s)) for s in members)
+
+
 def d_spin_matrix(m: int) -> WeightMatrix:
     """Spin weight matrix of o(2m), reduced to F3.
 
@@ -280,16 +327,11 @@ def d_spin_matrix(m: int) -> WeightMatrix:
     row r is 2 (that is, 1/2 = -1) when r lies in S and 1 (-1/2) otherwise.
     """
     d_spin_templates(m)
-    sizes = range(m % 2, m + 1, 2)
-    subsets = sorted(s for k in sizes for s in itertools.combinations(range(1, m + 1), k))
-    rows = np.ones((m, len(subsets)), dtype=np.int64)
-    # the row of each element of each subset, then the subset's column
-    rows[
-        np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.int64) - 1,
-        np.repeat(np.arange(len(subsets)), [len(s) for s in subsets]),
-    ] = 2
-    labels = tuple(_subset_label(s) for s in subsets)
-    return WeightMatrix("D", m, "spin", "matrix_unit_E", True, rows, labels)
+    return WeightMatrix("D", m, "spin", "matrix_unit_E", True, frozen(_spin_rows(m, _spin_masks(m))))
+
+
+def _d_spin_labels(m: int) -> tuple[str, ...]:
+    return _spin_labels(m, _spin_masks(m))
 
 
 def d_adjoint_spin_templates(m: int, mode: str) -> tuple:
@@ -305,6 +347,16 @@ def d_adjoint_spin_templates(m: int, mode: str) -> tuple:
     return tuple((c, k * share) for k, block in zip(shares, blocks) for c, share in block)
 
 
+def _adjoint_spin_blocks(m: int, mode: str) -> tuple[bool, np.ndarray]:
+    """Whether a negated ext2 block follows the ext2 one, and the kept spin
+    columns (see `d_adjoint_spin_matrix`)."""
+    d_adjoint_spin_templates(m, mode)
+    masks = _spin_masks(m)
+    if mode == "weight_code" and m % 2 == 0:
+        masks = masks[masks & 1 == 1]  # the subsets containing 1
+    return mode == "weight_code" and m % 2 == 1, masks
+
+
 def d_adjoint_spin_matrix(m: int, mode: str) -> WeightMatrix:
     """Weight matrix of o(2m) acting on adjoint-plus-spin, by block columns.
 
@@ -313,18 +365,18 @@ def d_adjoint_spin_matrix(m: int, mode: str) -> WeightMatrix:
     m it is not, and the blocks are [ext2 | -ext2 | spin].  mode="direct_sum"
     always uses [ext2 | spin], the generator of the direct-sum code.
     """
-    d_adjoint_spin_templates(m, mode)
-    c2, spin = d_lambda2_matrix(m), d_spin_matrix(m)
-    blocks, labels = [c2.entries], c2.column_labels
-    keep = np.ones(spin.cols, dtype=bool)
-    if mode == "weight_code" and m % 2:
-        blocks.append(-c2.entries)
-        labels += tuple("-" + lab for lab in c2.column_labels)
-    elif mode == "weight_code":
-        keep = spin.entries[0] == 2  # the subsets containing 1
-    entries = np.hstack(blocks + [spin.entries[:, keep]])
-    labels += tuple(itertools.compress(spin.column_labels, keep))
-    return WeightMatrix("D", m, "adjoint_plus_spin", "matrix_unit_E", True, entries, labels)
+    negated, masks = _adjoint_spin_blocks(m, mode)
+    c2 = d_lambda2_matrix(m).entries
+    blocks = [c2, -c2] if negated else [c2]
+    entries = np.hstack(blocks + [_spin_rows(m, masks)])
+    return WeightMatrix("D", m, "adjoint_plus_spin", "matrix_unit_E", True, frozen(entries))
+
+
+def _d_adjoint_spin_labels(m: int, mode: str) -> tuple[str, ...]:
+    negated, masks = _adjoint_spin_blocks(m, mode)
+    c2 = _d_lambda2_labels(m)
+    negative = tuple("-" + label for label in c2) if negated else ()
+    return c2 + negative + _spin_labels(m, masks)
 
 
 _MINIMAL_ORBITS = {
@@ -336,7 +388,7 @@ _MINIMAL_ORBITS = {
 
 
 def _weight_label(w: tuple[int, ...]) -> str:
-    return "(" + ",".join(str(x) for x in w) + ")"
+    return "(" + ",".join(map(str, w)) + ")"
 
 
 @functools.cache
@@ -357,10 +409,12 @@ def exceptional_minimal_matrix(family: str) -> WeightMatrix:
     """
     if family not in _MINIMAL_ORBITS:
         raise ValueError(f"minimal-module matrix known for F4, E6, E7; got {family!r}")
-    orbit = _minimal_orbit(family)
-    entries = np.array(orbit, dtype=np.int64).T
-    labels = tuple(_weight_label(w) for w in orbit)
-    return WeightMatrix(family, EXCEPTIONAL_RANKS[family], "minimal", "cartan_h", False, entries, labels)
+    entries = np.array(_minimal_orbit(family), dtype=np.int64).T
+    return WeightMatrix(family, EXCEPTIONAL_RANKS[family], "minimal", "cartan_h", False, entries)
+
+
+def _minimal_labels(family: str) -> tuple[str, ...]:
+    return tuple(map(_weight_label, _minimal_orbit(family)))
 
 
 def exceptional_adjoint_matrix(family: str) -> WeightMatrix:
@@ -370,10 +424,13 @@ def exceptional_adjoint_matrix(family: str) -> WeightMatrix:
         raise ValueError(f"adjoint matrix known for F4, E6, E7, E8; got {family!r}")
     rank = EXCEPTIONAL_RANKS[family]
     cm = cartan_matrix(family, rank)
-    roots = positive_roots(cm)
-    entries = (np.array(roots) @ np.array(cm.entries)).T
-    labels = tuple(_weight_label(r) for r in roots)
-    return WeightMatrix(family, rank, "adjoint", "cartan_h", False, entries, labels)
+    entries = (np.array(positive_roots(cm)) @ np.array(cm.entries)).T
+    return WeightMatrix(family, rank, "adjoint", "cartan_h", False, entries)
+
+
+def _adjoint_labels(family: str) -> tuple[str, ...]:
+    """The positive roots, by their coefficients on the simple roots."""
+    return tuple(map(_weight_label, positive_roots(cartan_matrix(family, EXCEPTIONAL_RANKS[family]))))
 
 
 def _parse_rows(rows: tuple[str, ...]) -> np.ndarray:
@@ -440,9 +497,7 @@ def fixture_matrix(name: str) -> WeightMatrix:
         family, rank, module, rows = _FIXTURES[name]
     except KeyError:
         raise ValueError(f"unknown fixture {name!r}; known: {', '.join(sorted(_FIXTURES))}") from None
-    entries = _parse_rows(rows)
-    labels = tuple(f"c{j + 1}" for j in range(entries.shape[1]))
-    return WeightMatrix(family, rank, module, "cartan_h", False, entries, labels)
+    return WeightMatrix(family, rank, module, "cartan_h", False, _parse_rows(rows))
 
 
 def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:
@@ -462,7 +517,7 @@ def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:
     rows = e[:-1] - e[1:]
     if wm.family == "D":
         rows = np.vstack([rows, e[-2:-1] + e[-1:]])
-    return WeightMatrix(wm.family, wm.rank, wm.module, "cartan_h", wm.mod3_only, rows, wm.column_labels)
+    return WeightMatrix(wm.family, wm.rank, wm.module, "cartan_h", wm.mod3_only, frozen(rows))
 
 
 @dataclass(frozen=True)
@@ -479,26 +534,36 @@ class ModuleSpec:
 
 
 # (family, module) -> (fields it is defined over, arguments of a request,
-# builder, column templates); the templates function checks the rank and
-# mode bounds, and the builder calls it first.  The exceptional modules have
-# no templates.
+# builder, column templates, column labels); the templates function checks
+# the rank and mode bounds, and the builder calls it first.  The labels
+# function takes the builder's arguments and names its columns in order.
+# The exceptional modules have no templates.
 _MODULES = {
-    ("A", "ext2"): ((2, 3), lambda ms: (ms.rank, 2), ext_weight_matrix_A, ext_templates_A),
-    ("A", "ext3"): ((2, 3), lambda ms: (ms.rank, 3), ext_weight_matrix_A, ext_templates_A),
-    ("A", "ext4"): ((3,), lambda ms: (ms.rank, 4), ext_weight_matrix_A, ext_templates_A),
-    ("A", "adjoint"): ((3,), lambda ms: (ms.rank,), adjoint_weight_matrix_A, adjoint_templates_A),
-    ("D", "ext2"): ((3,), lambda ms: (ms.rank,), d_lambda2_matrix, d_lambda2_templates),
-    ("D", "ext3"): ((3,), lambda ms: (ms.rank,), d_lambda3_matrix, d_lambda3_templates),
-    ("D", "spin"): ((3,), lambda ms: (ms.rank,), d_spin_matrix, d_spin_templates),
-    ("D", "adjoint_plus_spin"):
-        ((3,), lambda ms: (ms.rank, ms.mode), d_adjoint_spin_matrix, d_adjoint_spin_templates),
+    ("A", "ext2"): ((2, 3), lambda ms: (ms.rank, 2), ext_weight_matrix_A, ext_templates_A, _ext_labels_A),
+    ("A", "ext3"): ((2, 3), lambda ms: (ms.rank, 3), ext_weight_matrix_A, ext_templates_A, _ext_labels_A),
+    ("A", "ext4"): ((3,), lambda ms: (ms.rank, 4), ext_weight_matrix_A, ext_templates_A, _ext_labels_A),
+    ("A", "adjoint"):
+        ((3,), lambda ms: (ms.rank,), adjoint_weight_matrix_A, adjoint_templates_A, _adjoint_labels_A),
+    ("D", "ext2"): ((3,), lambda ms: (ms.rank,), d_lambda2_matrix, d_lambda2_templates, _d_lambda2_labels),
+    ("D", "ext3"): ((3,), lambda ms: (ms.rank,), d_lambda3_matrix, d_lambda3_templates, _d_lambda3_labels),
+    ("D", "spin"): ((3,), lambda ms: (ms.rank,), d_spin_matrix, d_spin_templates, _d_spin_labels),
+    ("D", "adjoint_plus_spin"): (
+        (3,),
+        lambda ms: (ms.rank, ms.mode),
+        d_adjoint_spin_matrix,
+        d_adjoint_spin_templates,
+        _d_adjoint_spin_labels,
+    ),
     **{
-        (family, module): ((3,), lambda ms: (ms.family,), build, None)
+        (family, module): ((3,), lambda ms: (ms.family,), build, None, labels)
         for family in EXCEPTIONAL_RANKS
-        for module, build in (("minimal", exceptional_minimal_matrix), ("adjoint", exceptional_adjoint_matrix))
+        for module, build, labels in (
+            ("minimal", exceptional_minimal_matrix, _minimal_labels),
+            ("adjoint", exceptional_adjoint_matrix, _adjoint_labels),
+        )
     },
     # the minimal E8 module is the adjoint one
-    ("E8", "minimal"): ((3,), lambda ms: (ms.family,), exceptional_adjoint_matrix, None),
+    ("E8", "minimal"): ((3,), lambda ms: (ms.family,), exceptional_adjoint_matrix, None, _adjoint_labels),
 }
 
 ALLOWED_MODULES = {family: tuple(mod for fam, mod in _MODULES if fam == family) for family, _ in _MODULES}
@@ -524,7 +589,7 @@ def module_templates(ms: ModuleSpec) -> tuple | None:
         raise ValueError(f"a mode applies to module adjoint_plus_spin only, not {ms.module}")
     if ms.family in EXCEPTIONAL_RANKS and ms.rank != EXCEPTIONAL_RANKS[ms.family]:
         raise ValueError(f"family {ms.family} has rank {EXCEPTIONAL_RANKS[ms.family]}")
-    _, args, _, templates = entry
+    _, args, _, templates, _ = entry
     if templates is None:
         return None
     templates = templates(*args(ms))
@@ -547,6 +612,15 @@ def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
     an sl(n) matrix moves to the Cartan generators unless the request asks
     for matrix_unit_E."""
     module_templates(ms)
-    _, args, build, _ = _MODULES[ms.family, ms.module]
+    _, args, build, _, _ = _MODULES[ms.family, ms.module]
     wm = build(*args(ms))
     return to_cartan_h(wm) if ms.family == "A" and ms.basis != "matrix_unit_E" else wm
+
+
+def column_labels(ms: ModuleSpec) -> tuple[str, ...]:
+    """The names of the columns of `build_weight_matrix(ms)`, in order, from
+    the request alone, or the ValueError of `module_templates`.  A change of
+    basis keeps the columns, so the names do not depend on it."""
+    module_templates(ms)
+    _, args, _, _, labels = _MODULES[ms.family, ms.module]
+    return labels(*args(ms))

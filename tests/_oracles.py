@@ -8,8 +8,9 @@ The closed forms are the paper's codeword weights of partial row sums,
 against which the weight-matrix builders are checked.  The orbit count over
 a built weight matrix is the second engine behind the template count past
 the reach of enumeration.  The Weyl-invariance fuzz and the matrix text
-format have loop versions here, one trial and one entry at a time, and
-the pairings of a root with the Cartan generators one sum at a time.
+format have loop versions here, one trial and one entry at a time, the
+text is also read one token at a time, and the pairings of a root with
+the Cartan generators are formed one sum at a time.
 The weight of a template orbit has its first form here too: a sum of
 Fraction shares, and a spin orbit weighed by a double sum over how many
 ones and how many twos lie in the subset.
@@ -240,3 +241,41 @@ def matrix_text_by_loop(m):
     """The shared text format, one entry at a time."""
     lines = [f"{m.p} {m.rows} {m.cols}"] + [" ".join(str(int(v)) for v in row) for row in m.entries]
     return "\n".join(lines) + "\n"
+
+
+def parse_matrix_text_by_tokens(text):
+    """The shared text format split into tokens, which numpy converts; the
+    error names the first bad entry in reading order."""
+
+    def check(token, p):
+        try:
+            v = int(token)
+        except ValueError as exc:
+            raise ValueError(f"non-numeric matrix entry {token!r}") from exc
+        if not 0 <= v < p:
+            raise ValueError(f"entry {v} out of range for modulus {p}")
+
+    tokens = text.split()
+    if len(tokens) < 3:
+        raise ValueError("matrix text needs a 'p rows cols' header")
+    try:
+        p, rows, cols = (int(t) for t in tokens[:3])
+    except ValueError as exc:
+        raise ValueError(f"malformed matrix header {tokens[:3]!r}") from exc
+    if p not in (2, 3):
+        raise ValueError(f"modulus must be one of (2, 3), got {p}")
+    if rows < 0 or cols < 1:
+        raise ValueError(f"bad matrix shape {rows}x{cols}")
+    body = tokens[3:]
+    if len(body) != rows * cols:
+        raise ValueError(f"expected {rows * cols} entries, found {len(body)}")
+    try:
+        a = np.array(body, dtype=np.int64)
+    except (ValueError, OverflowError):
+        for token in body:
+            check(token, p)
+        raise
+    bad = (a < 0) | (a >= p)
+    if bad.any():
+        check(body[bad.argmax()], p)
+    return FpMatrix(p, a.reshape(rows, cols))

@@ -7,9 +7,10 @@ import time
 
 import numpy as np
 import pytest
+from liecodes import cli, repweights
 from liecodes.cli import _matrix_payload, _report_payload, _suite_payload, run
 from liecodes.fieldcodes import FpMatrix, analyze, parse_matrix_text, row_space_code
-from liecodes.repweights import exceptional_minimal_matrix
+from liecodes.repweights import ModuleSpec, exceptional_minimal_matrix
 from liecodes.verify import SuiteReport, registered_cases, run_case, run_suite, to_json
 
 
@@ -137,12 +138,49 @@ def test_matrix_text_is_pinned(capsys, args):
 
 # SHA-256 of stdout for each payload format of each command, and of every
 # table in JSON, as first recorded; nothing else pins the text and CSV
-# renderings, matrix labels or the table rows
+# renderings, matrix labels or the table rows.  The labels of every sl(n)
+# and o(2m) module were pinned while each matrix still carried its own.
 PAYLOAD_SHA256 = {
+    "matrix --family A --n 6 --module adjoint --field 3 --format csv":
+        "8b956cc80986c93d0b278752a1e2745142e408c17f1a9c5928810adba5e1bf66",
+    "matrix --family A --n 6 --module adjoint --field 3 --format json":
+        "e66ed14faf2eb7eb80167cb791988e79fc2d96c1dc8b1e5a7abec6c0e8577175",
+    "matrix --family A --n 6 --module ext2 --field 2 --format csv":
+        "cfa4e2cf7f505654d4b68f6fc2e278dd1f2229ab6ac0fd2b331a2439805b3ea2",
+    "matrix --family A --n 6 --module ext2 --field 2 --format json":
+        "f3d1cb0bfe864754f388f946b1fa0723ceee74533809c64fd952a67da0379038",
+    "matrix --family A --n 7 --module ext3 --field 3 --format csv":
+        "517d5c771a8dae351806a65bdb5c57bfff3ad83add7042b35cc61cb35f8f6ed5",
+    "matrix --family A --n 7 --module ext3 --field 3 --format json":
+        "e02ddd95315839e67c40eef5daef1ff76960e541693ec14cf561ac987f831fa1",
+    "matrix --family A --n 8 --module ext4 --field 3 --format csv":
+        "8eba5f86b09e34b0b5948d449f6b853082afc9e9d3d124f008612d21565cc380",
+    "matrix --family A --n 8 --module ext4 --field 3 --format json":
+        "3ecd9202031beea78378ef55eea5f86ef81c3d8224c3b6ac04570a20ff28e8d6",
+    "matrix --family D --m 5 --module adjoint_plus_spin --mode direct_sum --field 3 --format csv":
+        "ea667f5569e22bfc762cdd02e4a1a335b1de5406f75e19584f18daeb80a45513",
+    "matrix --family D --m 5 --module adjoint_plus_spin --mode direct_sum --field 3 --format json":
+        "a38d76e31978124865489cac683268a3fe7a86f03edc595d2815cdf29c8a0d0b",
     "matrix --family D --m 5 --module adjoint_plus_spin --mode weight_code --field 3 --format csv":
         "ac38a9cfdf67591d7c65ff5287c88d913738c948e80f6ea96754738df410336c",
     "matrix --family D --m 5 --module adjoint_plus_spin --mode weight_code --field 3 --format json":
         "c3df82f1f529927643958ee2dab02ed73cc2a69b3ba5d547e9bbef4527b25aed",
+    "matrix --family D --m 5 --module ext2 --field 3 --format csv":
+        "7632dbc8442d7afc30a0e576e1b9206353699cc345931dc4ea44477e8f176b49",
+    "matrix --family D --m 5 --module ext2 --field 3 --format json":
+        "36e4cd5868bf6dc54abad8c68969c880530c3600bcc57a0688706581a002c698",
+    "matrix --family D --m 5 --module ext3 --field 3 --format csv":
+        "914f886e38fa27b2687ee2371d94ca6bc96164cb8e4b3474b7516c08d7ad2c3c",
+    "matrix --family D --m 5 --module ext3 --field 3 --format json":
+        "f1b9eecc4c7995d7904857e0052bf4f01334068c65cf5332b1f6301a2e530f07",
+    "matrix --family D --m 6 --module adjoint_plus_spin --mode weight_code --field 3 --format csv":
+        "b26814d2bce2253306fe8ae2c34e362d15e69ec04b8367e583917536689a746a",
+    "matrix --family D --m 6 --module adjoint_plus_spin --mode weight_code --field 3 --format json":
+        "6f8b2e24f61c02208031b0200d47497f2383a6a4f89e38c43076299c971d52bc",
+    "matrix --family D --m 6 --module spin --field 3 --format csv":
+        "f82f3013f5e12df1c717bb3b6a0b24c45e74c4db34859a699ddfc3127d84350b",
+    "matrix --family D --m 6 --module spin --field 3 --format json":
+        "7755fb713eb085c71d99f312348658e77710abe1e727fbc6f7df96e2c8661fcc",
     "matrix --family E6 --module adjoint --field 3 --format json":
         "c8546e244e710f5cde5b6a29bc5bc7d3ba2136b224f28391af66993a3e88dc1a",
     "matrix --family E6 --module minimal --field 3 --format csv":
@@ -396,9 +434,24 @@ def test_report_payload_zero_code_text():
 
 
 def test_matrix_payload_csv():
-    m = FpMatrix(2, [[1, 0], [0, 1]])
-    text = _matrix_payload(m, ("a", "b"), "csv")
-    assert text.splitlines() == ["a,b", "1,0", "0,1"]
+    spec = ModuleSpec("A", 3, "ext2", 2, basis="matrix_unit_E")
+    text = _matrix_payload(FpMatrix(2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]]), spec, "csv")
+    assert text.splitlines() == ['"{1,2}","{1,3}","{2,3}"', "1,1,0", "1,0,1", "0,1,1"]
+
+
+@pytest.mark.parametrize("args", sorted(MATRIX_TEXT_SHA256))
+def test_matrix_text_forms_no_label(capsys, monkeypatch, args):
+    # the text payload names no column: every label function raises
+    def refuse(*_):
+        raise AssertionError("a text payload formed a column label")
+
+    for owner, name in ((cli, "column_labels"), (repweights, "column_labels"), (repweights, "_subset_label")):
+        monkeypatch.setattr(owner, name, refuse)
+    for key, entry in repweights._MODULES.items():
+        monkeypatch.setitem(repweights._MODULES, key, (*entry[:-1], refuse))
+    code, out, err = invoke(capsys, "matrix", *args.split())
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_TEXT_SHA256[args]
 
 
 def test_workers_flag(capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecodes import fieldcodes
 from liecodes.fieldcodes import (
@@ -10,6 +12,7 @@ from liecodes.fieldcodes import (
     combination_weight,
     distribution_report,
     format_matrix_text,
+    frozen,
     parse_matrix_text,
     row_space_code,
     rref,
@@ -25,7 +28,14 @@ from liecodes.repweights import (
 )
 from liecodes.verify import registered_cases, run_case
 
-from _oracles import dual_code, krawtchouk_transform, matrix_text_by_loop, naive_min_distance, naive_weight_distribution
+from _oracles import (
+    dual_code,
+    krawtchouk_transform,
+    matrix_text_by_loop,
+    naive_min_distance,
+    naive_weight_distribution,
+    parse_matrix_text_by_tokens,
+)
 
 
 def random_fp_matrix(rng, p, max_rows=4, max_cols=20):
@@ -51,6 +61,21 @@ def test_fpmatrix_rejects_bad_inputs():
 def test_fpmatrix_reduce_normalizes():
     m = FpMatrix.reduce(3, [[-1, 4], [5, -6]])
     assert m.entries.tolist() == [[2, 1], [2, 0]]
+
+
+def test_fpmatrix_copies_what_it_does_not_own():
+    a = np.array([[0, 1], [2, 0]], dtype=np.int64)
+    for make in (lambda: FpMatrix(3, a), lambda: FpMatrix(3, a[:, :]), lambda: FpMatrix.reduce(3, a)):
+        m = make()
+        a[0, 0] = 1
+        assert m.entries.tolist() == [[0, 1], [2, 0]]
+        a[0, 0] = 0
+        with pytest.raises(ValueError):
+            m.entries[0, 0] = 1
+    # a frozen array is kept, and so are the entries of another matrix
+    b = frozen(np.ones((2, 2), dtype=np.int64))
+    assert FpMatrix(2, b).entries is b
+    assert FpMatrix(3, FpMatrix(2, b).entries).entries is b
 
 
 def test_text_format_round_trip():
@@ -87,6 +112,9 @@ TEXT_ERRORS = {
     "3 1 3\n0 5 x": "entry 5 out of range for modulus 3",
     "3 1 3\n0 x 5": "non-numeric matrix entry 'x'",
     "2 1 2\n99999999999999999999999 x": "entry 99999999999999999999999 out of range for modulus 2",
+    # as many characters as four one-character tokens, but three tokens
+    "3 2 2\n1 001 1\n": "expected 4 entries, found 3",
+    "3 2 2\n1   1 1\n": "expected 4 entries, found 3",
 }
 
 
@@ -95,6 +123,65 @@ def test_text_format_rejects(text):
     with pytest.raises(ValueError) as info:
         parse_matrix_text(text)
     assert str(info.value) == TEXT_ERRORS[text]
+
+
+def parse_outcome(parse, text):
+    try:
+        m = parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return m.p, m.entries.shape, m.entries.tolist()
+
+
+ONE_CHARACTER = ["0", "1", "2", "3", "9", "x", "-", "+"]
+OTHER_TOKENS = ["01", "+1", "-0", "-1", "10", "٣", "1_0", "00", "001", "+10"]
+ONE_GAP = [" ", "\n"]
+OTHER_GAPS = ["  ", "\t", " \n", "\x1c", "\r\n", "\x85", " \t\n"]
+
+
+@st.composite
+def matrix_texts(draw):
+    """A header and a body of tokens drawn from one of three alphabets, apart
+    by single spaces and newlines or by any whitespace, so that either
+    reading, and both success and each error, are drawn often."""
+    p, rows, cols = draw(st.sampled_from([2, 3, 3, 5])), draw(st.integers(0, 3)), draw(st.integers(1, 4))
+    count = max(rows * cols + draw(st.sampled_from([0, 0, 0, 0, -1, 1])), 0)
+    alphabet = draw(st.sampled_from([["0", "1"], ONE_CHARACTER, ONE_CHARACTER + OTHER_TOKENS]))
+    gaps = draw(st.sampled_from([ONE_GAP, ONE_GAP + OTHER_GAPS]))
+    text = f"{p} {rows} {cols}" + draw(st.sampled_from(["\n", " ", "\n\n"]))
+    for token in draw(st.lists(st.sampled_from(alphabet), min_size=count, max_size=count)):
+        text += token + draw(st.sampled_from(gaps))
+    return text[: len(text) - draw(st.sampled_from([0, 0, 1]))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(matrix_texts())
+def test_text_is_read_as_numpy_reads_its_tokens(text):
+    assert parse_outcome(parse_matrix_text, text) == parse_outcome(parse_matrix_text_by_tokens, text)
+
+
+def test_canonical_text_is_read_without_tokens(monkeypatch):
+    # the body format_matrix_text writes is read from its bytes: numpy never
+    # converts a token
+    rng = np.random.default_rng(7)
+    texts = {}
+    for p in (2, 3):
+        m = random_fp_matrix(rng, p)
+        texts[format_matrix_text(m)] = m
+    bad = "3 2 2\n0 1\n2 5\n"
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a token was converted")
+
+    monkeypatch.setattr(np, "array", refuse)
+    for text, m in texts.items():
+        assert parse_matrix_text(text) == m
+        assert parse_matrix_text(text.rstrip("\n")) == m
+    with pytest.raises(ValueError, match="entry 5 out of range for modulus 3"):
+        parse_matrix_text(bad)
+    # another token shape takes the numpy conversion
+    with pytest.raises(AssertionError, match="a token was converted"):
+        parse_matrix_text("3 1 2\n01 1\n")
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,7 @@ def test_template_weight_matches_the_fraction_and_pair_sums():
     # every field it allows; the templates are read from the module table, as
     # the size check of `module_templates` refuses spin past rank 18
     checked = set()
-    for (family, module), (fields, args, _, templates) in repweights._MODULES.items():
+    for (family, module), (fields, args, _, templates, _) in repweights._MODULES.items():
         if templates is None:
             continue
         modes = ADJOINT_SPIN_MODES if module == "adjoint_plus_spin" else (None,)

@@ -1,8 +1,10 @@
 """Tests for the weight-matrix constructors, their column templates and the
 reference fixtures."""
 
+import dataclasses
 import hashlib
 import itertools
+import re
 from collections import Counter
 from dataclasses import replace
 from math import comb
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 from liecodes import repweights
-from liecodes.fieldcodes import FpMatrix, analyze, row_space_code
+from liecodes.fieldcodes import FpMatrix, analyze, frozen, row_space_code
 from liecodes.repweights import (
     ADJOINT_SPIN_MODES,
     ALLOWED_MODULES,
@@ -19,6 +21,7 @@ from liecodes.repweights import (
     WeightMatrix,
     adjoint_weight_matrix_A,
     build_weight_matrix,
+    column_labels,
     d_adjoint_spin_matrix,
     d_lambda2_matrix,
     d_lambda3_matrix,
@@ -97,7 +100,7 @@ def test_adjoint_rows_sum_to_zero():
 
 def test_adjoint_cartan_column_for_first_simple_root():
     k = to_cartan_h(adjoint_weight_matrix_A(4))
-    col = list(k.column_labels).index("e1-e2")
+    col = column_labels(ModuleSpec("A", 4, "adjoint", 3)).index("e1-e2")
     assert k.entries[:, col].tolist() == [2, -1, 0]
 
 
@@ -178,13 +181,15 @@ SPIN_BUILDER_SHA256 = {
 @pytest.mark.parametrize("kind", sorted(SPIN_BUILDER_SHA256))
 def test_spin_builders_are_pinned(kind):
     if kind == "spin":
+        specs = [ModuleSpec("D", m, "spin", 3) for m in range(3, 13)]
         matrices = [d_spin_matrix(m) for m in range(3, 13)]
     else:
+        specs = [ModuleSpec("D", m, "adjoint_plus_spin", 3, mode=kind) for m in range(4, 13)]
         matrices = [d_adjoint_spin_matrix(m, kind) for m in range(4, 13)]
     digest = hashlib.sha256()
-    for wm in matrices:
+    for spec, wm in zip(specs, matrices):
         digest.update(wm.entries.tobytes())
-        digest.update("\n".join(wm.column_labels).encode())
+        digest.update("\n".join(column_labels(spec)).encode())
     assert digest.hexdigest() == SPIN_BUILDER_SHA256[kind]
 
 
@@ -247,12 +252,13 @@ def test_discarded_pair_members_are_negations():
 
 
 def test_minimal_orbit_is_searched_once_per_process(monkeypatch):
-    first = {family: exceptional_minimal_matrix(family) for family in ("F4", "E6", "E7")}
+    specs = {family: ModuleSpec(family, EXCEPTIONAL_RANKS[family], "minimal", 3) for family in ("F4", "E6", "E7")}
+    first = {family: (exceptional_minimal_matrix(family), column_labels(spec)) for family, spec in specs.items()}
     calls = []
     monkeypatch.setattr(repweights, "weyl_orbit", lambda *args: calls.append(args))
-    for family, wm in first.items():
+    for family, (wm, labels) in first.items():
         again = exceptional_minimal_matrix(family)
-        assert np.array_equal(again.entries, wm.entries) and again.column_labels == wm.column_labels
+        assert np.array_equal(again.entries, wm.entries) and column_labels(specs[family]) == labels
     assert calls == []
 
 
@@ -498,10 +504,108 @@ def test_to_cartan_h_families():
     g = d_lambda2_matrix(4).entries
     assert np.array_equal(d.entries[-1], g[-2] + g[-1])
     full = ext_weight_matrix_A(8, 4)
-    seven = WeightMatrix("A", 8, "ext4", "matrix_unit_E", False, full.entries[:7], full.column_labels)
+    seven = WeightMatrix("A", 8, "ext4", "matrix_unit_E", False, full.entries[:7])
     with pytest.raises(ValueError):
         to_cartan_h(seven)  # the eighth matrix-unit row is missing
     o10 = d_lambda2_matrix(5)
-    four = WeightMatrix("D", 5, "ext2", "matrix_unit_E", False, o10.entries[:4], o10.column_labels)
+    four = WeightMatrix("D", 5, "ext2", "matrix_unit_E", False, o10.entries[:4])
     with pytest.raises(ValueError, match="need all matrix-unit rows"):
         to_cartan_h(four)  # the fifth e_i row is missing
+
+
+def label_column(label, rows):
+    """The column a label names on the coordinate rows: a subset {i,...} is
+    the indicator of an exterior-power column, or the 2/1 entries of a spin
+    column; e_i sums are o(2m) and sl(n) weights, and a leading - before a
+    sum negates all of it."""
+    if label.startswith("{"):
+        return [int(i) for i in label[1:-1].split(",") if i]
+    if label.startswith("-"):
+        return [-x for x in label_column(label[1:], rows)]
+    col = [0] * rows
+    for sign, i in re.findall(r"([+-]?)e(\d+)", label):
+        col[int(i) - 1] += -1 if sign == "-" else 1
+    return col
+
+
+@pytest.mark.parametrize("family,module", [(f, m) for f, mods in ALLOWED_MODULES.items() for m in mods])
+def test_labels_name_their_columns(family, module):
+    rank = MIN_RANK[family, module] + 2 if family in ("A", "D") else EXCEPTIONAL_RANKS[family]
+    for mode in ADJOINT_SPIN_MODES if module == "adjoint_plus_spin" else (None,):
+        spec = ModuleSpec(family, rank, module, 3, mode=mode, basis="matrix_unit_E" if family == "A" else None)
+        wm, labels = build_weight_matrix(spec), column_labels(spec)
+        assert len(labels) == len(set(labels)) == wm.cols
+        columns = wm.entries.T.tolist()
+        if family in EXCEPTIONAL_RANKS:
+            # a minimal column is its weight, an adjoint one the pairings of its root
+            cm = np.array(cartan_matrix(family, rank).entries)
+            weights = [list(map(int, label[1:-1].split(","))) for label in labels]
+            if module == "adjoint" or family == "E8":
+                weights = (np.array(weights) @ cm).tolist()
+            assert weights == columns
+            continue
+        for label, col in zip(labels, columns):
+            named = label_column(label, rank)
+            if label.startswith("{") and module in ("spin", "adjoint_plus_spin"):
+                named = [2 if r + 1 in named else 1 for r in range(rank)]
+            elif label.startswith("{"):
+                named = [int(r + 1 in named) for r in range(rank)]
+            assert named == col, (spec, label)
+        # the Cartan-basis request keeps the columns and so their names
+        assert column_labels(replace(spec, basis=None)) == labels
+
+
+def test_column_labels_checks_the_request():
+    with pytest.raises(ValueError, match="needs m >= 4"):
+        column_labels(ModuleSpec("D", 3, "adjoint_plus_spin", 3, mode="direct_sum"))
+    with pytest.raises(ValueError, match="entries, over"):
+        column_labels(ModuleSpec("D", 19, "spin", 3))
+
+
+def test_weight_matrix_holds_no_labels():
+    # a matrix keeps its entries and scalars only: no per-column object
+    assert [f.name for f in dataclasses.fields(WeightMatrix)] == [
+        "family", "rank", "module", "basis", "mod3_only", "entries"
+    ]
+    wm = build_weight_matrix(ModuleSpec("D", 8, "adjoint_plus_spin", 3, mode="weight_code"))
+    assert [k for k, v in vars(wm).items() if not isinstance(v, (str, int, bool))] == ["entries"]
+
+
+def test_weight_matrix_copies_what_it_does_not_own():
+    a = np.ones((2, 3), dtype=np.int64)
+    for entries in (a, a.tolist(), a[:, :]):
+        wm = WeightMatrix("A", 3, "ext2", "matrix_unit_E", False, entries)
+        a[0, 0] = 5
+        assert wm.entries.tolist() == [[1, 1, 1], [1, 1, 1]]
+        a[0, 0] = 1
+        with pytest.raises(ValueError):
+            wm.entries[0, 0] = 0
+    # a frozen array the caller made is kept: it can no longer be written
+    b = frozen(np.ones((2, 3), dtype=np.int64))
+    assert WeightMatrix("A", 3, "ext2", "matrix_unit_E", False, b).entries is b
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ModuleSpec("D", 8, "spin", 3),
+        ModuleSpec("D", 8, "adjoint_plus_spin", 3, mode="weight_code"),
+        ModuleSpec("A", 9, "ext3", 2),
+        ModuleSpec("A", 9, "adjoint", 3, basis="matrix_unit_E"),
+        ModuleSpec("D", 7, "ext3", 3),
+    ],
+    ids=str,
+)
+def test_build_and_mod_copy_the_entries_once(spec, monkeypatch):
+    # every array on the way from a builder to an FpMatrix is kept as it
+    # comes: np.array, which would copy it, is never called
+    def refuse(*args, **kwargs):
+        raise AssertionError("an entries array was copied")
+
+    monkeypatch.setattr(np, "array", refuse)
+    wm = build_weight_matrix(spec)
+    reduced = wm.mod(spec.p)
+    assert reduced.entries.flags.owndata and not reduced.entries.flags.writeable
+    assert not np.shares_memory(reduced.entries, wm.entries)
+    monkeypatch.undo()
+    assert np.array_equal(reduced.entries, wm.entries % spec.p)
