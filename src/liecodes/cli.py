@@ -115,7 +115,7 @@ def _matrix_payload(matrix: FpMatrix, spec: ModuleSpec, fmt: str) -> str:
             "column_labels": list(labels),
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    return _csv_text(list(labels), [list(map(int, row)) for row in matrix.entries])
+    return _csv_text(list(labels), matrix.entries.tolist())
 
 
 def _report_text(report: CodeReport) -> str:

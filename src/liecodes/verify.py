@@ -7,7 +7,8 @@ Each registered case records the claimed (n, k, d) and flags; where the
 stated value disagrees with exhaustive enumeration the case carries an
 annotation holding the stated value, the expectation is the computed one,
 and the suite reports the discrepancy instead of hiding it.  The same
-convention covers the numeric weight tables.
+convention covers the numeric weight tables: orbit weights counted from
+the same templates, which the tests check by matrix products.
 """
 
 from __future__ import annotations
@@ -15,26 +16,27 @@ from __future__ import annotations
 import fnmatch
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import comb
 
 import numpy as np
 
-from .fieldcodes import CodeReport, LinearCode, analyze, combination_weight, distribution_report, row_space_code
+from .fieldcodes import CodeReport, LinearCode, analyze, distribution_report, row_space_code
 from .repweights import (
     ModuleSpec,
     WeightMatrix,
-    adjoint_weight_matrix_A,
     build_weight_matrix,
-    d_lambda2_matrix,
-    d_spin_matrix,
-    ext_weight_matrix_A,
     module_templates,
     orbit_weight,
     template_columns,
     to_cartan_h,
 )
 from .rootsys import EXCEPTIONAL_RANKS, cartan_matrix, reflect_coroot_coeffs
+
+# unused here: the benchmark's tracer rebinds these names in this module, so
+# they stay bound until it wraps public entry points instead (ROADMAP item 1)
+from .fieldcodes import combination_weight  # noqa: F401
+from .repweights import adjoint_weight_matrix_A, d_lambda2_matrix, d_spin_matrix, ext_weight_matrix_A  # noqa: F401
 
 __all__ = [
     "Annotation",
@@ -512,63 +514,55 @@ class TableRow:
     annotated: bool  # stated value superseded by computation
 
 
-def _pm_coeffs(total: int, s: int, t: int) -> list[int]:
-    return [1] * s + [-1] * t + [0] * (total - s - t)
-
-
+# the orbits of tables 6.2 and 6.3: s coefficients 1 and t of -1 on sl(8)
 _ST_PAIRS = ((1, 1), (2, 2), (3, 3), (4, 4), (3, 0), (6, 0), (4, 1), (5, 2))
 
-# table id -> (n of the binary cube power of sl(n), or the module of o(2m) or
-# sl(8); stated values; {entry index: the value computation gives where it
+# table id -> (the module of its rows, for 3.1 that of its first row, o(8);
+# stated values; {entry index: the value computation gives where it
 # supersedes the stated one}), in the order of the paper
 _TABLES = {
-    "2.1": (10, (56, 64, 56, 64, 120), {}),
-    "2.2": (11, (72, 88, 80, 80, 120), {}),
-    "2.3": (14, (132, 184, 188, 176, 180, 232, 364), {}),
-    "2.4": (15, (156, 224, 216, 224, 220, 256, 364), {2: 236}),
-    "2.5": (6, (12, 8, 20), {}),
-    "2.6": (7, (20, 16, 20), {}),
-    "3.1": ("spin", (8, 11, 12, 43, 112, 171, 260), {}),
-    "3.2": ("ext2", (8, 13, 15, 14, 10), {}),
-    "3.3": ("spin", (16, 8, 12, 10, 11), {}),
-    "3.4": ("ext2", (10, 17, 21, 22, 20, 15), {}),
-    "3.5": ("spin", (32, 16, 24, 20, 22, 21), {5: 30}),
-    "6.2": ("ext4", (40, 44, 48, 34, 60, 30, 46, 50), {}),
-    "6.3": ("adjoint", (26, 40, 42, 32, 30, 24, 38, 34), {}),
+    "2.1": (ModuleSpec("A", 10, "ext3", 2, basis="matrix_unit_E"), (56, 64, 56, 64, 120), {}),
+    "2.2": (ModuleSpec("A", 11, "ext3", 2, basis="matrix_unit_E"), (72, 88, 80, 80, 120), {}),
+    "2.3": (ModuleSpec("A", 14, "ext3", 2, basis="matrix_unit_E"), (132, 184, 188, 176, 180, 232, 364), {}),
+    "2.4": (ModuleSpec("A", 15, "ext3", 2, basis="matrix_unit_E"), (156, 224, 216, 224, 220, 256, 364), {2: 236}),
+    "2.5": (ModuleSpec("A", 6, "ext3", 2, basis="matrix_unit_E"), (12, 8, 20), {}),
+    "2.6": (ModuleSpec("A", 7, "ext3", 2, basis="matrix_unit_E"), (20, 16, 20), {}),
+    "3.1": (ModuleSpec("D", 4, "spin", 3), (8, 11, 12, 43, 112, 171, 260), {}),
+    "3.2": (ModuleSpec("D", 5, "ext2", 3), (8, 13, 15, 14, 10), {}),
+    "3.3": (ModuleSpec("D", 5, "spin", 3), (16, 8, 12, 10, 11), {}),
+    "3.4": (ModuleSpec("D", 6, "ext2", 3), (10, 17, 21, 22, 20, 15), {}),
+    "3.5": (ModuleSpec("D", 6, "spin", 3), (32, 16, 24, 20, 22, 21), {5: 30}),
+    "6.2": (ModuleSpec("A", 8, "ext4", 3, basis="matrix_unit_E"), (40, 44, 48, 34, 60, 30, 46, 50), {}),
+    "6.3": (ModuleSpec("A", 8, "adjoint", 3, basis="matrix_unit_E"), (26, 40, 42, 32, 30, 24, 38, 34), {}),
 }
 
 TABLE_IDS = tuple(_TABLES)
 
 
 def reproduce_table(table_id: str) -> tuple[TableRow, ...]:
-    """Recompute one published weight table entry for entry."""
+    """Recompute one published weight table entry for entry: each is the
+    weight of an orbit of partial row sums, counted from the templates."""
     if table_id not in _TABLES:
         raise ValueError(f"unknown table {table_id!r}; known: {', '.join(TABLE_IDS)}")
-    matrix_of, stated, fixes = _TABLES[table_id]
-    if table_id.startswith("2."):
-        n = matrix_of
-        matrix = ext_weight_matrix_A(n, 3).mod(2)
-        pairs = [
-            (f"t={t}", combination_weight(matrix, [1] * (2 * t) + [0] * (n - 2 * t))) for t in range(1, n // 2 + 1)
-        ]
-    elif table_id == "3.1":
-        pairs = [(f"m={m}", combination_weight(d_spin_matrix(m).mod(3), [1] * (m - 1) + [-1])) for m in range(4, 11)]
-    elif table_id.startswith("3."):
-        m = len(stated)
-        matrix = (d_lambda2_matrix(m) if matrix_of == "ext2" else d_spin_matrix(m)).mod(3)
-        pairs = [(f"t={t}", combination_weight(matrix, [1] * t + [0] * (m - t))) for t in range(1, m + 1)]
+    spec, stated, fixes = _TABLES[table_id]
+    r = spec.rank
+    if table_id == "3.1":
+        # o(2m), m = 4..10: the first m - 1 rows minus the last
+        orbits = [(f"m={m}", replace(spec, rank=m), (0, m - 1, 1)) for m in range(r, r + len(stated))]
+    elif spec.p == 2:
+        orbits = [(f"t={t}", spec, (r - 2 * t, 2 * t, 0)) for t in range(1, r // 2 + 1)]
+    elif spec.family == "D":
+        orbits = [(f"t={t}", spec, (r - t, t, 0)) for t in range(1, r + 1)]
     else:
-        # the (4,4) combination of 6.2 needs all eight matrix-unit rows; the
-        # first seven are the printed generator.  6.3 states doubled weights.
-        if matrix_of == "ext4":
-            matrix, scale = ext_weight_matrix_A(8, 4).mod(3), 1
-        else:
-            matrix, scale = adjoint_weight_matrix_A(8).mod(3), 2
-        pairs = [(f"(s,t)=({s},{t})", scale * combination_weight(matrix, _pm_coeffs(8, s, t))) for s, t in _ST_PAIRS]
-    return tuple(
-        TableRow(label, want, got, got == fixes.get(i, want), i in fixes)
-        for i, ((label, got), want) in enumerate(zip(pairs, stated, strict=True))
-    )
+        # the (4,4) orbit of 6.2 needs all eight matrix-unit rows; the first
+        # seven are the printed generator
+        orbits = [(f"(s,t)=({s},{t})", spec, (r - s - t, s, t)) for s, t in _ST_PAIRS]
+    scale = 2 if spec.module == "adjoint" else 1  # 6.3 states doubled weights
+    rows = []
+    for i, ((label, ms, counts), want) in enumerate(zip(orbits, stated, strict=True)):
+        got = scale * orbit_weight(module_templates(ms), ms.p, counts)
+        rows.append(TableRow(label, want, got, got == fixes.get(i, want), i in fixes))
+    return tuple(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ text is also read one token at a time, and the pairings of a root with
 the Cartan generators are formed one sum at a time.
 The weight of a template orbit has its first form here too: a sum of
 Fraction shares, and a spin orbit weighed by a double sum over how many
-ones and how many twos lie in the subset.
+ones and how many twos lie in the subset.  The published weight tables are
+recomputed here as the paper forms them: one coefficient vector times the
+built weight matrix.
 """
 
 from fractions import Fraction
@@ -23,7 +25,7 @@ from math import comb, perm
 import numpy as np
 
 from liecodes.fieldcodes import FpMatrix, LinearCode, combination_weight, row_space_code
-from liecodes.repweights import _placements, to_cartan_h
+from liecodes.repweights import ModuleSpec, _placements, build_weight_matrix, to_cartan_h
 from liecodes.rootsys import cartan_matrix, reflect_coroot_coeffs
 
 
@@ -279,3 +281,32 @@ def parse_matrix_text_by_tokens(text):
     if bad.any():
         check(body[bad.argmax()], p)
     return FpMatrix(p, a.reshape(rows, cols))
+
+
+def _matrix_weight(spec, coeffs):
+    return combination_weight(build_weight_matrix(spec).mod(spec.p), coeffs)
+
+
+def table_by_matrix(table_id):
+    """The entries of a published weight table, each the weight of a partial
+    row sum c (entries 1, -1 and 0 on the coordinate rows) times the built
+    weight matrix of the table's module; table 6.3 states doubled weights."""
+    series, _, number = table_id.partition(".")
+    if series == "2":
+        # binary cube power of sl(n): the sum of the first 2t rows
+        n = {"1": 10, "2": 11, "3": 14, "4": 15, "5": 6, "6": 7}[number]
+        spec = ModuleSpec("A", n, "ext3", 2, basis="matrix_unit_E")
+        return [_matrix_weight(spec, [1] * (2 * t) + [0] * (n - 2 * t)) for t in range(1, n // 2 + 1)]
+    if table_id == "3.1":
+        # spin of o(2m), m = 4..10: the first m - 1 rows minus the last
+        return [_matrix_weight(ModuleSpec("D", m, "spin", 3), [1] * (m - 1) + [-1]) for m in range(4, 11)]
+    if series == "3":
+        # o(2m): the sum of the first t rows
+        module, m = {"2": ("ext2", 5), "3": ("spin", 5), "4": ("ext2", 6), "5": ("spin", 6)}[number]
+        spec = ModuleSpec("D", m, module, 3)
+        return [_matrix_weight(spec, [1] * t + [0] * (m - t)) for t in range(1, m + 1)]
+    # sl(8) on all eight matrix-unit rows: s rows plus, the next t minus
+    module, scale = {"6.2": ("ext4", 1), "6.3": ("adjoint", 2)}[table_id]
+    spec = ModuleSpec("A", 8, module, 3, basis="matrix_unit_E")
+    pairs = ((1, 1), (2, 2), (3, 3), (4, 4), (3, 0), (6, 0), (4, 1), (5, 2))
+    return [scale * _matrix_weight(spec, [1] * s + [-1] * t + [0] * (8 - s - t)) for s, t in pairs]

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from liecodes import verify
+from liecodes import cli, repweights, verify
 from liecodes.fieldcodes import combination_weight
 from liecodes.repweights import (
     ModuleSpec,
@@ -30,7 +30,7 @@ from liecodes.verify import (
     weyl_invariance_violations,
 )
 
-from _oracles import closed_form_weight, weyl_violations_by_loop
+from _oracles import closed_form_weight, table_by_matrix, weyl_violations_by_loop
 
 ANNOTATED_CASE_IDS = {
     "thm2.3/ext3/n=6",
@@ -193,13 +193,19 @@ def test_annotations_record_stated_and_computed():
     assert notes["thm2.4/K/m=2"]["computed"] == {"d": 9}
 
 
-def test_run_case_reports_mismatches():
-    from dataclasses import replace
-
-    broken = replace(case_by_id("thm4.1"), expected_d=7)
-    result = run_case(broken)
+@pytest.mark.parametrize(
+    "case_id, field, wrong, mismatch",
+    [
+        ("thm4.1", "expected_d", 7, "d: expected 7, computed 6"),
+        ("thm2.1/m=2", "doubly_even", False, "doubly_even: expected False, computed True"),
+        ("thm3.2/m=5", "self_orthogonal", True, "self_orthogonal: expected True, computed False"),
+    ],
+)
+def test_run_case_reports_mismatches(case_id, field, wrong, mismatch):
+    # each gate fires: a wrong claim fails the case and names itself
+    result = run_case(dataclasses.replace(case_by_id(case_id), **{field: wrong}))
     assert not result.passed and not result.skipped
-    assert any("d: expected 7, computed 6" in m for m in result.mismatches)
+    assert result.mismatches == (mismatch,)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +216,36 @@ def test_all_tables_reproduce():
         rows = reproduce_table(tid)
         assert rows, tid
         assert all(r.match for r in rows), tid
+
+
+@pytest.mark.parametrize("tid", TABLE_IDS)
+def test_tables_agree_with_the_matrix_product(tid):
+    # the second engine: each entry as a coefficient vector times the built matrix
+    assert [r.computed for r in reproduce_table(tid)] == table_by_matrix(tid)
+
+
+def test_tables_build_no_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a table built a weight matrix")
+
+    names = ("ext_weight_matrix_A", "adjoint_weight_matrix_A", "d_lambda2_matrix", "d_spin_matrix")
+    for name in (*names, "build_weight_matrix", "combination_weight"):
+        monkeypatch.setattr(verify, name, refuse)
+    # and any builder reached some other way
+    monkeypatch.setattr(repweights.WeightMatrix, "__post_init__", refuse)
+    for tid in TABLE_IDS:
+        assert all(r.match for r in reproduce_table(tid)), tid
+
+
+def test_table_gate_fires(monkeypatch, capsys):
+    # an engine off by one: every row mismatches, the command fails and says so
+    real = verify.orbit_weight
+    monkeypatch.setattr(verify, "orbit_weight", lambda *args: real(*args) + 1)
+    for tid in TABLE_IDS:
+        assert not any(r.match for r in reproduce_table(tid)), tid
+    assert cli.run(["table", "2.1"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("MISMATCH") == 5
 
 
 def test_table_21_values():
