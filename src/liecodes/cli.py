@@ -15,6 +15,8 @@ import json
 import sys
 from functools import cache
 
+import numpy as np
+
 from .fieldcodes import SUPPORTED_PRIMES, CodeReport, FpMatrix, LinearCode, analyze, format_matrix_text
 from .repweights import ADJOINT_SPIN_MODES, ALLOWED_MODULES, ModuleSpec, build_weight_matrix, column_labels
 from .rootsys import EXCEPTIONAL_RANKS
@@ -100,6 +102,23 @@ def _csv_text(header: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
+def _json_entries(matrix: FpMatrix) -> str:
+    """The entries as `json.dumps(..., indent=2)` writes them one level
+    deep, from one byte buffer: a row is '    [', an '      d,' line per
+    entry, the last without its comma, and '    ],'; the last row drops
+    its comma too."""
+    if not matrix.rows:
+        return "[]"
+    body = np.empty((matrix.rows, 9 * matrix.cols + 12), dtype=np.uint8)
+    body[:, :6] = np.frombuffer(b"    [\n", dtype=np.uint8)
+    cells = body[:, 6:-6].reshape(matrix.rows, matrix.cols, 9)
+    cells[:] = np.frombuffer(b"      0,\n", dtype=np.uint8)
+    np.add(matrix.entries, ord("0"), out=cells[:, :, 6], casting="unsafe")  # no int64 temporary
+    cells[:, -1, 7:] = np.frombuffer(b"\n ", dtype=np.uint8)  # the space indents the closing bracket
+    body[:, -6:] = np.frombuffer(b"   ],\n", dtype=np.uint8)
+    return "[\n" + str(body.reshape(-1)[:-2], "ascii") + "\n  ]"
+
+
 def _matrix_payload(matrix: FpMatrix, spec: ModuleSpec, fmt: str) -> str:
     """The matrix of `spec` in a payload format; only json and csv name the
     columns, so only they form the labels."""
@@ -111,10 +130,11 @@ def _matrix_payload(matrix: FpMatrix, spec: ModuleSpec, fmt: str) -> str:
             "p": matrix.p,
             "rows": matrix.rows,
             "cols": matrix.cols,
-            "entries": matrix.entries.tolist(),
+            "entries": None,  # spliced in: a label cannot hold the key's unescaped quotes
             "column_labels": list(labels),
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        head, _, tail = json.dumps(payload, indent=2, sort_keys=True).partition('"entries": null')
+        return f'{head}"entries": {_json_entries(matrix)}{tail}\n'
     return _csv_text(list(labels), matrix.entries.tolist())
 
 
@@ -199,10 +219,10 @@ def _table_payload(rows: tuple[TableRow, ...], fmt: str) -> str:
     lines = [f"{'label':<14} {'stated':>7} {'computed':>9}  note"]
     for r in rows:
         note = "ok"
-        if r.annotated:
-            note = "stated value superseded by computation"
-        elif not r.match:
+        if not r.match:
             note = "MISMATCH"
+        elif r.annotated:
+            note = "stated value superseded by computation"
         lines.append(f"{r.label:<14} {r.stated:>7} {r.computed:>9}  {note}")
     return "\n".join(lines) + "\n"
 

@@ -3,8 +3,10 @@ checks every one of them by exact computation: Weyl-orbit counting over the
 column templates of the sl(n) and o(2m) codes, exhaustive enumeration for
 the exceptional ones.
 
-Each registered case records the claimed (n, k, d) and flags; where the
-stated value disagrees with exhaustive enumeration the case carries an
+The registry is one rule per parametric family, which maps a size to the
+claimed (n, k, d) and flags and is evaluated at the family's registered
+sizes, plus row tables of the single claims and one annotation map: where a
+stated value disagrees with exhaustive enumeration, the case carries an
 annotation holding the stated value, the expectation is the computed one,
 and the suite reports the discrepancy instead of hiding it.  The same
 convention covers the numeric weight tables: orbit weights counted from
@@ -122,244 +124,109 @@ class VerifyLimits:
     max_work: int = 600_000_000
 
 
-def _case(
-    case_id: str,
-    spec: ModuleSpec,
-    n: int,
-    k: int,
-    d: int,
-    *,
-    orth: bool | None = None,
-    deven: bool | None = None,
-    citation: str,
-    annotation: Annotation | None = None,
-    optional: bool = False,
-) -> TheoremCase:
-    return TheoremCase(case_id, spec, n, k, d, orth, deven, citation, annotation, optional)
+# One rule per parametric family, in registry order: (case id pattern, the
+# registered sizes, the claim at size r as (spec, n, k, d, self_orthogonal,
+# doubly_even, citation)); None claims neither flag.
+_FAMILIES = (
+    # binary code of the square exterior power of sl(2m)
+    ("thm2.1/m={}", range(2, 8), lambda m: (
+        ModuleSpec("A", 2 * m, "ext2", 2), m * (2 * m - 1), 2 * (m - 1), 4 * (m - 1), True, True,
+        f"binary weight code of sl({2 * m}) on its square exterior power")),
+    # binary code of the cube exterior power of sl(n), n = 2, 3 mod 4
+    ("thm2.2/n={}", (6, 7, 10, 11, 14, 15), lambda n: (
+        ModuleSpec("A", n, "ext3", 2), comb(n, 3), n - 1, {6: 8, 7: 16}.get(n, (n - 2) * (n - 3)), True, True,
+        f"binary weight code of sl({n}) on its cube exterior power")),
+    # ternary square exterior codes of sl(3m+2)
+    ("thm2.3/ext2/n={}", (5, 8, 11), lambda n: (
+        ModuleSpec("A", n, "ext2", 3), comb(n, 2), n - 1, 2 * (n - 2), True, None,
+        f"ternary weight code of sl({n}) on its square exterior power")),
+    # ternary cube exterior codes of sl(n), n = 0 or 2 mod 3
+    ("thm2.3/ext3/n={}", (5, 6, 8, 9, 11, 12), lambda n: (
+        ModuleSpec("A", n, "ext3", 3), comb(n, 3),
+        *((n - 2, (n - 2) * (n - 3)) if n % 3 == 0 else (n - 1, (n - 1) * (n - 2) // 2)), True, None,
+        f"ternary weight code of sl({n}) on its cube exterior power")),
+    # ternary code generated by the full matrix-unit rows on the cube power
+    ("thm2.3/rowsE/n={}", (5, 7), lambda n: (
+        ModuleSpec("A", n, "ext3", 3, basis="matrix_unit_E"), comb(n, 3), n - 1, comb(n - 1, 2), None, None,
+        f"ternary code of the matrix-unit rows on the cube power of sl({n})")),
+    # adjoint sl(n): matrix-unit rows, then the weight code for n = 3m
+    ("thm2.4/L/n={}", range(4, 9), lambda n: (
+        ModuleSpec("A", n, "adjoint", 3, basis="matrix_unit_E"), comb(n, 2), n - 1, n - 1, None, None,
+        f"ternary code of the matrix-unit rows on the adjoint of sl({n})")),
+    ("thm2.4/K/m={}", (2, 3), lambda m: (
+        ModuleSpec("A", 3 * m, "adjoint", 3), comb(3 * m, 2), 3 * m - 2, 3 * (2 * m - 1), True, None,
+        f"ternary weight code of sl({3 * m}) on its adjoint module")),
+    # o(2m) square exterior codes, m = 1 mod 3
+    ("thm3.1/m={}", (4, 7, 10), lambda m: (
+        ModuleSpec("D", m, "ext2", 3), m * (m - 1), m, 2 * (m - 1), True, None,
+        f"ternary weight code of o({2 * m}) on its square exterior power")),
+    # o(2m) cube exterior codes; orthogonal exactly when m != -1 mod 3
+    ("thm3.2/m={}", range(3, 9), lambda m: (
+        ModuleSpec("D", m, "ext3", 3), m * (m - 1) * (2 * m - 1) // 3, m, (m - 1) * (2 * m - 3), m % 3 != 2, None,
+        f"ternary weight code of o({2 * m}) on its cube exterior power")),
+    # spin codes of o(2m): d = 2^(m-2) but at m = 4, 6 and 8 (the tests check to m = 18)
+    ("thm3.3/m={}", range(4, 9), lambda m: (
+        ModuleSpec("D", m, "spin", 3), 2 ** (m - 1), m, {4: 2, 6: 12, 8: 58}.get(m, 2 ** (m - 2)), None, None,
+        f"ternary spin code of o({2 * m})")),
+)
+
+# Combined adjoint-plus-spin codes of o(2m): (m, mode, n, d); the computed
+# rank is m.  The [1134, 11, 549] claim (m = 11) is optional.
+_COMBINED = (
+    (8, "weight_code", 120, 57),
+    (9, "weight_code", 400, 186),
+    (5, "direct_sum", 36, 21),
+    (6, "direct_sum", 62, 27),
+    (11, "direct_sum", 1134, 549),
+)
+
+# Exceptional families: (case id, family, module, n, k, d).
+_EXCEPTIONAL = (
+    ("thm4.1", "F4", "minimal", 12, 4, 6),
+    ("thm4.2", "F4", "adjoint", 24, 4, 15),
+    ("thm5.1", "E6", "minimal", 27, 6, 12),
+    ("thm5.2", "E6", "adjoint", 36, 5, 21),
+    ("thm6.1", "E7", "minimal", 28, 7, 12),
+    ("thm6.2", "E7", "adjoint", 63, 7, 27),
+    ("thm6.3", "E8", "adjoint", 120, 8, 57),
+)
+
+# Every stated value that computation supersedes, by case id.
+_SPIN_NOTE = "the sum of all rows has weight below 2^(m-2) when m = 0 mod 4; enumeration decides"
+_ADJOINT_NOTE = "stated distance 3(m-1) contradicts enumeration; all nonzero weights are 3(2m-1) or larger"
+_RANK_NOTE = "stated dimension 8 contradicts the computed rank (the construction has m = {} rows)"
+_ANNOTATIONS = {
+    "thm2.3/ext3/n=6": Annotation({"n": 15}, "stated length 15 contradicts the column count C(6,3) = 20"),
+    "thm2.4/K/m=2": Annotation({"d": 3}, _ADJOINT_NOTE),
+    "thm2.4/K/m=3": Annotation({"d": 6}, _ADJOINT_NOTE),
+    "thm3.3/m=4": Annotation({"d": 4}, _SPIN_NOTE),
+    "thm3.3/m=8": Annotation({"d": 64}, _SPIN_NOTE),
+    "cor3.4/m=9": Annotation({"k": 8}, _RANK_NOTE.format(9)),
+    "cor3.4/m=11": Annotation({"k": 8}, _RANK_NOTE.format(11)),
+}
 
 
 def registered_cases() -> tuple[TheoremCase, ...]:
-    """Every claim the suite checks, in a fixed deterministic order."""
-    cases: list[TheoremCase] = []
-
-    # Binary code of the degree-2 exterior power of sl(2m).
-    for m in range(2, 8):
-        cases.append(
-            _case(
-                f"thm2.1/m={m}",
-                ModuleSpec("A", 2 * m, "ext2", 2),
-                m * (2 * m - 1),
-                2 * (m - 1),
-                4 * (m - 1),
-                orth=True,
-                deven=True,
-                citation=f"binary weight code of sl({2 * m}) on its square exterior power",
-            )
+    """Every claim the suite checks, in a fixed deterministic order: each
+    family rule at its registered sizes, then the single claims."""
+    cases = []
+    for pattern, sizes, rule in _FAMILIES:
+        for r in sizes:
+            case_id = pattern.format(r)
+            cases.append(TheoremCase(case_id, *rule(r), _ANNOTATIONS.get(case_id)))
+    for m, mode, n, d in _COMBINED:
+        case_id = f"cor3.4/m={m}"
+        citation = (
+            f"ternary weight code of o({2 * m}) on adjoint plus spin"
+            if mode == "weight_code"
+            else f"ternary direct-sum code of o({2 * m}): square exterior plus spin"
         )
-
-    # Binary code of the cube exterior power of sl(n).
-    cube_d = {6: 8, 7: 16}
-    for n in (6, 7, 10, 11, 14, 15):
-        cases.append(
-            _case(
-                f"thm2.2/n={n}",
-                ModuleSpec("A", n, "ext3", 2),
-                comb(n, 3),
-                n - 1,
-                cube_d.get(n, (n - 2) * (n - 3)),
-                orth=True,
-                deven=True,
-                citation=f"binary weight code of sl({n}) on its cube exterior power",
-            )
-        )
-
-    # Ternary square exterior codes of sl(3m+2).
-    for n in (5, 8, 11):
-        cases.append(
-            _case(
-                f"thm2.3/ext2/n={n}",
-                ModuleSpec("A", n, "ext2", 3),
-                comb(n, 2),
-                n - 1,
-                2 * (n - 2),
-                orth=True,
-                citation=f"ternary weight code of sl({n}) on its square exterior power",
-            )
-        )
-
-    # Ternary cube exterior codes of sl(n), n = 0 or 2 mod 3.
-    for n in (5, 6, 8, 9, 11, 12):
-        if n % 3 == 0:
-            k, d = n - 2, (n - 2) * (n - 3)
-        else:
-            k, d = n - 1, (n - 1) * (n - 2) // 2
-        annotation = None
-        if n == 6:
-            annotation = Annotation(
-                stated={"n": 15},
-                note="stated length 15 contradicts the column count C(6,3) = 20",
-            )
-        cases.append(
-            _case(
-                f"thm2.3/ext3/n={n}",
-                ModuleSpec("A", n, "ext3", 3),
-                comb(n, 3),
-                k,
-                d,
-                orth=True,
-                citation=f"ternary weight code of sl({n}) on its cube exterior power",
-                annotation=annotation,
-            )
-        )
-
-    # Ternary code generated by the full matrix-unit rows on the cube power.
-    for n in (5, 7):
-        cases.append(
-            _case(
-                f"thm2.3/rowsE/n={n}",
-                ModuleSpec("A", n, "ext3", 3, basis="matrix_unit_E"),
-                comb(n, 3),
-                n - 1,
-                comb(n - 1, 2),
-                citation=f"ternary code of the matrix-unit rows on the cube power of sl({n})",
-            )
-        )
-
-    # Adjoint sl(n): matrix-unit rows, then the weight code for n = 3m.
-    for n in range(4, 9):
-        cases.append(
-            _case(
-                f"thm2.4/L/n={n}",
-                ModuleSpec("A", n, "adjoint", 3, basis="matrix_unit_E"),
-                comb(n, 2),
-                n - 1,
-                n - 1,
-                citation=f"ternary code of the matrix-unit rows on the adjoint of sl({n})",
-            )
-        )
-    for m in (2, 3):
-        n = 3 * m
-        cases.append(
-            _case(
-                f"thm2.4/K/m={m}",
-                ModuleSpec("A", n, "adjoint", 3),
-                comb(n, 2),
-                n - 2,
-                3 * (2 * m - 1),
-                orth=True,
-                citation=f"ternary weight code of sl({n}) on its adjoint module",
-                annotation=Annotation(
-                    stated={"d": 3 * (m - 1)},
-                    note="stated distance 3(m-1) contradicts enumeration; all nonzero weights are 3(2m-1) or larger",
-                ),
-            )
-        )
-
-    # o(2m) square exterior codes, m = 1 mod 3.
-    for m in (4, 7, 10):
-        cases.append(
-            _case(
-                f"thm3.1/m={m}",
-                ModuleSpec("D", m, "ext2", 3),
-                m * (m - 1),
-                m,
-                2 * (m - 1),
-                orth=True,
-                citation=f"ternary weight code of o({2 * m}) on its square exterior power",
-            )
-        )
-
-    # o(2m) cube exterior codes; orthogonal exactly when m != -1 mod 3.
-    for m in (3, 4, 5, 6, 7, 8):
-        cases.append(
-            _case(
-                f"thm3.2/m={m}",
-                ModuleSpec("D", m, "ext3", 3),
-                m * (m - 1) * (2 * m - 1) // 3,
-                m,
-                (m - 1) * (2 * m - 3),
-                orth=(m % 3 != 2),
-                citation=f"ternary weight code of o({2 * m}) on its cube exterior power",
-            )
-        )
-
-    # Spin codes of o(2m).
-    spin_expect = {4: 2, 5: 8, 6: 12, 7: 32, 8: 58}
-    for m in (4, 5, 6, 7, 8):
-        annotation = None
-        if m in (4, 8):
-            annotation = Annotation(
-                stated={"d": 2 ** (m - 2)},
-                note="the sum of all rows has weight below 2^(m-2) when m = 0 mod 4; enumeration decides",
-            )
-        cases.append(
-            _case(
-                f"thm3.3/m={m}",
-                ModuleSpec("D", m, "spin", 3),
-                2 ** (m - 1),
-                m,
-                spin_expect[m],
-                citation=f"ternary spin code of o({2 * m})",
-                annotation=annotation,
-            )
-        )
-
-    # Combined adjoint-plus-spin codes of o(2m): (m, mode, n, d, stated k);
-    # the computed rank is m, and a stated dimension other than m is recorded
-    for m, mode, n, d, stated_k in (
-        (8, "weight_code", 120, 57, 8),
-        (9, "weight_code", 400, 186, 8),
-        (5, "direct_sum", 36, 21, 5),
-        (6, "direct_sum", 62, 27, 6),
-        (11, "direct_sum", 1134, 549, 8),
-    ):
-        annotation = None
-        if stated_k != m:
-            annotation = Annotation(
-                stated={"k": stated_k},
-                note=f"stated dimension {stated_k} contradicts the computed rank (the construction has m = {m} rows)",
-            )
-        cases.append(
-            _case(
-                f"cor3.4/m={m}",
-                ModuleSpec("D", m, "adjoint_plus_spin", 3, mode=mode),
-                n,
-                m,
-                d,
-                orth=True,
-                citation=(
-                    f"ternary weight code of o({2 * m}) on adjoint plus spin"
-                    if mode == "weight_code"
-                    else f"ternary direct-sum code of o({2 * m}): square exterior plus spin"
-                ),
-                annotation=annotation,
-                optional=m == 11,
-            )
-        )
-
-    # Exceptional families.
-    exceptional = (
-        ("thm4.1", "F4", "minimal", 12, 4, 6),
-        ("thm4.2", "F4", "adjoint", 24, 4, 15),
-        ("thm5.1", "E6", "minimal", 27, 6, 12),
-        ("thm5.2", "E6", "adjoint", 36, 5, 21),
-        ("thm6.1", "E7", "minimal", 28, 7, 12),
-        ("thm6.2", "E7", "adjoint", 63, 7, 27),
-        ("thm6.3", "E8", "adjoint", 120, 8, 57),
-    )
-    for cid, fam, module, n, k, d in exceptional:
-        cases.append(
-            _case(
-                cid,
-                ModuleSpec(fam, EXCEPTIONAL_RANKS[fam], module, 3),
-                n,
-                k,
-                d,
-                orth=True,
-                citation=f"ternary weight code of {fam} on its {module} module",
-            )
-        )
-
+        spec = ModuleSpec("D", m, "adjoint_plus_spin", 3, mode=mode)
+        cases.append(TheoremCase(case_id, spec, n, m, d, True, None, citation, _ANNOTATIONS.get(case_id), m == 11))
+    for case_id, fam, module, n, k, d in _EXCEPTIONAL:
+        spec = ModuleSpec(fam, EXCEPTIONAL_RANKS[fam], module, 3)
+        citation = f"ternary weight code of {fam} on its {module} module"
+        cases.append(TheoremCase(case_id, spec, n, k, d, True, None, citation))
     return tuple(cases)
 
 

@@ -15,9 +15,11 @@ The weight of a template orbit has its first form here too: a sum of
 Fraction shares, and a spin orbit weighed by a double sum over how many
 ones and how many twos lie in the subset.  The published weight tables are
 recomputed here as the paper forms them: one coefficient vector times the
-built weight matrix.
+built weight matrix.  The JSON matrix payload is rendered here as it was
+first written, every entry through `json.dumps`.
 """
 
+import json
 from fractions import Fraction
 from itertools import product
 from math import comb, perm
@@ -310,3 +312,16 @@ def table_by_matrix(table_id):
     spec = ModuleSpec("A", 8, module, 3, basis="matrix_unit_E")
     pairs = ((1, 1), (2, 2), (3, 3), (4, 4), (3, 0), (6, 0), (4, 1), (5, 2))
     return [scale * _matrix_weight(spec, [1] * s + [-1] * t + [0] * (8 - s - t)) for s, t in pairs]
+
+
+def matrix_json_by_dumps(matrix, labels):
+    """The `matrix --format json` payload of a reduced matrix and its column
+    labels, every key and entry through `json.dumps`."""
+    payload = {
+        "p": matrix.p,
+        "rows": matrix.rows,
+        "cols": matrix.cols,
+        "entries": matrix.entries.tolist(),
+        "column_labels": list(labels),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

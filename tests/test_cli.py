@@ -7,11 +7,14 @@ import time
 
 import numpy as np
 import pytest
-from liecodes import cli, repweights
+from liecodes import cli, repweights, verify
 from liecodes.cli import _matrix_payload, _report_payload, _suite_payload, run
 from liecodes.fieldcodes import FpMatrix, analyze, parse_matrix_text, row_space_code
-from liecodes.repweights import ModuleSpec, exceptional_minimal_matrix
+from liecodes.repweights import ADJOINT_SPIN_MODES, ModuleSpec, exceptional_minimal_matrix
+from liecodes.rootsys import EXCEPTIONAL_RANKS
 from liecodes.verify import SuiteReport, registered_cases, run_case, run_suite, to_json
+
+from _oracles import matrix_json_by_dumps
 
 
 def invoke(capsys, *argv):
@@ -289,6 +292,12 @@ PAYLOAD_SHA256 = {
         "ba91e2a5c5a0fd70fb3849f6b3a16de7ba704b1d6a4f726048f6a06a6d99e68a",
     "verify --include-optional --stable --format text":
         "3cf9382e994125542cdce9a6dab38693379eadfb4fe86efd502f45d9f6cf0078",
+    "verify --stable --format csv":
+        "d79e6b39ce8a1b52c079a5021d8ceb3ca85370984f6859d09b2fcba6606fb2ff",
+    "verify --stable --format json":
+        "b0b1019a1b2109ac3d06fa2931be1be5e22bc50da189b59b00b33fd8dab62098",
+    "verify --stable --format text":
+        "7b66a080072a6cfed2dc6b7709a1921254888f8dcad0e1ea68e5d3172a58b834",
 }
 
 
@@ -412,6 +421,44 @@ def test_table_text_annotated_note(capsys):
     code, out, _ = invoke(capsys, "table", "3.5")
     assert code == 0
     assert "superseded" in out
+
+
+def test_table_mismatch_outranks_the_annotation(monkeypatch, capsys):
+    # off by one, the annotated t=6 entry of 3.5 leaves its recorded fix: it
+    # must read MISMATCH, not "superseded"
+    real = verify.orbit_weight
+    monkeypatch.setattr(verify, "orbit_weight", lambda *args: real(*args) + 1)
+    code, out, _ = invoke(capsys, "table", "3.5")
+    assert code == 1
+    last = out.splitlines()[-1]
+    assert last.split() == ["t=6", "21", "31", "MISMATCH"]
+    assert "superseded" not in out
+
+
+def _small_matrices():
+    # every module of every family at a small size, over each of its fields
+    for (family, module), (fields, *_) in repweights._MODULES.items():
+        rank = {"A": 6, "D": 5}.get(family, EXCEPTIONAL_RANKS.get(family))
+        for mode in ADJOINT_SPIN_MODES if module == "adjoint_plus_spin" else (None,):
+            for p in fields:
+                yield ModuleSpec(family, rank, module, p, mode=mode)
+
+
+@pytest.mark.parametrize(
+    "spec", list(_small_matrices()), ids=lambda s: "-".join(filter(None, (s.family, s.module, s.mode, f"F{s.p}")))
+)
+def test_matrix_json_matches_json_dumps(spec):
+    matrix = repweights.build_weight_matrix(spec).mod(spec.p)
+    labels = repweights.column_labels(spec)
+    assert _matrix_payload(matrix, spec, "json") == matrix_json_by_dumps(matrix, labels)
+
+
+def test_matrix_json_of_edge_shapes():
+    spec = ModuleSpec("A", 3, "ext2", 2, basis="matrix_unit_E")
+    for entries in (np.zeros((0, 3), dtype=np.int64), [[1, 0, 1]], [[1], [0], [1]]):
+        matrix = FpMatrix(2, np.asarray(entries, dtype=np.int64))
+        expected = matrix_json_by_dumps(matrix, repweights.column_labels(spec))
+        assert _matrix_payload(matrix, spec, "json") == expected
 
 
 def test_output_file(tmp_path, capsys):

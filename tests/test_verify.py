@@ -1,6 +1,7 @@
 """Tests for the claim registry, closed forms, tables and cross-checks."""
 
 import dataclasses
+import hashlib
 import json
 import re
 from math import comb
@@ -123,24 +124,57 @@ def test_work_budget_uses_computed_rank(monkeypatch):
     assert res.skipped and not res.passed and res.report is None
 
 
-# unregistered cases past the default caps, 10^8 to 10^18 codewords each,
-# with their closed-form parameters; only the orbit count reaches them.  The
-# binary cube codes are doubly even for n = 2, 3 (mod 4) only, so n = 40
-# carries no flag claim.
+# The sizes at which each family's claim is stated, by case id pattern:
+# every such size to n = 40 and m = 20, the spin codes to m = 18, the last
+# size under the 2^22-entry cap.  A lower bound without a stated condition
+# is the smallest registered size.
+ADMISSIBLE = {
+    "thm2.1/m={}": range(2, 21),  # sl(2m)
+    "thm2.2/n={}": [n for n in range(6, 41) if n % 4 in (2, 3)],  # n = 2, 3 (mod 4)
+    "thm2.3/ext2/n={}": range(5, 41, 3),  # sl(3m + 2)
+    "thm2.3/ext3/n={}": [n for n in range(5, 41) if n % 3 != 1],  # n = 0, 2 (mod 3)
+    "thm2.3/rowsE/n={}": range(5, 41),  # n >= 5
+    "thm2.4/L/n={}": range(4, 41),  # n >= 4
+    "thm2.4/K/m={}": range(2, 14),  # sl(3m), m >= 2
+    "thm3.1/m={}": range(4, 21, 3),  # o(2m), m = 1 (mod 3)
+    "thm3.2/m={}": range(3, 21),  # o(2m), m >= 3
+    "thm3.3/m={}": range(4, 19),  # o(2m), m >= 4
+}
+
+# Each family rule at every admissible size, up to 10^18 codewords; only the
+# orbit count reaches the largest.  The binary cube codes are
+# doubly even for n = 2, 3 (mod 4) only, so n = 40 carries no flag claim.
 EXTENDED_RANGE = (
     TheoremCase("thm2.2/n=40", ModuleSpec("A", 40, "ext3", 2), comb(40, 3), 39, 38 * 37, None, None, "binary ext3"),
-    TheoremCase("thm2.3/ext3/n=29", ModuleSpec("A", 29, "ext3", 3), comb(29, 3), 28, 28 * 27 // 2, True, None, "ext3"),
-    TheoremCase("thm2.3/ext3/n=30", ModuleSpec("A", 30, "ext3", 3), comb(30, 3), 28, 28 * 27, True, None, "ext3"),
-    TheoremCase("thm2.3/ext2/n=38", ModuleSpec("A", 38, "ext2", 3), comb(38, 2), 37, 2 * 36, True, None, "ext2"),
-    TheoremCase("thm3.1/m=19", ModuleSpec("D", 19, "ext2", 3), 19 * 18, 19, 2 * 18, True, None, "o(38) ext2"),
-    TheoremCase("thm3.2/m=17", ModuleSpec("D", 17, "ext3", 3), 17 * 16 * 33 // 3, 17, 16 * 31, False, None, "o(34) ext3"),
+    *(TheoremCase(pattern.format(r), *rule(r)) for pattern, _, rule in verify._FAMILIES for r in ADMISSIBLE[pattern]),
 )
+
+
+def test_registered_sizes_are_admissible():
+    assert list(ADMISSIBLE) == [pattern for pattern, _, _ in verify._FAMILIES]
+    for pattern, sizes, _ in verify._FAMILIES:
+        assert set(sizes) <= set(ADMISSIBLE[pattern]), pattern
 
 
 @pytest.mark.parametrize("case", EXTENDED_RANGE, ids=lambda c: c.case_id)
 def test_extended_range_cases_pass(case):
     res = run_case(case, VerifyLimits(max_n=40, max_m=20))
     assert res.passed and not res.skipped, res.mismatches
+
+
+# SHA-256 of repr(registered_cases()) as recorded before the registry was
+# generated from the family rules
+REGISTRY_SHA256 = "7bfe9a7b036a17df57b62d63be25985068b7c8e6248c1ab34f802d01be9f1f1b"
+
+
+def test_registry_is_pinned():
+    assert hashlib.sha256(repr(registered_cases()).encode()).hexdigest() == REGISTRY_SHA256
+
+
+def test_every_annotation_names_a_registered_case():
+    # a mistyped key would silently drop a documented discrepancy
+    annotated = {c.case_id for c in registered_cases() if c.annotation is not None}
+    assert annotated == set(verify._ANNOTATIONS) == ANNOTATED_CASE_IDS
 
 
 def test_run_suite_filter_and_determinism():
