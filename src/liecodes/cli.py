@@ -23,6 +23,7 @@ from .rootsys import EXCEPTIONAL_RANKS
 from .verify import (
     SuiteReport,
     TableRow,
+    _json_with_distributions,
     module_code,
     reproduce_table,
     run_suite,
@@ -119,6 +120,15 @@ def _json_entries(matrix: FpMatrix) -> str:
     return "[\n" + str(body.reshape(-1)[:-2], "ascii") + "\n  ]"
 
 
+def _csv_entries(matrix: FpMatrix) -> str:
+    """The entries as `csv.writer` writes them, from one byte buffer: each
+    entry is one digit, so a row is 'd,d,...,d' and a newline."""
+    body = np.full((matrix.rows, 2 * matrix.cols), ord(","), dtype=np.uint8)
+    np.add(matrix.entries, ord("0"), out=body[:, ::2], casting="unsafe")
+    body[:, -1] = ord("\n")
+    return str(body, "ascii")
+
+
 def _matrix_payload(matrix: FpMatrix, spec: ModuleSpec, fmt: str) -> str:
     """The matrix of `spec` in a payload format; only json and csv name the
     columns, so only they form the labels."""
@@ -135,7 +145,7 @@ def _matrix_payload(matrix: FpMatrix, spec: ModuleSpec, fmt: str) -> str:
         }
         head, _, tail = json.dumps(payload, indent=2, sort_keys=True).partition('"entries": null')
         return f'{head}"entries": {_json_entries(matrix)}{tail}\n'
-    return _csv_text(list(labels), matrix.entries.tolist())
+    return _csv_text(list(labels), []) + _csv_entries(matrix)
 
 
 def _report_text(report: CodeReport) -> str:
@@ -161,7 +171,8 @@ def _report_payload(report: CodeReport, fmt: str) -> str:
     if fmt == "text":
         return _report_text(report)
     if fmt == "json":
-        return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        payload = {**report.to_dict(), "weight_distribution": 0}  # the index of its list
+        return _json_with_distributions(payload, [report.weight_distribution])
     d = report.to_dict()
     dist = d.pop("weight_distribution")
     d["weight_distribution"] = " ".join(f"{w}:{c}" for w, c in enumerate(dist) if c)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import re
 import time
 from dataclasses import dataclass, replace
 from math import comb
@@ -239,7 +240,8 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     permutes the template columns up to sign, so the weight of c . X depends
     only on how many coefficients of c are 0, 1 and 2: the distribution is a
     sum over those O(r^2) compositions, each counted with its multinomial
-    orbit size.  No weight matrix is built.  Each orbit costs a few integer
+    orbit size.  Over F3 a composition and its mirror, the orbit of -c, are
+    weighed once.  No weight matrix is built.  Each orbit costs a few integer
     products per template and O(r) work per spin template, so a code takes
     O(r^2) orbits and O(r^3) work with spin columns.
     """
@@ -253,9 +255,13 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     n = template_columns(r, templates)
     counts = [0] * (n + 1)
     for n1 in range(r + 1):
-        for n2 in range(r - n1 + 1 if p == 3 else 1):
+        # over F3, c and -c = 2c (n1 and n2 swapped) have one weight, the same
+        # orbit size and both or neither c_1 + ... + c_r = 0: a pair is
+        # weighed once, from the composition with n2 < n1, and counted twice
+        for n2 in range(min(n1, r - n1) + 1 if p == 3 else 1):
             if not sum_zero or (n1 + 2 * n2) % p == 0:
-                counts[orbit_weight(templates, p, (r - n1 - n2, n1, n2))] += comb(r, n1) * comb(r - n1, n2)
+                size = comb(r, n1) * comb(r - n1, n2)
+                counts[orbit_weight(templates, p, (r - n1 - n2, n1, n2))] += 2 * size if p == 3 and n2 < n1 else size
     # every codeword is the image of p^(dim - k) coefficient vectors, as many
     # as give the zero word
     dim = r - 1 if sum_zero else r
@@ -347,17 +353,42 @@ def run_suite(filter: str | None = None, include_optional: bool = False) -> Suit
     return SuiteReport(tuple(results), totals, tuple(discrepancies))
 
 
+# a "weight_distribution" key whose value is an integer placeholder; a JSON
+# string escapes its quotes and newlines, so no string value can hold this
+# text, and the payloads have the key only where a distribution goes
+_DISTRIBUTION = re.compile(r'\n( *)"weight_distribution": (\d+)')
+
+
+def _json_with_distributions(payload, distributions: list) -> str:
+    """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, where
+    each "weight_distribution" of the payload is the index of its list in
+    `distributions`.  Each list is spliced in as one join: with an indent,
+    json encodes every entry in Python."""
+
+    def splice(match: re.Match) -> str:
+        indent = match[1]
+        entries = f",\n{indent}  ".join(map(str, distributions[int(match[2])]))
+        return f'\n{indent}"weight_distribution": [\n{indent}  {entries}\n{indent}]'
+
+    return _DISTRIBUTION.sub(splice, json.dumps(payload, indent=2, sort_keys=True)) + "\n"
+
+
 def to_json(report: SuiteReport, stable: bool = False) -> str:
     """Deterministic JSON rendering of a suite report; `stable` zeroes the
     timing field."""
     out_cases = []
+    distributions = []
     for res in report.results:
         case = res.case
+        computed = None
+        if res.report:
+            computed = {**res.report.to_dict(), "weight_distribution": len(distributions)}
+            distributions.append(res.report.weight_distribution)
         entry = {
             "case_id": res.case_id,
             "citation": case.citation,
             "expected": case.expected_dict(),
-            "computed": res.report.to_dict() if res.report else None,
+            "computed": computed,
             "pass": res.passed,
             "skipped": res.skipped,
             "millis": 0.0 if stable else round(res.millis, 3),
@@ -366,7 +397,7 @@ def to_json(report: SuiteReport, stable: bool = False) -> str:
             entry["annotation"] = {"stated": case.annotation.stated, "note": case.annotation.note}
         out_cases.append(entry)
     payload = {"cases": out_cases, "totals": report.totals, "discrepancies": list(report.discrepancies)}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_with_distributions(payload, distributions)
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,18 @@ The weight of a template orbit has its first form here too: a sum of
 Fraction shares, and a spin orbit weighed by a double sum over how many
 ones and how many twos lie in the subset.  The published weight tables are
 recomputed here as the paper forms them: one coefficient vector times the
-built weight matrix.  The JSON matrix payload is rendered here as it was
-first written, every entry through `json.dumps`.
+built weight matrix.  The JSON matrix payload and the suite JSON are
+rendered here as they were first written, every entry through `json.dumps`,
+and the CSV matrix payload one row at a time through `csv.writer`.  The
+template count of a code's weight distribution is here as first written,
+without pairing the orbits of c and -c over F3.  A long payload that differs
+from its oracle is reported by its first differing line, not by a full diff.
 """
 
+import csv
+import io
 import json
+import os
 from fractions import Fraction
 from itertools import product
 from math import comb, perm
@@ -27,7 +34,15 @@ from math import comb, perm
 import numpy as np
 
 from liecodes.fieldcodes import FpMatrix, LinearCode, combination_weight, row_space_code
-from liecodes.repweights import ModuleSpec, _placements, build_weight_matrix, to_cartan_h
+from liecodes.repweights import (
+    ModuleSpec,
+    _placements,
+    build_weight_matrix,
+    module_templates,
+    orbit_weight,
+    template_columns,
+    to_cartan_h,
+)
 from liecodes.rootsys import cartan_matrix, reflect_coroot_coeffs
 
 
@@ -213,6 +228,20 @@ def orbit_weight_by_pairs(templates, p, counts):
     return int(total)
 
 
+def weight_distribution_unpaired(spec):
+    """The weight distribution of an sl(n) or o(2m) code from its templates,
+    every composition (n0, n1, n2) of the rank weighed on its own."""
+    templates = module_templates(spec)
+    p, r = spec.p, spec.rank
+    sum_zero = spec.family == "A" and spec.basis != "matrix_unit_E"
+    counts = [0] * (template_columns(r, templates) + 1)
+    for n1 in range(r + 1):
+        for n2 in range(r - n1 + 1 if p == 3 else 1):
+            if not sum_zero or (n1 + 2 * n2) % p == 0:
+                counts[orbit_weight(templates, p, (r - n1 - n2, n1, n2))] += comb(r, n1) * comb(r - n1, n2)
+    return tuple(count // counts[0] for count in counts)
+
+
 def pairing_vector(cm, root_coeffs):
     """Eigenvalue tuple of a root on the Cartan generators h_1..h_n: entry i
     pairs the coefficients with column i of the Cartan matrix."""
@@ -325,3 +354,49 @@ def matrix_json_by_dumps(matrix, labels):
         "column_labels": list(labels),
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def matrix_csv_by_writer(matrix, labels):
+    """The `matrix --format csv` payload: the labels, then every row of
+    entries, through `csv.writer`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(labels)
+    writer.writerows(matrix.entries.tolist())
+    return buf.getvalue()
+
+
+def suite_json_by_dumps(report, stable=False):
+    """The suite JSON of `verify.to_json`, the whole payload through
+    `json.dumps`; `stable` zeroes the timing field."""
+    out_cases = []
+    for res in report.results:
+        case = res.case
+        entry = {
+            "case_id": res.case_id,
+            "citation": case.citation,
+            "expected": case.expected_dict(),
+            "computed": res.report.to_dict() if res.report else None,
+            "pass": res.passed,
+            "skipped": res.skipped,
+            "millis": 0.0 if stable else round(res.millis, 3),
+        }
+        if case.annotation is not None:
+            entry["annotation"] = {"stated": case.annotation.stated, "note": case.annotation.note}
+        out_cases.append(entry)
+    payload = {"cases": out_cases, "totals": report.totals, "discrepancies": list(report.discrepancies)}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def report_json_by_dumps(report):
+    """The `report --format json` payload, through `json.dumps`."""
+    return json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def assert_same_text(got, want):
+    """Fail with the place where two texts part; pytest's own diff of two
+    payloads of thousands of lines takes minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        start = max(at - 40, 0)
+        raise AssertionError(f"texts part at offset {at}: got {got[start:at + 40]!r}, want {want[start:at + 40]!r}")

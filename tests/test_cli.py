@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from liecodes import cli, repweights, verify
 from liecodes.cli import _matrix_payload, _report_payload, _suite_payload, run
-from liecodes.fieldcodes import FpMatrix, analyze, parse_matrix_text, row_space_code
+from liecodes.fieldcodes import FpMatrix, analyze, distribution_report, parse_matrix_text, row_space_code
 from liecodes.repweights import ADJOINT_SPIN_MODES, ModuleSpec, exceptional_minimal_matrix
 from liecodes.rootsys import EXCEPTIONAL_RANKS
-from liecodes.verify import SuiteReport, registered_cases, run_case, run_suite, to_json
+from liecodes.verify import SuiteReport, module_code, registered_cases, run_case, run_suite, to_json
 
-from _oracles import matrix_json_by_dumps
+from _oracles import assert_same_text, matrix_csv_by_writer, matrix_json_by_dumps, report_json_by_dumps
 
 
 def invoke(capsys, *argv):
@@ -459,6 +459,38 @@ def test_matrix_json_of_edge_shapes():
         matrix = FpMatrix(2, np.asarray(entries, dtype=np.int64))
         expected = matrix_json_by_dumps(matrix, repweights.column_labels(spec))
         assert _matrix_payload(matrix, spec, "json") == expected
+
+
+@pytest.mark.parametrize(
+    "spec", list(_small_matrices()), ids=lambda s: "-".join(filter(None, (s.family, s.module, s.mode, f"F{s.p}")))
+)
+def test_matrix_csv_matches_csv_writer(spec):
+    matrix = repweights.build_weight_matrix(spec).mod(spec.p)
+    labels = repweights.column_labels(spec)
+    assert_same_text(_matrix_payload(matrix, spec, "csv"), matrix_csv_by_writer(matrix, labels))
+
+
+def test_matrix_csv_of_edge_shapes():
+    spec = ModuleSpec("A", 3, "ext2", 2, basis="matrix_unit_E")
+    for entries in (np.zeros((0, 3), dtype=np.int64), [[1, 0, 1]], [[1], [0], [1]]):
+        matrix = FpMatrix(2, np.asarray(entries, dtype=np.int64))
+        expected = matrix_csv_by_writer(matrix, repweights.column_labels(spec))
+        assert _matrix_payload(matrix, spec, "csv") == expected
+
+
+@pytest.mark.parametrize(
+    "report",
+    [
+        distribution_report(3, 0, 0, [1], True),  # the code of length 0: a one-entry distribution
+        analyze(row_space_code(FpMatrix(3, np.zeros((1, 4), dtype=np.int64)))),
+        module_code(ModuleSpec("A", 8, "ext3", 2)),
+        analyze(module_code(ModuleSpec("E8", 8, "adjoint", 3))),
+        module_code(ModuleSpec("D", 18, "spin", 3)),  # 131073 entries
+    ],
+    ids=["length-0", "zero-code", "sl8-ext3-F2", "E8-adjoint", "o36-spin"],
+)
+def test_report_json_matches_json_dumps(report):
+    assert_same_text(_report_payload(report, "json"), report_json_by_dumps(report))
 
 
 def test_output_file(tmp_path, capsys):

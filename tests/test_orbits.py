@@ -168,6 +168,28 @@ def test_template_weight_matches_the_fraction_and_pair_sums():
     assert len(checked) == 11
 
 
+def test_ternary_template_weight_is_mirror_symmetric():
+    # c and -c have one weight over F3, and -c swaps the counts of ones and
+    # twos: every ternary template table at every rank to 20 gives
+    # (n0, n1, n2) and (n0, n2, n1) one weight, which `module_code` relies on
+    checked = set()
+    for (family, module), (fields, args, _, templates, _) in repweights._MODULES.items():
+        if templates is None or 3 not in fields:
+            continue
+        modes = ADJOINT_SPIN_MODES if module == "adjoint_plus_spin" else (None,)
+        for mode, rank in itertools.product(modes, range(21)):
+            try:
+                tmpl = templates(*args(ModuleSpec(family, rank, module, 3, mode=mode)))
+            except ValueError:
+                continue  # below the module's smallest rank
+            for n1 in range(rank + 1):
+                for n2 in range(min(n1, rank - n1 + 1)):
+                    n0 = rank - n1 - n2
+                    assert orbit_weight(tmpl, 3, (n0, n1, n2)) == orbit_weight(tmpl, 3, (n0, n2, n1)), (module, mode)
+            checked.add((family, module, mode))
+    assert len(checked) == 9  # every A and D module, each mode of adjoint_plus_spin
+
+
 def test_template_weight_must_be_a_whole_count():
     # one position of coefficient 1 hits one column; at share 1/2 that is half a column
     with pytest.raises(ValueError, match="counts 1 x 1/2 columns, not a whole number"):

@@ -20,9 +20,12 @@ from liecodes.repweights import (
 )
 from liecodes.verify import (
     TABLE_IDS,
+    Annotation,
     TheoremCase,
+    SuiteReport,
     VerifyLimits,
     branch_equivalences,
+    module_code,
     registered_cases,
     reproduce_table,
     run_case,
@@ -31,7 +34,14 @@ from liecodes.verify import (
     weyl_invariance_violations,
 )
 
-from _oracles import closed_form_weight, table_by_matrix, weyl_violations_by_loop
+from _oracles import (
+    assert_same_text,
+    closed_form_weight,
+    suite_json_by_dumps,
+    table_by_matrix,
+    weight_distribution_unpaired,
+    weyl_violations_by_loop,
+)
 
 ANNOTATED_CASE_IDS = {
     "thm2.3/ext3/n=6",
@@ -162,6 +172,16 @@ def test_extended_range_cases_pass(case):
     assert res.passed and not res.skipped, res.mismatches
 
 
+@pytest.mark.parametrize("pattern", list(ADMISSIBLE))
+def test_module_code_equals_the_unpaired_count(pattern):
+    # over F3 the orbits of c and -c are weighed once; weighed one by one,
+    # every composition gives the same distribution
+    rule = next(rule for pat, _, rule in verify._FAMILIES if pat == pattern)
+    for r in ADMISSIBLE[pattern]:
+        spec = rule(r)[0]
+        assert module_code(spec).weight_distribution == weight_distribution_unpaired(spec), pattern.format(r)
+
+
 # SHA-256 of repr(registered_cases()) as recorded before the registry was
 # generated from the family rules
 REGISTRY_SHA256 = "7bfe9a7b036a17df57b62d63be25985068b7c8e6248c1ab34f802d01be9f1f1b"
@@ -218,6 +238,42 @@ def test_suite_json_schema():
         assert {"case_id", "citation", "expected", "computed", "pass", "skipped", "millis"} <= set(entry)
         assert entry["millis"] == 0.0
         assert {"n", "k", "d", "flags"} == set(entry["expected"])
+
+
+def _suite_of(monkeypatch, *cases):
+    monkeypatch.setattr(verify, "registered_cases", lambda: cases)
+    return run_suite()
+
+
+def _suite_with_a_skipped_case(monkeypatch):
+    suite = run_suite(filter="thm2.1")
+    skipped = run_case(case_by_id("thm2.1/m=2"), VerifyLimits(max_n=3))  # sl(4) is past max_n
+    assert skipped.skipped
+    totals = {**suite.totals, "cases": suite.totals["cases"] + 1, "skipped": 1}
+    return SuiteReport((suite.results[0], skipped, *suite.results[1:]), totals, suite.discrepancies)
+
+
+# a note holding the text of the spliced key, which JSON writes with its quotes escaped
+TRAP_NOTE = 'a stated "weight_distribution": 7 in the note'
+
+SUITES = {
+    "full": lambda _: run_suite(include_optional=True),
+    "filtered": lambda _: run_suite(filter="thm3.*"),
+    "failing": lambda mp: _suite_of(
+        mp, case_by_id("thm2.1/m=2"), dataclasses.replace(case_by_id("thm4.1"), expected_d=7), case_by_id("thm4.2")
+    ),
+    "skipped": _suite_with_a_skipped_case,
+    "note": lambda mp: _suite_of(
+        mp, dataclasses.replace(case_by_id("thm3.3/m=5"), annotation=Annotation({"d": 7}, TRAP_NOTE))
+    ),
+}
+
+
+@pytest.mark.parametrize("stable", [True, False], ids=["stable", "timed"])
+@pytest.mark.parametrize("name", SUITES)
+def test_to_json_equals_json_dumps(monkeypatch, name, stable):
+    report = SUITES[name](monkeypatch)
+    assert_same_text(to_json(report, stable), suite_json_by_dumps(report, stable))
 
 
 def test_annotations_record_stated_and_computed():
