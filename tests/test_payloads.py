@@ -1,0 +1,111 @@
+"""The payloads of the command line, checked in fresh processes: each
+command exits 0, writes the same bytes under two hash seeds, and writes
+canonical JSON where its format is json.
+
+All commands run through `cli.run` in one child process per seed, since a
+payload that iterates a set or a dict of strings could only show its
+dependence on the seed across processes."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import liecodes
+import pytest
+from liecodes.verify import TABLE_IDS
+
+from test_cli import PAYLOAD_SHA256
+
+HASH_SEEDS = ("0", "12345")
+FORMATS = ("text", "json", "csv")
+
+MATRIX_MODULES = (
+    "--family D --m 12 --module adjoint_plus_spin --mode direct_sum --field 3",
+    "--family A --n 20 --module ext3 --field 2",
+    "--family E8 --module adjoint --field 3",
+    "--family D --m 8 --module ext3 --field 3",
+    "--family A --n 8 --module ext4 --field 3",
+    "--family D --m 8 --module adjoint_plus_spin --mode weight_code --field 3",
+)
+REPORT_MODULES = (
+    *(
+        f"--family {family} --module {module} --field 3"
+        for family in ("F4", "E6", "E7")
+        for module in ("minimal", "adjoint")
+    ),
+    "--family E8 --module adjoint --field 3",
+    "--family D --m 12 --module spin --field 3",
+    "--family D --m 9 --module adjoint_plus_spin --mode weight_code --field 3",
+    "--family D --m 12 --module adjoint_plus_spin --mode direct_sum --field 3",
+    "--family D --m 8 --module ext3 --field 3",
+)
+
+COMMANDS = list(
+    dict.fromkeys(
+        [
+            *(
+                f"{verify} --stable --format {fmt}"
+                for verify in ("verify --include-optional", "verify")
+                for fmt in FORMATS
+            ),
+            *(f"table {tid} --format {fmt}" for tid in TABLE_IDS for fmt in FORMATS),
+            *(f"matrix {module} --format json" for module in MATRIX_MODULES),
+            *(f"report {module} --format json" for module in REPORT_MODULES),
+            *PAYLOAD_SHA256,
+        ]
+    )
+)
+
+CHILD = """
+import contextlib, io, json, sys
+from liecodes.cli import run
+results = []
+for command in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(command.split())
+    results.append((code, out.getvalue(), err.getvalue()))
+json.dump(results, sys.stdout)
+"""
+
+
+def run_in_child(hash_seed):
+    # the package is named on the path, so an uninstalled checkout works too
+    path = [str(Path(liecodes.__file__).resolve().parents[1])]
+    if os.environ.get("PYTHONPATH"):
+        path.append(os.environ["PYTHONPATH"])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(path)}
+    child = subprocess.run(
+        [sys.executable, "-c", CHILD], input=json.dumps(COMMANDS), capture_output=True, text=True, env=env
+    )
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+@pytest.fixture(scope="module")
+def payloads():
+    return {seed: run_in_child(seed) for seed in HASH_SEEDS}
+
+
+def test_every_command_exits_zero(payloads):
+    failed = [(command, code, err) for command, (code, _, err) in zip(COMMANDS, payloads["0"]) if code]
+    assert failed == []
+
+
+def test_payloads_do_not_depend_on_the_hash_seed(payloads):
+    # name the commands, not the payloads: a diff of a suite payload takes minutes
+    first, second = payloads.values()
+    assert [command for command, a, b in zip(COMMANDS, first, second) if a != b] == []
+
+
+def test_json_payloads_are_canonical(payloads):
+    # the weight distributions and matrix entries are spliced into the JSON;
+    # the text must still be what json.dumps writes for the data it holds
+    noncanonical = [
+        command
+        for command, (_, out, _) in zip(COMMANDS, payloads["0"])
+        if command.endswith("json") and out != json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    ]
+    assert noncanonical == []

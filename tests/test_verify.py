@@ -286,6 +286,8 @@ def test_annotations_record_stated_and_computed():
 @pytest.mark.parametrize(
     "case_id, field, wrong, mismatch",
     [
+        ("thm2.1/m=2", "expected_n", 7, "n: expected 7, computed 6"),
+        ("thm6.1", "expected_k", 6, "k: expected 6, computed 7"),
         ("thm4.1", "expected_d", 7, "d: expected 7, computed 6"),
         ("thm2.1/m=2", "doubly_even", False, "doubly_even: expected False, computed True"),
         ("thm3.2/m=5", "self_orthogonal", True, "self_orthogonal: expected True, computed False"),
@@ -296,6 +298,15 @@ def test_run_case_reports_mismatches(case_id, field, wrong, mismatch):
     result = run_case(dataclasses.replace(case_by_id(case_id), **{field: wrong}))
     assert not result.passed and not result.skipped
     assert result.mismatches == (mismatch,)
+
+
+def test_verify_exits_one_on_a_failing_case(monkeypatch, capsys):
+    wrong = dataclasses.replace(case_by_id("thm4.1"), expected_d=7)
+    monkeypatch.setattr(verify, "registered_cases", lambda: (case_by_id("thm2.1/m=2"), wrong))
+    assert cli.run(["verify"]) == 1
+    assert "FAIL  thm4.1 " in capsys.readouterr().out
+    assert cli.run(["verify", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["totals"] == {"cases": 2, "passed": 1, "failed": 1, "skipped": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +386,31 @@ def test_branch_equivalences_identical():
     for check in branch_equivalences():
         assert check.identical, check.check_id
         assert check.left.weight_distribution == check.right.weight_distribution
+
+
+def test_branch_gate_fires(monkeypatch):
+    # one codeword of sl(8) ext2 moved up one weight: n, k and d hold, so
+    # only the distributions can tell that pair apart
+    real = verify.module_code
+    shifted_spec = ModuleSpec("A", 8, "ext2", 3)
+
+    def shifted(spec):
+        report = real(spec)
+        if spec != shifted_spec:
+            return report
+        dist = list(report.weight_distribution)
+        dist[report.d] -= 1
+        dist[report.d + 1] += 1
+        return dataclasses.replace(report, weight_distribution=tuple(dist))
+
+    monkeypatch.setattr(verify, "module_code", shifted)
+    checks = {c.check_id: c for c in branch_equivalences()}
+    assert {check_id: c.identical for check_id, c in checks.items()} == {
+        "E6-adjoint=o(10)-direct-sum": True,
+        "E8-adjoint=o(16)-combined": True,
+        "E7-minimal=sl(8)-pairs": False,
+    }
+    assert checks["E7-minimal=sl(8)-pairs"].right.params() == (28, 7, 12)
 
 
 def test_weyl_invariance_spot_checks():
