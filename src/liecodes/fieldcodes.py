@@ -12,6 +12,7 @@ weights are counted with a population count and a histogram.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -386,15 +387,17 @@ def analyze(c: LinearCode) -> CodeReport:
 
 def distribution_report(p: int, n: int, k: int, dist: Sequence[int], self_orthogonal: bool) -> CodeReport:
     """The report of a code of length n and dimension k with weight
-    distribution `dist`; d, self_dual, even and doubly_even are read off it."""
+    distribution `dist`; d, self_dual, even and doubly_even are read off it.
+    The nonzero weights that occur are found at C speed, so the Python work
+    is per weight that occurs, at most one per orbit of a counted code."""
     dist = tuple(dist)
     if len(dist) != n + 1 or sum(dist) != p**k:
         raise ValueError(f"not a weight distribution of a code of length {n} and dimension {k}")
-    d = next((w for w in range(1, n + 1) if dist[w]), None)
+    support = tuple(itertools.compress(range(1, n + 1), dist[1:]))
+    d = support[0] if support else None
     self_dual = self_orthogonal and 2 * k == n
     even = doubly_even = None
     if p == 2:
-        support = [w for w in range(1, n + 1) if dist[w]]
         even = all(w % 2 == 0 for w in support)
         doubly_even = all(w % 4 == 0 for w in support)
     return CodeReport(p, n, k, d, dist, self_orthogonal, self_dual, even, doubly_even)

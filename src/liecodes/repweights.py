@@ -93,12 +93,29 @@ _MAX_ENTRIES = 1 << 22
 # subset S with |S| = r (mod 2), 1 (-1/2) on the others.
 
 
+def _columns(coeffs, hits: int, share: Fraction) -> int:
+    """The columns a template with `hits` hits counts: each column is hit
+    1/share times, its equal coefficients in every order or both columns of
+    a +- pair.  A count that is not whole raises ValueError."""
+    whole, rest = divmod(hits * share.numerator, share.denominator)
+    if rest:
+        raise ValueError(f"template {coeffs} counts {hits} x {share} columns, not a whole number")
+    return whole
+
+
 def _column_terms(rank: int, templates: tuple) -> tuple[int, Fraction]:
     """(a, b): the templates give a + b 2^(rank - 1) columns on `rank`
-    coordinate rows, b 2^(rank - 1) of them from the spin templates."""
-    a = sum(share * perm(rank, len(c)) for c, share in templates if c is not None)
-    b = sum(share for c, share in templates if c is None)
-    return int(a), b
+    coordinate rows, b 2^(rank - 1) of them from the spin templates; a is
+    counted template by template in integers.  A template whose count is not
+    whole raises ValueError."""
+    a = sum(_columns(c, perm(rank, len(c)), share) for c, share in templates if c is not None)
+    spin = [share for c, share in templates if c is None]
+    # share x 2^(rank - 1) is whole when the share's denominator is a power
+    # of two no larger than 2^(rank - 1), which is checked without forming it
+    for share in spin:
+        if share.denominator & (share.denominator - 1) or share.denominator.bit_length() > rank:
+            raise ValueError(f"template None counts 2^{rank - 1} x {share} columns, not a whole number")
+    return a, sum(spin)
 
 
 def _count(a: int, b: Fraction, e: int) -> int:
@@ -125,30 +142,27 @@ def orbit_weight(templates: tuple, p: int, counts: tuple[int, int, int]) -> int:
     """Weight over F_p of the word c . X, where counts[v] coefficients of c
     are v; any permutation of c gives the same weight.  The count is in
     exact integers: a template whose hits times its share is not whole
-    raises ValueError."""
+    raises ValueError.  A spin template costs O(1) with a zero coefficient
+    and O(r) without."""
     n0, n1, n2 = counts
     total = 0
     for coeffs, share in templates:
         if coeffs is None:
-            # with j = |S & ones| + |twos - S| the entry is n1 + n2 + j (mod
-            # 3), and C(n1 + n2, j) subsets of the nonzero rows have that j;
-            # the zeros in S fix the parity of |S| in 2^(n0 - 1) ways, and
-            # with no zeros |S| = j + n2 (mod 2) must be that of n1 + n2
-            nonzero = n1 + n2
-            hits = sum(
-                comb(nonzero, j)
-                for j in range(nonzero + 1)
-                if (nonzero + j) % 3 and (n0 or (nonzero - j + n2) % 2 == 0)
-            ) << max(n0 - 1, 0)
+            # with j = |S & ones| + |twos - S| the entry is u + j (mod 3), u =
+            # n1 + n2, and C(u, j) subsets of the nonzero rows have that j.
+            # The zeros in S fix the parity of |S| in 2^(n0 - 1) ways, and by
+            # the cube roots of unity the C(u, j) with j != -u (mod 3) sum to
+            # 2 (2^u - (-1)^u) / 3; with no zeros |S| = j + n2 (mod 2) must
+            # be that of u, so j = n1 (mod 2), and the sum is taken term by term
+            u = n1 + n2
+            if n0:
+                hits = ((1 << u) - (-1) ** u) // 3 << n0
+            else:
+                hits = sum(comb(u, j) for j in range(n1 % 2, u + 1, 2) if (u + j) % 3)
         else:
             # k_v positions on rows of coefficient v go there in perm(n_v, k_v) ways
             hits = sum(w * perm(n0, k0) * perm(n1, k1) * perm(n2, k2) for w, k0, k1, k2 in _placements(coeffs, p))
-        # a template counts each column 1/share times: its equal coefficients
-        # in every order, or both columns of a +- pair
-        whole, rest = divmod(hits * share.numerator, share.denominator)
-        if rest:
-            raise ValueError(f"template {coeffs} counts {hits} x {share} columns, not a whole number")
-        total += whole
+        total += _columns(coeffs, hits, share)
     return total
 
 
@@ -314,10 +328,22 @@ def _spin_rows(m: int, masks: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _member_texts(first: int, last: int) -> list[str]:
+    """The members of every subset of {first..last - 1}, each followed by a
+    comma, indexed by the subset's mask with bit 0 for `first`."""
+    texts = [""]
+    for i in range(first, last):
+        texts += [f"{text}{i}," for text in texts]
+    return texts
+
+
 def _spin_labels(m: int, masks: np.ndarray) -> tuple[str, ...]:
-    names = [str(i) for i in range(1, m + 1)]
-    members = (_spin_rows(m, masks) == 2).T.tolist()
-    return tuple(_subset_label(itertools.compress(names, s)) for s in members)
+    # the members of S in {1..half} and in {half+1..m}, read off two tables
+    # of 2^(m/2) texts each, less the last comma
+    half = m // 2
+    low, high = _member_texts(1, half + 1), _member_texts(half + 1, m + 1)
+    low_bits = (1 << half) - 1
+    return tuple(["{" + (low[s & low_bits] + high[s >> half])[:-1] + "}" for s in masks.tolist()])
 
 
 def d_spin_matrix(m: int) -> WeightMatrix:

@@ -19,6 +19,7 @@ import fnmatch
 import json
 import re
 import time
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from math import comb
 
@@ -241,9 +242,12 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     only on how many coefficients of c are 0, 1 and 2: the distribution is a
     sum over those O(r^2) compositions, each counted with its multinomial
     orbit size.  Over F3 a composition and its mirror, the orbit of -c, are
-    weighed once.  No weight matrix is built.  Each orbit costs a few integer
-    products per template and O(r) work per spin template, so a code takes
-    O(r^2) orbits and O(r^3) work with spin columns.
+    weighed once.  No weight matrix is built, and no Python step is taken
+    per coordinate: each orbit costs a few integer products per template and
+    a spin template one closed form (a sum over j only for the r + 1 orbits
+    with no coefficient 0), and the counts are kept by weight, so the kernel
+    division, the orthogonality test and `distribution_report` see only the
+    weights that occur.  The dense distribution is allocated once, at the end.
     """
     templates = module_templates(spec)
     if templates is None:
@@ -252,8 +256,7 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     # the Cartan-basis sl(n) code (the basis `build_weight_matrix` gives) is
     # spanned by the X_i - X_(i+1): its words are the c . X with c_1 + ... + c_r = 0
     sum_zero = spec.family == "A" and spec.basis != "matrix_unit_E"
-    n = template_columns(r, templates)
-    counts = [0] * (n + 1)
+    counts = defaultdict(int)  # orbit sizes by weight
     for n1 in range(r + 1):
         # over F3, c and -c = 2c (n1 and n2 swapped) have one weight, the same
         # orbit size and both or neither c_1 + ... + c_r = 0: a pair is
@@ -265,17 +268,21 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     # every codeword is the image of p^(dim - k) coefficient vectors, as many
     # as give the zero word
     dim = r - 1 if sum_zero else r
-    k = dim - next(e for e in range(dim + 1) if p**e == counts[0])
-    dist = [count // counts[0] for count in counts]
+    kernel = counts[0]
+    k = dim - next(e for e in range(dim + 1) if p**e == kernel)
     if p == 3:
         # c . c = wt(c) over F3, and polarization gives every product
-        orthogonal = all(w % 3 == 0 for w, a in enumerate(dist) if a)
+        orthogonal = all(w % 3 == 0 for w in counts)
     else:
         # X_i . X_i = w1 and X_i . X_j = (2 w1 - w2) / 2 (mod 2), w1 = wt(X_i)
         # and w2 = wt(X_i + X_j); so the differences X_i + X_(i+1) have even
         # weight w2 and products w2 / 2 (mod 2) with their neighbours
         w1, w2 = (orbit_weight(templates, 2, (r - j, j, 0)) for j in (1, 2))
         orthogonal = w2 % 4 == 0 if sum_zero else w1 % 2 == 0 and (w1 - w2 // 2) % 2 == 0
+    n = template_columns(r, templates)
+    dist = [0] * (n + 1)
+    for w, count in counts.items():
+        dist[w] = count // kernel
     return distribution_report(p, n, k, dist, orthogonal)
 
 

@@ -19,8 +19,10 @@ built weight matrix.  The JSON matrix payload and the suite JSON are
 rendered here as they were first written, every entry through `json.dumps`,
 and the CSV matrix payload one row at a time through `csv.writer`.  The
 template count of a code's weight distribution is here as first written,
-without pairing the orbits of c and -c over F3.  A long payload that differs
-from its oracle is reported by its first differing line, not by a full diff.
+without pairing the orbits of c and -c over F3, and a spin orbit's weight
+as one sum over j for every orbit, before its closed form.  A long payload
+that differs from its oracle is reported by its first differing line, not
+by a full diff.
 """
 
 import csv
@@ -226,6 +228,19 @@ def orbit_weight_by_pairs(templates, p, counts):
             hits = sum(w * perm(n0, k0) * perm(n1, k1) * perm(n2, k2) for w, k0, k1, k2 in _placements(coeffs, p))
         total += share * hits
     return int(total)
+
+
+def spin_orbit_weight_by_sum(counts):
+    """Weight over F3 of c . X on the spin columns, counts[v] coefficients
+    of c being v: one sum over j = |S & ones| + |twos - S| for every orbit."""
+    n0, n1, n2 = counts
+    nonzero = n1 + n2
+    hits = sum(
+        comb(nonzero, j)
+        for j in range(nonzero + 1)
+        if (nonzero + j) % 3 and (n0 or (nonzero - j + n2) % 2 == 0)
+    )
+    return hits << max(n0 - 1, 0)
 
 
 def weight_distribution_unpaired(spec):

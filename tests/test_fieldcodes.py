@@ -1,5 +1,7 @@
 """Tests for the F2/F3 matrix algebra and the packed code analytics."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from liecodes.fieldcodes import (
     weight_distribution,
 )
 from liecodes.repweights import (
+    ModuleSpec,
     adjoint_weight_matrix_A,
     d_spin_matrix,
     exceptional_adjoint_matrix,
@@ -26,7 +29,7 @@ from liecodes.repweights import (
     fixture_matrix,
     to_cartan_h,
 )
-from liecodes.verify import registered_cases, run_case
+from liecodes.verify import module_code, registered_cases, run_case
 
 from _oracles import (
     dual_code,
@@ -415,6 +418,37 @@ def test_distribution_report_takes_a_counted_distribution():
     for bad in (dist[:-1], [dist[0] + 1] + dist[1:]):
         with pytest.raises(ValueError, match="not a weight distribution"):
             distribution_report(2, code.n, code.k, bad, True)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_distribution_report_of_the_zero_code(p):
+    rep = distribution_report(p, 5, 0, [1, 0, 0, 0, 0, 0], True)
+    assert rep.d is None
+    assert rep.self_orthogonal and not rep.self_dual
+    # no nonzero weight occurs, so none is odd or 2 mod 4
+    assert (rep.even, rep.doubly_even) == ((True, True) if p == 2 else (None, None))
+
+
+@pytest.mark.parametrize(
+    "p, n, even, doubly_even",
+    [(2, 4, True, True), (2, 6, True, False), (2, 7, False, False), (3, 5, None, None)],
+)
+def test_distribution_report_of_a_repetition_code(p, n, even, doubly_even):
+    # the only nonzero weight is n, the last entry of the distribution
+    rep = distribution_report(p, n, 1, [1] + [0] * (n - 1) + [p - 1], n % p == 0)
+    assert rep.d == n
+    assert (rep.even, rep.doubly_even) == (even, doubly_even)
+
+
+def test_distribution_report_of_a_count_past_2_64():
+    # thm2.3/ext3/n=45: 3^43 codewords, some weights held by more than 2^64
+    # of them, which no fixed-width integer holds
+    rep = module_code(ModuleSpec("A", 45, "ext3", 3))
+    dist = rep.weight_distribution
+    assert max(dist) > 1 << 64
+    assert rep.params() == (comb(45, 3), 43, 43 * 42)
+    assert rep.d == next(w for w in range(1, rep.n + 1) if dist[w])
+    assert distribution_report(3, rep.n, rep.k, list(dist), rep.self_orthogonal) == rep
 
 
 def test_analyze_self_dual_repetition_code():

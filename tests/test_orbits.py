@@ -18,13 +18,21 @@ from liecodes.repweights import (
     ALLOWED_MODULES,
     ModuleSpec,
     build_weight_matrix,
+    d_spin_templates,
     fixture_matrix,
     module_templates,
     orbit_weight,
+    template_columns,
 )
 from liecodes.verify import module_code, registered_cases
 
-from _oracles import krawtchouk_transform, naive_weight_distribution, orbit_weight_by_pairs, orbit_weight_distribution
+from _oracles import (
+    krawtchouk_transform,
+    naive_weight_distribution,
+    orbit_weight_by_pairs,
+    orbit_weight_distribution,
+    spin_orbit_weight_by_sum,
+)
 
 # the modules of the benchmark's extended range, 0.5M to 2.1M codewords each
 EXTENDED_SPECS = (
@@ -168,6 +176,18 @@ def test_template_weight_matches_the_fraction_and_pair_sums():
     assert len(checked) == 11
 
 
+def test_spin_weight_closed_form_matches_the_sum_over_j():
+    # every composition of the spin rank m = 3..60, past the pairs oracle's
+    # rank 30: with a zero coefficient the weight is a closed form, without
+    # one a sum over j, and both must give the sum over j of every orbit
+    for m in range(3, 61):
+        templates = d_spin_templates(m)
+        for n1 in range(m + 1):
+            for n2 in range(m - n1 + 1):
+                counts = (m - n1 - n2, n1, n2)
+                assert orbit_weight(templates, 3, counts) == spin_orbit_weight_by_sum(counts), counts
+
+
 def test_ternary_template_weight_is_mirror_symmetric():
     # c and -c have one weight over F3, and -c swaps the counts of ones and
     # twos: every ternary template table at every rank to 20 gives
@@ -194,6 +214,21 @@ def test_template_weight_must_be_a_whole_count():
     # one position of coefficient 1 hits one column; at share 1/2 that is half a column
     with pytest.raises(ValueError, match="counts 1 x 1/2 columns, not a whole number"):
         orbit_weight((((1,), Fraction(1, 2)),), 3, (2, 1, 0))
+
+
+@pytest.mark.parametrize(
+    "templates, message",
+    [
+        # one coefficient goes on 3 rows in 3 ways; at share 1/2 that is 1.5 columns
+        ((((1,), Fraction(1, 2)),), "counts 3 x 1/2 columns"),
+        # 2^2 spin columns on 3 rows; at share 1/8 (or 1/3) that is not whole
+        (((None, Fraction(1, 8)),), r"counts 2\^2 x 1/8 columns"),
+        (((None, Fraction(1, 3)),), r"counts 2\^2 x 1/3 columns"),
+    ],
+)
+def test_template_columns_must_be_a_whole_count(templates, message):
+    with pytest.raises(ValueError, match=message + ", not a whole number"):
+        template_columns(3, templates)
 
 
 @pytest.mark.parametrize(
