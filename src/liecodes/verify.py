@@ -35,12 +35,13 @@ from .repweights import (
     template_columns,
     to_cartan_h,
 )
-from .rootsys import EXCEPTIONAL_RANKS, cartan_matrix, reflect_coroot_coeffs
+from .rootsys import EXCEPTIONAL_RANKS, cartan_matrix
 
 # unused here: the benchmark's tracer rebinds these names in this module, so
 # they stay bound until it wraps public entry points instead (ROADMAP item 1)
 from .fieldcodes import combination_weight  # noqa: F401
 from .repweights import adjoint_weight_matrix_A, d_lambda2_matrix, d_spin_matrix, ext_weight_matrix_A  # noqa: F401
+from .rootsys import reflect_coroot_coeffs  # noqa: F401
 
 __all__ = [
     "Annotation",
@@ -286,13 +287,26 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     return distribution_report(p, n, k, dist, orthogonal)
 
 
+def _griesmer_length(p: int, k: int, d: int) -> int:
+    """The Griesmer bound: every linear [n, k, d]_p code has n at least
+    sum over i < k of ceil(d / p^i).  Once p^i >= d each later term is 1,
+    so only the first O(log_p d) terms are summed."""
+    total, i, power = 0, 0, 1
+    while i < k and power < d:
+        total += -(-d // power)
+        i, power = i + 1, power * p
+    return total + k - i
+
+
 def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResult:
     """Count or enumerate the code of one case and compare its report.
 
     A case beyond the resource limits is reported as skipped, never failed.
     The enumeration budget is checked on the computed rank, so a wrongly
     registered dimension cannot start an enumeration beyond it; codes
-    counted by orbits are not enumerated and need no budget.
+    counted by orbits are not enumerated and need no budget.  A computed
+    report that breaks the Griesmer bound fails the case whatever the
+    expectation says: no linear code has such n, k and d.
     """
     limits = limits or VerifyLimits()
     skipped = CaseResult(case, False, True, (), None, 0.0)
@@ -315,6 +329,8 @@ def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResul
         )
         if want is not None and want != got
     ]
+    if report.d is not None and report.n < (bound := _griesmer_length(report.p, report.k, report.d)):
+        mismatches.append(f"griesmer: n = {report.n} is below the bound {bound} for k = {report.k}, d = {report.d}")
     millis = (time.perf_counter() - t0) * 1000.0
     return CaseResult(case, not mismatches, False, tuple(mismatches), report, millis)
 
@@ -517,30 +533,34 @@ def branch_equivalences() -> tuple[BranchCheck, ...]:
 def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int, seed: int = 0) -> int:
     """Count combination weights changed by random reflection words.
 
-    The matrix is moved to the Cartan-generator basis first.  A simple
-    reflection is a linear map on coefficient vectors, so it is built once
-    as an integer matrix whose rows are its images of the unit vectors, and
-    a word of reflections acts as a product of these.  Each trial draws a
-    coefficient vector in -2..2 and a word of 1 to 10 reflections; all
-    trials move together, position by position, a trial whose word is over
-    keeping its vector.  One product with the matrix then gives the weights
-    of every vector before and after its word, which must agree.
+    The matrix is moved to the Cartan-generator basis first.  Each trial
+    draws a coefficient vector in -2..2 and a word of 1 to 10 simple
+    reflections.  A simple reflection moves one coordinate only: the node's
+    coefficient picks up minus the pairing of the vector with the node's
+    row of the Cartan matrix, as in `reflect_coroot_coeffs`.  All trials
+    move together, one coordinate each per position, a trial whose word is
+    over keeping its vector.  Both blocks of vectors are then reduced mod p,
+    so every entry of their product with the matrix is at most
+    rank * (p - 1)^2; the product is taken exactly in the narrowest unsigned
+    type that holds that, and gives the weights of every vector before and
+    after its word, which must agree.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     hm = to_cartan_h(wm)
     cartan_rank = hm.rank - 1 if hm.family == "A" else hm.rank
-    cm = cartan_matrix(hm.family, cartan_rank)
-    matrix = hm.mod(p)
-    unit = np.eye(cartan_rank, dtype=np.int64)
-    reflections = np.array([[reflect_coroot_coeffs(cm, i, e) for e in unit] for i in range(cartan_rank)])
+    cartan = np.array(cartan_matrix(hm.family, cartan_rank).entries, dtype=np.int64)
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(-2, 3, size=(trials, cartan_rank))
     lengths = rng.integers(1, 11, size=trials)
     nodes = rng.integers(0, cartan_rank, size=(10, trials))
-    moved = coeffs
+    moved = coeffs.copy()
+    every = np.arange(trials)
     for step, node in enumerate(nodes):
-        reflected = np.einsum("tj,tjk->tk", moved, reflections[node])
-        moved = np.where((lengths > step)[:, None], reflected, moved)
-    words = np.vstack([coeffs, moved]) @ matrix.entries
+        moved[every, node] -= np.einsum("tj,tj->t", moved, cartan[node]) * (lengths > step)
+    narrow = np.min_scalar_type(cartan_rank * (p - 1) ** 2)
+    residues = (np.vstack([coeffs, moved]) % p).astype(narrow)
+    words = np.einsum("tj,jn->tn", residues, hm.mod(p).entries.astype(narrow))
     words %= p  # in place: the product is the largest array here
     weights = np.count_nonzero(words, axis=1)
     return int(np.count_nonzero(weights[:trials] != weights[trials:]))

@@ -6,6 +6,7 @@ import json
 import re
 from math import comb
 
+import numpy as np
 import pytest
 
 from liecodes import cli, repweights, verify
@@ -300,6 +301,18 @@ def test_run_case_reports_mismatches(case_id, field, wrong, mismatch):
     assert result.mismatches == (mismatch,)
 
 
+def test_run_case_fails_a_report_past_the_griesmer_bound(monkeypatch):
+    # [15, 4, 8]_2 meets the bound with equality: no linear [15, 4, 9]_2
+    # code exists, so d = 9 fails even where the expectation claims it
+    report = run_case(case_by_id("thm2.1/m=3")).report
+    assert report.params() == (15, 4, 8)
+    case = dataclasses.replace(case_by_id("thm2.1/m=3"), expected_d=9)
+    monkeypatch.setattr(verify, "module_code", lambda spec: dataclasses.replace(report, d=9))
+    result = run_case(case)
+    assert not result.passed and not result.skipped
+    assert result.mismatches == ("griesmer: n = 15 is below the bound 19 for k = 4, d = 9",)
+
+
 def test_verify_exits_one_on_a_failing_case(monkeypatch, capsys):
     wrong = dataclasses.replace(case_by_id("thm4.1"), expected_d=7)
     monkeypatch.setattr(verify, "registered_cases", lambda: (case_by_id("thm2.1/m=2"), wrong))
@@ -430,19 +443,41 @@ def test_weyl_invariance_spot_checks():
         ModuleSpec("A", 8, "ext3", 3, basis="matrix_unit_E"),
         ModuleSpec("D", 6, "ext2", 3),
         ModuleSpec("E6", 6, "minimal", 3),
+        ModuleSpec("A", 10, "ext3", 2),
+        ModuleSpec("D", 8, "spin", 3),
+        # Cartan rank 79 bounds a product entry by 79 * 2^2 = 316: the uint16 path
+        ModuleSpec("A", 80, "ext2", 3),
     ],
-    ids=lambda spec: f"{spec.family}-{spec.module}",
+    ids=["A-ext3", "D-ext2", "E6-minimal", "A10-ext3-F2", "D8-spin", "A80-ext2"],
 )
 def test_weyl_invariance_fuzz_catches_a_wrong_entry(spec):
     # one entry off by one: the columns are no longer a union of Weyl
     # orbits, so reflection words must change some combination weights
     wm = build_weight_matrix(spec)
+    assert weyl_invariance_violations(wm, spec.p, 200, seed=99) == 0
     entries = wm.entries.copy()
     entries[0, 0] += 1
     broken = dataclasses.replace(wm, entries=entries)
     violations = weyl_invariance_violations(broken, spec.p, 200, seed=99)
     assert violations > 0
     assert violations == weyl_violations_by_loop(broken, spec.p, 200, seed=99)
+
+
+def test_weyl_invariance_fuzz_is_exact_past_uint8():
+    # a module's columns have a few nonzero Cartan entries, so its products
+    # stay far below 256; here each is 2 * (sum of 199 residues of mean 1.2),
+    # near 478, so a product wrapped mod 256 gives wrong weights
+    dense = repweights.WeightMatrix("A", 200, "dense", "cartan_h", False, np.full((199, 4), 2))
+    violations = weyl_invariance_violations(dense, 3, 200, seed=99)
+    assert violations == weyl_violations_by_loop(dense, 3, 200, seed=99)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_weyl_invariance_fuzz_needs_a_trial(trials):
+    # zero trials would report "no violations" having checked nothing
+    wm = build_weight_matrix(ModuleSpec("A", 4, "ext2", 3))
+    with pytest.raises(ValueError, match="trials"):
+        weyl_invariance_violations(wm, 3, trials)
 
 
 def test_every_binary_doubly_even_case_is_self_orthogonal():
