@@ -17,10 +17,11 @@ from functools import cache
 
 import numpy as np
 
-from .fieldcodes import SUPPORTED_PRIMES, CodeReport, FpMatrix, LinearCode, analyze, format_matrix_text
+from .fieldcodes import SUPPORTED_PRIMES, CodeReport, FpMatrix, LinearCode, analyze, digit_rows, format_matrix_text
 from .repweights import ADJOINT_SPIN_MODES, ALLOWED_MODULES, ModuleSpec, build_weight_matrix, column_labels
 from .rootsys import EXCEPTIONAL_RANKS
 from .verify import (
+    CaseResult,
     SuiteReport,
     TableRow,
     _json_with_distributions,
@@ -120,15 +121,6 @@ def _json_entries(matrix: FpMatrix) -> str:
     return "[\n" + str(body.reshape(-1)[:-2], "ascii") + "\n  ]"
 
 
-def _csv_entries(matrix: FpMatrix) -> str:
-    """The entries as `csv.writer` writes them, from one byte buffer: each
-    entry is one digit, so a row is 'd,d,...,d' and a newline."""
-    body = np.full((matrix.rows, 2 * matrix.cols), ord(","), dtype=np.uint8)
-    np.add(matrix.entries, ord("0"), out=body[:, ::2], casting="unsafe")
-    body[:, -1] = ord("\n")
-    return str(body, "ascii")
-
-
 def _matrix_payload(matrix: FpMatrix, spec: ModuleSpec, fmt: str) -> str:
     """The matrix of `spec` in a payload format; only json and csv name the
     columns, so only they form the labels."""
@@ -145,59 +137,49 @@ def _matrix_payload(matrix: FpMatrix, spec: ModuleSpec, fmt: str) -> str:
         }
         head, _, tail = json.dumps(payload, indent=2, sort_keys=True).partition('"entries": null')
         return f'{head}"entries": {_json_entries(matrix)}{tail}\n'
-    return _csv_text(list(labels), []) + _csv_entries(matrix)
+    return _csv_text(list(labels), []) + digit_rows(matrix, ",")
 
 
-def _report_text(report: CodeReport) -> str:
-    lines = [
-        f"p: {report.p}",
-        f"n: {report.n}",
-        f"k: {report.k}",
-        f"d: {report.d if report.d is not None else 'undefined'}",
-        f"self_orthogonal: {str(report.self_orthogonal).lower()}",
-        f"self_dual: {str(report.self_dual).lower()}",
-    ]
-    if report.p == 2:
-        lines.append(f"even: {str(report.even).lower()}")
-        lines.append(f"doubly_even: {str(report.doubly_even).lower()}")
-    dist = " ".join(
-        f"{w}:{c}" for w, c in enumerate(report.weight_distribution) if c
-    )
-    lines.append(f"weight_distribution: {dist}")
-    return "\n".join(lines) + "\n"
+def _text_value(value) -> str:
+    """A report value as the text report writes it; bool is tested by type,
+    since 0 == False and 1 == True."""
+    if value is None:
+        return "undefined"
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 def _report_payload(report: CodeReport, fmt: str) -> str:
-    if fmt == "text":
-        return _report_text(report)
+    """Every format writes the fields of `CodeReport.to_dict`; text and csv
+    write the weight distribution as w:c pairs, and text names the binary
+    flags over F2 only."""
+    fields = report.to_dict()
     if fmt == "json":
-        payload = {**report.to_dict(), "weight_distribution": 0}  # the index of its list
-        return _json_with_distributions(payload, [report.weight_distribution])
-    d = report.to_dict()
-    dist = d.pop("weight_distribution")
-    d["weight_distribution"] = " ".join(f"{w}:{c}" for w, c in enumerate(dist) if c)
-    header = list(d.keys())
-    return _csv_text(header, [[d[h] for h in header]])
+        fields["weight_distribution"] = 0  # the index of its list
+        return _json_with_distributions(fields, [report.weight_distribution])
+    fields["weight_distribution"] = " ".join(f"{w}:{c}" for w, c in enumerate(report.weight_distribution) if c)
+    if fmt == "csv":
+        return _csv_text(list(fields), [list(fields.values())])
+    if report.p != 2:
+        del fields["even"], fields["doubly_even"]
+    return "".join(f"{name}: {_text_value(value)}\n" for name, value in fields.items())
+
+
+def _case_status(res: CaseResult) -> tuple[str, str]:
+    """A case's status word and its [n,k,d], empty where it has no report."""
+    status = "skip" if res.skipped else ("pass" if res.passed else "fail")
+    return status, "" if res.report is None else f"[{res.report.n},{res.report.k},{res.report.d}]"
 
 
 def _suite_text(report: SuiteReport, stable: bool) -> str:
     lines = []
     for res in report.results:
-        if res.skipped:
-            status = "SKIP"
-            detail = "resource limits"
-        elif res.passed:
-            status = "PASS"
-            rep = res.report
-            detail = f"[{rep.n},{rep.k},{rep.d}]"
-        else:
-            status = "FAIL"
-            detail = "; ".join(res.mismatches)
+        status, params = _case_status(res)
+        detail = {"skip": "resource limits", "pass": params, "fail": "; ".join(res.mismatches)}[status]
         millis = 0.0 if stable else res.millis
         note = ""
         if res.case.annotation is not None and not res.skipped:
             note = "  (documented discrepancy: " + res.case.annotation.note + ")"
-        lines.append(f"{status}  {res.case_id:<22} {detail:<18} {millis:9.1f} ms{note}")
+        lines.append(f"{status.upper()}  {res.case_id:<22} {detail:<18} {millis:9.1f} ms{note}")
     t = report.totals
     lines.append(
         f"total: {t['cases']}  passed: {t['passed']}  failed: {t['failed']}  skipped: {t['skipped']}"
@@ -210,13 +192,7 @@ def _suite_payload(report: SuiteReport, fmt: str, stable: bool) -> str:
         return _suite_text(report, stable)
     if fmt == "json":
         return to_json(report, stable)
-    rows = []
-    for res in report.results:
-        status = "skip" if res.skipped else ("pass" if res.passed else "fail")
-        params = ""
-        if res.report is not None:
-            params = f"[{res.report.n},{res.report.k},{res.report.d}]"
-        rows.append([res.case_id, status, params, 0.0 if stable else round(res.millis, 3)])
+    rows = [[res.case_id, *_case_status(res), 0.0 if stable else round(res.millis, 3)] for res in report.results]
     return _csv_text(["case_id", "status", "params", "millis"], rows)
 
 

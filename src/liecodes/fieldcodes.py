@@ -33,6 +33,7 @@ __all__ = [
     "read_only",
     "parse_matrix_text",
     "format_matrix_text",
+    "digit_rows",
 ]
 
 SUPPORTED_PRIMES = (2, 3)
@@ -99,16 +100,20 @@ class FpMatrix:
         )
 
 
-def format_matrix_text(m: FpMatrix) -> str:
-    """Render a matrix in the shared text format: 'p rows cols' then rows.
-
-    Entries are single digits, so each row is one run of bytes: a digit and
-    a space per entry, the last space replaced by a newline.
-    """
-    body = np.full((m.rows, 2 * m.cols), ord(" "), dtype=np.uint8)
+def digit_rows(m: FpMatrix, sep: str) -> str:
+    """The entries, a line per row.  Entries are single digits, so each row
+    is one run of bytes: a digit and `sep` per entry, the last `sep`
+    replaced by a newline."""
+    body = np.full((m.rows, 2 * m.cols), ord(sep), dtype=np.uint8)
     np.add(m.entries, ord("0"), out=body[:, ::2], casting="unsafe")  # no int64 temporary
     body[:, -1] = ord("\n")
-    return f"{m.p} {m.rows} {m.cols}\n" + str(body, "ascii")
+    return str(body, "ascii")
+
+
+def format_matrix_text(m: FpMatrix) -> str:
+    """Render a matrix in the shared text format: 'p rows cols' then rows
+    of space-separated entries."""
+    return f"{m.p} {m.rows} {m.cols}\n" + digit_rows(m, " ")
 
 
 def _check_entry(token: str, p: int) -> None:
@@ -366,16 +371,17 @@ class CodeReport:
         return (self.n, self.k, self.d)
 
     def to_dict(self) -> dict:
+        """The fields in the order the text and CSV reports list them."""
         return {
             "p": self.p,
             "n": self.n,
             "k": self.k,
             "d": self.d,
-            "weight_distribution": list(self.weight_distribution),
             "self_orthogonal": self.self_orthogonal,
             "self_dual": self.self_dual,
             "even": self.even,
             "doubly_even": self.doubly_even,
+            "weight_distribution": list(self.weight_distribution),
         }
 
 

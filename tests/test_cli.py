@@ -512,6 +512,37 @@ def test_report_payload_zero_code_text():
     assert "d: undefined" in text
 
 
+# k and d of 0 and 1 equal False and True as dict keys, so a lookup table of
+# the text's value rules would print them as booleans
+REPORT_PAYLOADS = {
+    "F3-zero": (
+        FpMatrix(3, np.zeros((1, 4), dtype=np.int64)),
+        "p: 3\nn: 4\nk: 0\nd: undefined\nself_orthogonal: true\nself_dual: false\nweight_distribution: 0:1\n",
+        "p,n,k,d,self_orthogonal,self_dual,even,doubly_even,weight_distribution\n3,4,0,,True,False,,,0:1\n",
+    ),
+    "F2-zero": (
+        FpMatrix(2, np.zeros((1, 3), dtype=np.int64)),
+        "p: 2\nn: 3\nk: 0\nd: undefined\nself_orthogonal: true\nself_dual: false\n"
+        "even: true\ndoubly_even: true\nweight_distribution: 0:1\n",
+        "p,n,k,d,self_orthogonal,self_dual,even,doubly_even,weight_distribution\n2,3,0,,True,False,True,True,0:1\n",
+    ),
+    "F2-[3,1,1]": (
+        FpMatrix(2, [[1, 0, 0]]),
+        "p: 2\nn: 3\nk: 1\nd: 1\nself_orthogonal: false\nself_dual: false\n"
+        "even: false\ndoubly_even: false\nweight_distribution: 0:1 1:1\n",
+        "p,n,k,d,self_orthogonal,self_dual,even,doubly_even,weight_distribution\n2,3,1,1,False,False,False,False,0:1 1:1\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REPORT_PAYLOADS)
+def test_report_payload_text_and_csv_are_pinned(name):
+    matrix, text, csv_text = REPORT_PAYLOADS[name]
+    report = analyze(row_space_code(matrix))
+    assert _report_payload(report, "text") == text
+    assert _report_payload(report, "csv") == csv_text
+
+
 def test_matrix_payload_csv():
     spec = ModuleSpec("A", 3, "ext2", 2, basis="matrix_unit_E")
     text = _matrix_payload(FpMatrix(2, [[1, 1, 0], [1, 0, 1], [0, 1, 1]]), spec, "csv")

@@ -313,6 +313,37 @@ def test_run_case_fails_a_report_past_the_griesmer_bound(monkeypatch):
     assert result.mismatches == ("griesmer: n = 15 is below the bound 19 for k = 4, d = 9",)
 
 
+def test_griesmer_bound_over_the_registry():
+    # n = sum_{i<k} ceil(d / p^i) only for five short codes: no linear code
+    # of their length and dimension has a larger d
+    reports = {r.case_id: r.report for r in run_suite(include_optional=True).results}
+    meets = {
+        case_id: (r.n, r.k, r.d, r.p)
+        for case_id, r in reports.items()
+        if r.n == verify._griesmer_length(r.p, r.k, r.d)
+    }
+    assert meets == {
+        "thm2.1/m=2": (6, 2, 4, 2),
+        "thm2.1/m=3": (15, 4, 8, 2),
+        "thm2.3/ext2/n=5": (10, 4, 6, 3),
+        "thm2.3/ext3/n=5": (10, 4, 6, 3),
+        "thm2.3/rowsE/n=5": (10, 4, 6, 3),
+    }
+    # a d one larger breaks the bound in 11 cases; no linear [24,4,16]_3
+    # code exists, so the F4 adjoint code of thm4.2 has the largest d possible
+    past = {case_id for case_id, r in reports.items() if r.n < verify._griesmer_length(r.p, r.k, r.d + 1)}
+    assert past == {
+        *meets,
+        "thm2.2/n=7",
+        "thm2.3/ext3/n=6",
+        "thm2.4/L/n=4",
+        "thm2.4/K/m=2",
+        "thm3.2/m=3",
+        "thm4.2",
+    }
+    assert reports["thm4.2"].params() == (24, 4, 15)
+
+
 def test_verify_exits_one_on_a_failing_case(monkeypatch, capsys):
     wrong = dataclasses.replace(case_by_id("thm4.1"), expected_d=7)
     monkeypatch.setattr(verify, "registered_cases", lambda: (case_by_id("thm2.1/m=2"), wrong))
