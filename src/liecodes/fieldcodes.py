@@ -12,9 +12,8 @@ weights are counted with a population count and a histogram.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -363,9 +362,12 @@ class CodeReport:
     d: int | None
     weight_distribution: tuple[int, ...]
     self_orthogonal: bool
-    self_dual: bool
     even: bool | None
     doubly_even: bool | None
+
+    @property
+    def self_dual(self) -> bool:
+        return self.self_orthogonal and 2 * self.k == self.n
 
     def params(self) -> tuple[int, int, int | None]:
         return (self.n, self.k, self.d)
@@ -388,22 +390,21 @@ class CodeReport:
 def analyze(c: LinearCode) -> CodeReport:
     """Full report of a code whose weight distribution is enumerated."""
     g = c.basis.entries
-    return distribution_report(c.p, c.n, c.k, weight_distribution(c), not (g @ g.T % c.p).any())
+    counts = {w: count for w, count in enumerate(weight_distribution(c)) if count}
+    return distribution_report(c.p, c.n, c.k, counts, not (g @ g.T % c.p).any())
 
 
-def distribution_report(p: int, n: int, k: int, dist: Sequence[int], self_orthogonal: bool) -> CodeReport:
-    """The report of a code of length n and dimension k with weight
-    distribution `dist`; d, self_dual, even and doubly_even are read off it.
-    The nonzero weights that occur are found at C speed, so the Python work
-    is per weight that occurs, at most one per orbit of a counted code."""
-    dist = tuple(dist)
-    if len(dist) != n + 1 or sum(dist) != p**k:
+def distribution_report(p: int, n: int, k: int, counts: Mapping[int, int], self_orthogonal: bool) -> CodeReport:
+    """The report of a code of length n and dimension k with counts[w]
+    codewords at each weight w that occurs; d and the binary flags are read
+    off those weights alone, and the dense distribution is formed once."""
+    occurring = all(0 <= w <= n and count > 0 for w, count in counts.items())
+    if not occurring or counts.get(0) != 1 or sum(counts.values()) != p**k:
         raise ValueError(f"not a weight distribution of a code of length {n} and dimension {k}")
-    support = tuple(itertools.compress(range(1, n + 1), dist[1:]))
-    d = support[0] if support else None
-    self_dual = self_orthogonal and 2 * k == n
-    even = doubly_even = None
-    if p == 2:
-        even = all(w % 2 == 0 for w in support)
-        doubly_even = all(w % 4 == 0 for w in support)
-    return CodeReport(p, n, k, d, dist, self_orthogonal, self_dual, even, doubly_even)
+    d = min((w for w in counts if w), default=None)
+    even = all(w % 2 == 0 for w in counts) if p == 2 else None
+    doubly_even = all(w % 4 == 0 for w in counts) if p == 2 else None
+    dist = [0] * (n + 1)
+    for w, count in counts.items():
+        dist[w] = count
+    return CodeReport(p, n, k, d, tuple(dist), self_orthogonal, even, doubly_even)

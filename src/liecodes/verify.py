@@ -98,8 +98,6 @@ class TheoremCase:
 @dataclass(frozen=True)
 class CaseResult:
     case: TheoremCase
-    passed: bool
-    skipped: bool
     mismatches: tuple[str, ...]
     report: CodeReport | None
     millis: float
@@ -108,12 +106,42 @@ class CaseResult:
     def case_id(self) -> str:
         return self.case.case_id
 
+    @property
+    def passed(self) -> bool:
+        return self.report is not None and not self.mismatches
+
+    @property
+    def skipped(self) -> bool:
+        return self.report is None
+
 
 @dataclass(frozen=True)
 class SuiteReport:
     results: tuple[CaseResult, ...]
-    totals: dict
-    discrepancies: tuple[dict, ...]
+
+    @property
+    def totals(self) -> dict:
+        cases = len(self.results)
+        passed, skipped = sum(r.passed for r in self.results), sum(r.skipped for r in self.results)
+        return {"cases": cases, "passed": passed, "failed": cases - passed - skipped, "skipped": skipped}
+
+    @property
+    def discrepancies(self) -> tuple[dict, ...]:
+        found: list[dict] = []
+        for res in (r for r in self.results if not r.skipped):
+            annotation = res.case.annotation
+            if annotation is not None:
+                found.append(
+                    {
+                        "case_id": res.case_id,
+                        "stated": annotation.stated,
+                        "computed": {key: getattr(res.report, key) for key in annotation.stated},
+                        "note": annotation.note,
+                    }
+                )
+            if not res.passed:
+                found.append({"case_id": res.case_id, "failures": list(res.mismatches)})
+        return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -248,7 +276,7 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     a spin template one closed form (a sum over j only for the r + 1 orbits
     with no coefficient 0), and the counts are kept by weight, so the kernel
     division, the orthogonality test and `distribution_report` see only the
-    weights that occur.  The dense distribution is allocated once, at the end.
+    weights that occur.
     """
     templates = module_templates(spec)
     if templates is None:
@@ -281,10 +309,7 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
         w1, w2 = (orbit_weight(templates, 2, (r - j, j, 0)) for j in (1, 2))
         orthogonal = w2 % 4 == 0 if sum_zero else w1 % 2 == 0 and (w1 - w2 // 2) % 2 == 0
     n = template_columns(r, templates)
-    dist = [0] * (n + 1)
-    for w, count in counts.items():
-        dist[w] = count // kernel
-    return distribution_report(p, n, k, dist, orthogonal)
+    return distribution_report(p, n, k, {w: count // kernel for w, count in counts.items()}, orthogonal)
 
 
 def _griesmer_length(p: int, k: int, d: int) -> int:
@@ -309,7 +334,7 @@ def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResul
     expectation says: no linear code has such n, k and d.
     """
     limits = limits or VerifyLimits()
-    skipped = CaseResult(case, False, True, (), None, 0.0)
+    skipped = CaseResult(case, (), None, 0.0)
     if case.spec.rank > {"A": limits.max_n, "D": limits.max_m}.get(case.spec.family, case.spec.rank):
         return skipped
     t0 = time.perf_counter()
@@ -332,7 +357,7 @@ def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResul
     if report.d is not None and report.n < (bound := _griesmer_length(report.p, report.k, report.d)):
         mismatches.append(f"griesmer: n = {report.n} is below the bound {bound} for k = {report.k}, d = {report.d}")
     millis = (time.perf_counter() - t0) * 1000.0
-    return CaseResult(case, not mismatches, False, tuple(mismatches), report, millis)
+    return CaseResult(case, tuple(mismatches), report, millis)
 
 
 def _matches(case_id: str, pattern: str | None) -> bool:
@@ -344,36 +369,8 @@ def _matches(case_id: str, pattern: str | None) -> bool:
 def run_suite(filter: str | None = None, include_optional: bool = False) -> SuiteReport:
     """Run every registered case matching the filter, in registry order, at
     the default `VerifyLimits`, which every registered case is within."""
-    selected = [
-        c
-        for c in registered_cases()
-        if _matches(c.case_id, filter) and (include_optional or not c.optional)
-    ]
-    results = [run_case(c) for c in selected]
-    discrepancies: list[dict] = []
-    for res in results:
-        case = res.case
-        if res.skipped:
-            continue
-        if case.annotation is not None:
-            computed = {key: getattr(res.report, key) for key in case.annotation.stated}
-            discrepancies.append(
-                {
-                    "case_id": res.case_id,
-                    "stated": case.annotation.stated,
-                    "computed": computed,
-                    "note": case.annotation.note,
-                }
-            )
-        if not res.passed:
-            discrepancies.append({"case_id": res.case_id, "failures": list(res.mismatches)})
-    totals = {
-        "cases": len(results),
-        "passed": sum(1 for r in results if r.passed),
-        "failed": sum(1 for r in results if not r.passed and not r.skipped),
-        "skipped": sum(1 for r in results if r.skipped),
-    }
-    return SuiteReport(tuple(results), totals, tuple(discrepancies))
+    cases = (c for c in registered_cases() if _matches(c.case_id, filter) and (include_optional or not c.optional))
+    return SuiteReport(tuple(map(run_case, cases)))
 
 
 # a "weight_distribution" key whose value is an integer placeholder; a JSON
@@ -494,12 +491,15 @@ class BranchCheck:
     check_id: str
     left: CodeReport
     right: CodeReport
-    identical: bool
+
+    @property
+    def identical(self) -> bool:
+        return self.left == self.right
 
 
 def branch_equivalences() -> tuple[BranchCheck, ...]:
-    """Pairs of constructions that must generate reports with identical
-    parameters and weight distributions; the exceptional left sides are
+    """Pairs of constructions that must generate identical reports, flags
+    and weight distributions included; the exceptional left sides are
     enumerated, the o(2m) and sl(n) right sides counted over Weyl orbits."""
     pairs = (
         (
@@ -518,16 +518,10 @@ def branch_equivalences() -> tuple[BranchCheck, ...]:
             ModuleSpec("A", 8, "ext2", 3),
         ),
     )
-    checks = []
-    for check_id, left_spec, right_spec in pairs:
-        left = analyze(module_code(left_spec))
-        right = module_code(right_spec)
-        identical = (
-            left.params() == right.params()
-            and left.weight_distribution == right.weight_distribution
-        )
-        checks.append(BranchCheck(check_id, left, right, identical))
-    return tuple(checks)
+    return tuple(
+        BranchCheck(check_id, analyze(module_code(left_spec)), module_code(right_spec))
+        for check_id, left_spec, right_spec in pairs
+    )
 
 
 def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int, seed: int = 0) -> int:

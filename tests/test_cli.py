@@ -351,7 +351,7 @@ def test_suite_of_unregistered_cases_renders():
     annotated = next(c for c in registered_cases() if c.case_id == "thm2.3/ext3/n=6")
     case = dataclasses.replace(annotated, case_id="custom", citation="a case of our own")
     res = run_case(case)
-    report = SuiteReport((res,), {"cases": 1, "passed": 1, "failed": 0, "skipped": 0}, ())
+    report = SuiteReport((res,))
     entry = json.loads(to_json(report, stable=True))["cases"][0]
     assert entry["case_id"] == "custom" and entry["citation"] == "a case of our own"
     assert entry["annotation"]["note"] == case.annotation.note
@@ -374,6 +374,8 @@ def test_usage_error_lists_valid_values(capsys):
     code, _, err = invoke(capsys, "matrix", "--family", "A", "--module", "ext2", "--field", "2")
     assert code == 2
     assert "--n" in err
+    code, out, err = invoke(capsys, "matrix", "--family", "D", "--module", "ext2", "--field", "3")
+    assert (code, out, err) == (2, "", "liecodes: error: family D needs --m\n")
     # flags the chosen family or module would ignore are rejected
     for extra, flag in (
         (["--family", "F4", "--module", "minimal", "--n", "99"], "--n"),
@@ -481,7 +483,7 @@ def test_matrix_csv_of_edge_shapes():
 @pytest.mark.parametrize(
     "report",
     [
-        distribution_report(3, 0, 0, [1], True),  # the code of length 0: a one-entry distribution
+        distribution_report(3, 0, 0, {0: 1}, True),  # the code of length 0: a one-entry distribution
         analyze(row_space_code(FpMatrix(3, np.zeros((1, 4), dtype=np.int64)))),
         module_code(ModuleSpec("A", 8, "ext3", 2)),
         analyze(module_code(ModuleSpec("E8", 8, "adjoint", 3))),

@@ -59,6 +59,9 @@ def test_fpmatrix_rejects_bad_inputs():
         FpMatrix(3, [[-1]])
     with pytest.raises(ValueError):
         FpMatrix(2, np.zeros((2, 0), dtype=np.int64))
+    for entries in ([0, 1], np.zeros((1, 1, 1), dtype=np.int64)):
+        with pytest.raises(ValueError, match="^matrix entries must form a two-dimensional array$"):
+            FpMatrix(2, entries)
 
 
 def test_fpmatrix_reduce_normalizes():
@@ -111,6 +114,9 @@ TEXT_ERRORS = {
     "2 1 2\n0": "expected 2 entries, found 1",  # wrong entry count
     "2 1 2\n0 x": "non-numeric matrix entry 'x'",  # non-numeric entry
     "7 1 1\n0": "modulus must be one of (2, 3), got 7",  # unsupported modulus
+    "3 x 2\n0 1": "malformed matrix header ['3', 'x', '2']",  # non-numeric header
+    "3 0 0\n": "bad matrix shape 0x0",  # no column
+    "3 -1 2\n": "bad matrix shape -1x2",  # negative row count
     # the first bad entry in reading order is named
     "3 1 3\n0 5 x": "entry 5 out of range for modulus 3",
     "3 1 3\n0 x 5": "non-numeric matrix entry 'x'",
@@ -413,16 +419,24 @@ def test_analyze_sl7_cube_not_orthogonal():
 
 def test_distribution_report_takes_a_counted_distribution():
     code = row_space_code(to_cartan_h(ext_weight_matrix_A(6, 2)).mod(2))
-    dist = list(weight_distribution(code))
-    assert distribution_report(2, code.n, code.k, dist, True) == analyze(code)
-    for bad in (dist[:-1], [dist[0] + 1] + dist[1:]):
+    counts = {w: count for w, count in enumerate(weight_distribution(code)) if count}
+    assert distribution_report(2, code.n, code.k, counts, True) == analyze(code)
+    top = max(counts)
+    rest = {w: count for w, count in counts.items() if w != top}
+    for bad in (
+        rest,  # a total below 2^k
+        {**rest, 0: 1 + counts[top]},  # the right total, but the zero word more than once
+        {**rest, code.n + 1: counts[top]},  # a weight past n
+        {**rest, -1: counts[top]},  # a negative weight
+        {**counts, 1: 0},  # a weight held by no word
+    ):
         with pytest.raises(ValueError, match="not a weight distribution"):
             distribution_report(2, code.n, code.k, bad, True)
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_distribution_report_of_the_zero_code(p):
-    rep = distribution_report(p, 5, 0, [1, 0, 0, 0, 0, 0], True)
+    rep = distribution_report(p, 5, 0, {0: 1}, True)
     assert rep.d is None
     assert rep.self_orthogonal and not rep.self_dual
     # no nonzero weight occurs, so none is odd or 2 mod 4
@@ -435,7 +449,7 @@ def test_distribution_report_of_the_zero_code(p):
 )
 def test_distribution_report_of_a_repetition_code(p, n, even, doubly_even):
     # the only nonzero weight is n, the last entry of the distribution
-    rep = distribution_report(p, n, 1, [1] + [0] * (n - 1) + [p - 1], n % p == 0)
+    rep = distribution_report(p, n, 1, {0: 1, n: p - 1}, n % p == 0)
     assert rep.d == n
     assert (rep.even, rep.doubly_even) == (even, doubly_even)
 
@@ -448,7 +462,8 @@ def test_distribution_report_of_a_count_past_2_64():
     assert max(dist) > 1 << 64
     assert rep.params() == (comb(45, 3), 43, 43 * 42)
     assert rep.d == next(w for w in range(1, rep.n + 1) if dist[w])
-    assert distribution_report(3, rep.n, rep.k, list(dist), rep.self_orthogonal) == rep
+    counts = {w: count for w, count in enumerate(dist) if count}
+    assert distribution_report(3, rep.n, rep.k, counts, rep.self_orthogonal) == rep
 
 
 def test_analyze_self_dual_repetition_code():

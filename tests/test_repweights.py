@@ -513,6 +513,18 @@ def test_to_cartan_h_families():
         to_cartan_h(four)  # the fifth e_i row is missing
 
 
+def test_builders_reject_a_family_they_do_not_know():
+    e6 = exceptional_minimal_matrix("E6")
+    for build, message in (
+        (lambda: exceptional_minimal_matrix("E8"), "minimal-module matrix known for F4, E6, E7; got 'E8'"),
+        (lambda: exceptional_adjoint_matrix("G2"), "adjoint matrix known for F4, E6, E7, E8; got 'G2'"),
+        (lambda: to_cartan_h(replace(e6, basis="matrix_unit_E")), "no Cartan-basis transition for family 'E6'"),
+    ):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == message
+
+
 def label_column(label, rows):
     """The column a label names on the coordinate rows: a subset {i,...} is
     the indicator of an exterior-power column, or the 2/1 entries of a spin

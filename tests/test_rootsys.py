@@ -181,6 +181,14 @@ def test_reflect_is_involution(seed=17):
             assert reflect_coroot_coeffs(cm, i, once) == coeffs
 
 
+def test_wrong_number_of_coordinates_is_rejected():
+    cm = cartan_matrix("A", 2)
+    with pytest.raises(ValueError, match=r"^expected 2 weight coordinates, got 1$"):
+        weyl_orbit(cm, (1,))
+    with pytest.raises(ValueError, match=r"^expected 2 coefficients, got 3$"):
+        reflect_coroot_coeffs(cm, 0, (0, 0, 0))
+
+
 def test_reflect_rejects_bad_node():
     cm = cartan_matrix("A", 2)
     with pytest.raises(ValueError):

@@ -250,8 +250,39 @@ def _suite_with_a_skipped_case(monkeypatch):
     suite = run_suite(filter="thm2.1")
     skipped = run_case(case_by_id("thm2.1/m=2"), VerifyLimits(max_n=3))  # sl(4) is past max_n
     assert skipped.skipped
-    totals = {**suite.totals, "cases": suite.totals["cases"] + 1, "skipped": 1}
-    return SuiteReport((suite.results[0], skipped, *suite.results[1:]), totals, suite.discrepancies)
+    return SuiteReport((suite.results[0], skipped, *suite.results[1:]))
+
+
+def test_suite_totals_and_discrepancies_with_skipped_cases(monkeypatch):
+    # o(24) is past the default max_m = 11, so the last two cases are
+    # skipped: neither fails the suite, and neither adds a discrepancy,
+    # though the last carries an annotation
+    past = ModuleSpec("D", 12, "ext2", 3)
+    suite = _suite_of(
+        monkeypatch,
+        case_by_id("thm2.1/m=2"),
+        case_by_id("thm2.4/K/m=2"),
+        dataclasses.replace(case_by_id("thm4.1"), expected_d=7),
+        dataclasses.replace(case_by_id("thm3.1/m=10"), case_id="o24", spec=past),
+        dataclasses.replace(case_by_id("thm3.3/m=8"), case_id="o24/annotated", spec=past),
+    )
+    assert [(r.passed, r.skipped) for r in suite.results] == [
+        (True, False),
+        (True, False),
+        (False, False),
+        (False, True),
+        (False, True),
+    ]
+    assert suite.totals == {"cases": 5, "passed": 2, "failed": 1, "skipped": 2}
+    assert suite.discrepancies == (
+        {
+            "case_id": "thm2.4/K/m=2",
+            "stated": {"d": 3},
+            "computed": {"d": 9},
+            "note": "stated distance 3(m-1) contradicts enumeration; all nonzero weights are 3(2m-1) or larger",
+        },
+        {"case_id": "thm4.1", "failures": ["d: expected 7, computed 6"]},
+    )
 
 
 # a note holding the text of the spliced key, which JSON writes with its quotes escaped
