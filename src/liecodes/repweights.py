@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, ldexp, log2, perm
@@ -43,6 +44,7 @@ __all__ = [
     "module_templates",
     "template_columns",
     "orbit_weight",
+    "orbit_weights",
     "to_cartan_h",
 ]
 
@@ -93,13 +95,18 @@ _MAX_ENTRIES = 1 << 22
 # subset S with |S| = r (mod 2), 1 (-1/2) on the others.
 
 
+def _not_whole(coeffs, hits, share: Fraction) -> ValueError:
+    """The error of a template whose hits times its share is not whole."""
+    return ValueError(f"template {coeffs} counts {hits} x {share} columns, not a whole number")
+
+
 def _columns(coeffs, hits: int, share: Fraction) -> int:
     """The columns a template with `hits` hits counts: each column is hit
     1/share times, its equal coefficients in every order or both columns of
     a +- pair.  A count that is not whole raises ValueError."""
     whole, rest = divmod(hits * share.numerator, share.denominator)
     if rest:
-        raise ValueError(f"template {coeffs} counts {hits} x {share} columns, not a whole number")
+        raise _not_whole(coeffs, hits, share)
     return whole
 
 
@@ -114,7 +121,7 @@ def _column_terms(rank: int, templates: tuple) -> tuple[int, Fraction]:
     # of two no larger than 2^(rank - 1), which is checked without forming it
     for share in spin:
         if share.denominator & (share.denominator - 1) or share.denominator.bit_length() > rank:
-            raise ValueError(f"template None counts 2^{rank - 1} x {share} columns, not a whole number")
+            raise _not_whole(None, f"2^{rank - 1}", share)
     return a, sum(spin)
 
 
@@ -138,32 +145,66 @@ def _placements(coeffs: tuple[int, ...], p: int) -> tuple[tuple[int, int, int, i
     return tuple((ways, *ks) for ks, ways in nonzero.items())
 
 
-def orbit_weight(templates: tuple, p: int, counts: tuple[int, int, int]) -> int:
-    """Weight over F_p of the word c . X, where counts[v] coefficients of c
-    are v; any permutation of c gives the same weight.  The count is in
-    exact integers: a template whose hits times its share is not whole
-    raises ValueError.  A spin template costs O(1) with a zero coefficient
-    and O(r) without."""
-    n0, n1, n2 = counts
-    total = 0
+@functools.cache
+def _falling_factorials(rank: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """Row n, for n = 0..rank, holds perm(n, k) for k = 0..length."""
+    return tuple(tuple(perm(n, k) for k in range(length + 1)) for n in range(rank + 1))
+
+
+def _spin_hits(n0: int, n1: int, n2: int) -> int:
+    """The hits of the spin template on the orbit (n0, n1, n2).
+
+    With j = |S & ones| + |twos - S| the entry is u + j (mod 3), u = n1 +
+    n2, and C(u, j) subsets of the nonzero rows have that j.  The zeros in S
+    fix the parity of |S| in 2^(n0 - 1) ways, and by the cube roots of unity
+    the C(u, j) with j != -u (mod 3) sum to 2 (2^u - (-1)^u) / 3; with no
+    zeros |S| = j + n2 (mod 2) must be that of u, so j = n1 (mod 2), and the
+    sum is taken term by term, O(r) work."""
+    u = n1 + n2
+    if n0:
+        return ((1 << u) - (-1) ** u) // 3 << n0
+    return sum(comb(u, j) for j in range(n1 % 2, u + 1, 2) if (u + j) % 3)
+
+
+def orbit_weights(templates: tuple, p: int, rank: int, orbits: Sequence[tuple[int, int, int]]) -> list[int]:
+    """Weights over F_p of the words c . X on `rank` coordinate rows, one per
+    orbit (n0, n1, n2) of `orbits`: n_v coefficients of c are v, and any
+    permutation of c gives the same weight.  Each template's placements and
+    its share as two integers, and the falling factorials perm(n, k) of the
+    rank, are looked up once per call; each template then weighs every
+    orbit, one placement at a time.  Counts that are negative or do not sum
+    to `rank` raise ValueError, as does a template whose hits on an orbit
+    times its share is not whole."""
+    longest = max((len(c) for c, _ in templates if c is not None), default=0)
+    falling = _falling_factorials(rank, longest)
+    rows = []  # the falling factorials of n0, n1 and n2, one triple per orbit
+    for counts in orbits:
+        n0, n1, n2 = counts
+        if n0 < 0 or n1 < 0 or n2 < 0 or n0 + n1 + n2 != rank:
+            raise ValueError(f"orbit counts {counts} must be non-negative and sum to the rank {rank}")
+        rows.append((falling[n0], falling[n1], falling[n2]))
+    weights = [0] * len(rows)
     for coeffs, share in templates:
         if coeffs is None:
-            # with j = |S & ones| + |twos - S| the entry is u + j (mod 3), u =
-            # n1 + n2, and C(u, j) subsets of the nonzero rows have that j.
-            # The zeros in S fix the parity of |S| in 2^(n0 - 1) ways, and by
-            # the cube roots of unity the C(u, j) with j != -u (mod 3) sum to
-            # 2 (2^u - (-1)^u) / 3; with no zeros |S| = j + n2 (mod 2) must
-            # be that of u, so j = n1 (mod 2), and the sum is taken term by term
-            u = n1 + n2
-            if n0:
-                hits = ((1 << u) - (-1) ** u) // 3 << n0
-            else:
-                hits = sum(comb(u, j) for j in range(n1 % 2, u + 1, 2) if (u + j) % 3)
+            hits = [_spin_hits(*counts) for counts in orbits]
         else:
-            # k_v positions on rows of coefficient v go there in perm(n_v, k_v) ways
-            hits = sum(w * perm(n0, k0) * perm(n1, k1) * perm(n2, k2) for w, k0, k1, k2 in _placements(coeffs, p))
-        total += _columns(coeffs, hits, share)
-    return total
+            # k_v positions on rows of coefficient v go there in perm(n_v, k_v)
+            # ways; each placement adds its term to every orbit
+            hits = [0] * len(rows)
+            for w, k0, k1, k2 in _placements(coeffs, p):
+                hits = [h + w * f0[k0] * f1[k1] * f2[k2] for h, (f0, f1, f2) in zip(hits, rows)]
+        num, den = share.numerator, share.denominator
+        for i, h in enumerate(hits):
+            whole, rest = divmod(h * num, den)
+            if rest:
+                raise _not_whole(coeffs, h, share)
+            weights[i] += whole
+    return weights
+
+
+def orbit_weight(templates: tuple, p: int, counts: tuple[int, int, int]) -> int:
+    """The weight of one orbit, `orbit_weights` on the rank sum(counts)."""
+    return orbit_weights(templates, p, sum(counts), [counts])[0]
 
 
 def _count_text(a: int, b: Fraction, e: int) -> str:

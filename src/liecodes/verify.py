@@ -31,7 +31,7 @@ from .repweights import (
     WeightMatrix,
     build_weight_matrix,
     module_templates,
-    orbit_weight,
+    orbit_weights,
     template_columns,
     to_cartan_h,
 )
@@ -272,11 +272,14 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     sum over those O(r^2) compositions, each counted with its multinomial
     orbit size.  Over F3 a composition and its mirror, the orbit of -c, are
     weighed once.  No weight matrix is built, and no Python step is taken
-    per coordinate: each orbit costs a few integer products per template and
-    a spin template one closed form (a sum over j only for the r + 1 orbits
-    with no coefficient 0), and the counts are kept by weight, so the kernel
-    division, the orthogonality test and `distribution_report` see only the
-    weights that occur.
+    per coordinate: one `orbit_weights` call weighs every orbit, and the two
+    orbits a binary code's flags read, after looking up the templates'
+    placements and the falling factorials of r once; each orbit then costs a
+    few integer products per template and a spin template one closed form (a
+    sum over j only for the r + 1 orbits with no coefficient 0).  The orbit
+    sizes are then added up by weight, so the kernel division, the
+    orthogonality test and `distribution_report` see only the weights that
+    occur.
     """
     templates = module_templates(spec)
     if templates is None:
@@ -285,7 +288,7 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     # the Cartan-basis sl(n) code (the basis `build_weight_matrix` gives) is
     # spanned by the X_i - X_(i+1): its words are the c . X with c_1 + ... + c_r = 0
     sum_zero = spec.family == "A" and spec.basis != "matrix_unit_E"
-    counts = defaultdict(int)  # orbit sizes by weight
+    orbits, sizes = [], []
     for n1 in range(r + 1):
         # over F3, c and -c = 2c (n1 and n2 swapped) have one weight, the same
         # orbit size and both or neither c_1 + ... + c_r = 0: a pair is
@@ -293,12 +296,23 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
         for n2 in range(min(n1, r - n1) + 1 if p == 3 else 1):
             if not sum_zero or (n1 + 2 * n2) % p == 0:
                 size = comb(r, n1) * comb(r - n1, n2)
-                counts[orbit_weight(templates, p, (r - n1 - n2, n1, n2))] += 2 * size if p == 3 and n2 < n1 else size
+                orbits.append((r - n1 - n2, n1, n2))
+                sizes.append(2 * size if p == 3 and n2 < n1 else size)
+    # a binary code's flags also read w1 and w2 (below), weighed after the orbits
+    flag_orbits = [(r - 1, 1, 0), (r - 2, 2, 0)] if p == 2 else []
+    weights = orbit_weights(templates, p, r, orbits + flag_orbits)
+    counts = defaultdict(int)  # orbit sizes by weight
+    for w, size in zip(weights, sizes):  # stops before the flag orbits
+        counts[w] += size
     # every codeword is the image of p^(dim - k) coefficient vectors, as many
     # as give the zero word
     dim = r - 1 if sum_zero else r
     kernel = counts[0]
-    k = dim - next(e for e in range(dim + 1) if p**e == kernel)
+    exponent = next((e for e in range(dim + 1) if p**e == kernel), None)
+    if exponent is None:
+        # raised as a StopIteration, this would end `run_suite`'s map early
+        raise ValueError(f"{kernel} coefficient vectors give the zero word, not a power of {p} up to {p}^{dim}")
+    k = dim - exponent
     if p == 3:
         # c . c = wt(c) over F3, and polarization gives every product
         orthogonal = all(w % 3 == 0 for w in counts)
@@ -306,7 +320,7 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
         # X_i . X_i = w1 and X_i . X_j = (2 w1 - w2) / 2 (mod 2), w1 = wt(X_i)
         # and w2 = wt(X_i + X_j); so the differences X_i + X_(i+1) have even
         # weight w2 and products w2 / 2 (mod 2) with their neighbours
-        w1, w2 = (orbit_weight(templates, 2, (r - j, j, 0)) for j in (1, 2))
+        w1, w2 = weights[len(sizes):]
         orthogonal = w2 % 4 == 0 if sum_zero else w1 % 2 == 0 and (w1 - w2 // 2) % 2 == 0
     n = template_columns(r, templates)
     return distribution_report(p, n, k, {w: count // kernel for w, count in counts.items()}, orthogonal)
@@ -459,26 +473,34 @@ TABLE_IDS = tuple(_TABLES)
 
 def reproduce_table(table_id: str) -> tuple[TableRow, ...]:
     """Recompute one published weight table entry for entry: each is the
-    weight of an orbit of partial row sums, counted from the templates."""
+    weight of an orbit of partial row sums, counted from the templates in
+    one `orbit_weights` call per table (per row for 3.1)."""
     if table_id not in _TABLES:
         raise ValueError(f"unknown table {table_id!r}; known: {', '.join(TABLE_IDS)}")
     spec, stated, fixes = _TABLES[table_id]
     r = spec.rank
     if table_id == "3.1":
-        # o(2m), m = 4..10: the first m - 1 rows minus the last
-        orbits = [(f"m={m}", replace(spec, rank=m), (0, m - 1, 1)) for m in range(r, r + len(stated))]
-    elif spec.p == 2:
-        orbits = [(f"t={t}", spec, (r - 2 * t, 2 * t, 0)) for t in range(1, r // 2 + 1)]
-    elif spec.family == "D":
-        orbits = [(f"t={t}", spec, (r - t, t, 0)) for t in range(1, r + 1)]
+        # o(2m), m = 4..10: the first m - 1 rows minus the last; each row has
+        # its own rank, so its own call
+        labels, weights = [], []
+        for m in range(r, r + len(stated)):
+            labels.append(f"m={m}")
+            weights += orbit_weights(module_templates(replace(spec, rank=m)), spec.p, m, [(0, m - 1, 1)])
     else:
-        # the (4,4) orbit of 6.2 needs all eight matrix-unit rows; the first
-        # seven are the printed generator
-        orbits = [(f"(s,t)=({s},{t})", spec, (r - s - t, s, t)) for s, t in _ST_PAIRS]
+        if spec.p == 2:
+            orbits = {f"t={t}": (r - 2 * t, 2 * t, 0) for t in range(1, r // 2 + 1)}
+        elif spec.family == "D":
+            orbits = {f"t={t}": (r - t, t, 0) for t in range(1, r + 1)}
+        else:
+            # the (4,4) orbit of 6.2 needs all eight matrix-unit rows; the first
+            # seven are the printed generator
+            orbits = {f"(s,t)=({s},{t})": (r - s - t, s, t) for s, t in _ST_PAIRS}
+        labels = list(orbits)
+        weights = orbit_weights(module_templates(spec), spec.p, r, list(orbits.values()))
     scale = 2 if spec.module == "adjoint" else 1  # 6.3 states doubled weights
     rows = []
-    for i, ((label, ms, counts), want) in enumerate(zip(orbits, stated, strict=True)):
-        got = scale * orbit_weight(module_templates(ms), ms.p, counts)
+    for i, (label, weight, want) in enumerate(zip(labels, weights, stated, strict=True)):
+        got = scale * weight
         rows.append(TableRow(label, want, got, got == fixes.get(i, want), i in fixes))
     return tuple(rows)
 

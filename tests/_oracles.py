@@ -245,7 +245,9 @@ def spin_orbit_weight_by_sum(counts):
 
 def weight_distribution_unpaired(spec):
     """The weight distribution of an sl(n) or o(2m) code from its templates,
-    every composition (n0, n1, n2) of the rank weighed on its own."""
+    every composition (n0, n1, n2) of the rank weighed on its own by the
+    one-orbit `orbit_weight`, apart from the batched, mirror-paired count of
+    `module_code`."""
     templates = module_templates(spec)
     p, r = spec.p, spec.rank
     sum_zero = spec.family == "A" and spec.basis != "matrix_unit_E"

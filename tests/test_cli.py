@@ -428,8 +428,8 @@ def test_table_text_annotated_note(capsys):
 def test_table_mismatch_outranks_the_annotation(monkeypatch, capsys):
     # off by one, the annotated t=6 entry of 3.5 leaves its recorded fix: it
     # must read MISMATCH, not "superseded"
-    real = verify.orbit_weight
-    monkeypatch.setattr(verify, "orbit_weight", lambda *args: real(*args) + 1)
+    real = verify.orbit_weights
+    monkeypatch.setattr(verify, "orbit_weights", lambda *args: [w + 1 for w in real(*args)])
     code, out, _ = invoke(capsys, "table", "3.5")
     assert code == 1
     last = out.splitlines()[-1]

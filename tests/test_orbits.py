@@ -19,9 +19,11 @@ from liecodes.repweights import (
     ModuleSpec,
     build_weight_matrix,
     d_spin_templates,
+    ext_templates_A,
     fixture_matrix,
     module_templates,
     orbit_weight,
+    orbit_weights,
     template_columns,
 )
 from liecodes.verify import module_code, registered_cases
@@ -154,8 +156,9 @@ def test_template_weight_is_the_builders_combination_weight(case):
 
 def test_template_weight_matches_the_fraction_and_pair_sums():
     # every composition of every A/D module's templates at ranks 3..30, over
-    # every field it allows; the templates are read from the module table, as
-    # the size check of `module_templates` refuses spin past rank 18
+    # every field it allows, weighed in one batch per rank; the templates are
+    # read from the module table, as the size check of `module_templates`
+    # refuses spin past rank 18
     checked = set()
     for (family, module), (fields, args, _, templates, _) in repweights._MODULES.items():
         if templates is None:
@@ -166,11 +169,9 @@ def test_template_weight_matches_the_fraction_and_pair_sums():
                 tmpl = templates(*args(ModuleSpec(family, rank, module, p, mode=mode)))
             except ValueError:
                 continue  # below the module's smallest rank
-            for n1 in range(rank + 1):
-                for n2 in range(rank - n1 + 1 if p == 3 else 1):
-                    counts = (rank - n1 - n2, n1, n2)
-                    want = orbit_weight_by_pairs(tmpl, p, counts)
-                    assert orbit_weight(tmpl, p, counts) == want, (module, mode, p, counts)
+            orbits = [(rank - n1 - n2, n1, n2) for n1 in range(rank + 1) for n2 in range(rank - n1 + 1 if p == 3 else 1)]
+            for counts, weight in zip(orbits, orbit_weights(tmpl, p, rank, orbits), strict=True):
+                assert weight == orbit_weight_by_pairs(tmpl, p, counts), (module, mode, p, counts)
             checked.add((family, module, p, mode))
     assert {(f, m) for f, m, _, _ in checked} == {(f, m) for f in ("A", "D") for m in ALLOWED_MODULES[f]}
     assert len(checked) == 11
@@ -212,8 +213,27 @@ def test_ternary_template_weight_is_mirror_symmetric():
 
 def test_template_weight_must_be_a_whole_count():
     # one position of coefficient 1 hits one column; at share 1/2 that is half a column
+    templates = (((1,), Fraction(1, 2)),)
     with pytest.raises(ValueError, match="counts 1 x 1/2 columns, not a whole number"):
-        orbit_weight((((1,), Fraction(1, 2)),), 3, (2, 1, 0))
+        orbit_weight(templates, 3, (2, 1, 0))
+    # in a batch the check fires on the one broken orbit: (3, 0, 0) hits nothing
+    assert orbit_weights(templates, 3, 3, [(3, 0, 0)]) == [0]
+    with pytest.raises(ValueError, match="counts 1 x 1/2 columns, not a whole number"):
+        orbit_weights(templates, 3, 3, [(3, 0, 0), (2, 1, 0)])
+
+
+@pytest.mark.parametrize("templates", [ext_templates_A(5, 2), d_spin_templates(5)], ids=["ext2", "spin"])
+def test_orbit_counts_must_be_a_composition_of_the_rank(templates):
+    # a negative count would index the falling factorials from the end, and
+    # counts off the rank would weigh another rank's orbit
+    for counts in ((-1, 3, 3), (3, -1, 3), (3, 3, -1)):
+        with pytest.raises(ValueError, match=rf"orbit counts \({counts[0]}, {counts[1]}, {counts[2]}\) must be"):
+            orbit_weight(templates, 3, counts)
+        with pytest.raises(ValueError, match="must be non-negative and sum to the rank 5"):
+            orbit_weights(templates, 3, 5, [(5, 0, 0), counts])
+    for counts in ((4, 0, 0), (3, 2, 1)):
+        with pytest.raises(ValueError, match=rf"orbit counts \({counts[0]}, {counts[1]}, {counts[2]}\) must be"):
+            orbit_weights(templates, 3, 5, [counts])
 
 
 @pytest.mark.parametrize(

@@ -175,8 +175,9 @@ def test_extended_range_cases_pass(case):
 
 @pytest.mark.parametrize("pattern", list(ADMISSIBLE))
 def test_module_code_equals_the_unpaired_count(pattern):
-    # over F3 the orbits of c and -c are weighed once; weighed one by one,
-    # every composition gives the same distribution
+    # `module_code` weighs all orbits in one batch, and over F3 the orbits of
+    # c and -c once; weighed one by one, every composition gives the same
+    # distribution
     rule = next(rule for pat, _, rule in verify._FAMILIES if pat == pattern)
     for r in ADMISSIBLE[pattern]:
         spec = rule(r)[0]
@@ -415,13 +416,23 @@ def test_tables_build_no_matrix(monkeypatch):
 
 def test_table_gate_fires(monkeypatch, capsys):
     # an engine off by one: every row mismatches, the command fails and says so
-    real = verify.orbit_weight
-    monkeypatch.setattr(verify, "orbit_weight", lambda *args: real(*args) + 1)
+    real = verify.orbit_weights
+    monkeypatch.setattr(verify, "orbit_weights", lambda *args: [w + 1 for w in real(*args)])
     for tid in TABLE_IDS:
         assert not any(r.match for r in reproduce_table(tid)), tid
     assert cli.run(["table", "2.1"]) == 1
     out = capsys.readouterr().out
     assert out.count("MISMATCH") == 5
+
+
+def test_a_zero_word_count_off_the_powers_of_p_raises(monkeypatch):
+    # an engine off by one leaves no coefficient vector on the zero word: the
+    # suite must fail loudly, not stop early and report the cases before
+    real = verify.orbit_weights
+    monkeypatch.setattr(verify, "orbit_weights", lambda *args: [w + 1 for w in real(*args)])
+    with pytest.raises(ValueError, match="0 coefficient vectors give the zero word, not a power of 2"):
+        verify.run_suite()
+    assert cli.run(["verify"]) == 2
 
 
 def test_table_21_values():
