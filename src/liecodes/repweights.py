@@ -41,8 +41,7 @@ __all__ = [
     "fixture_matrix",
     "build_weight_matrix",
     "column_labels",
-    "module_templates",
-    "template_columns",
+    "module_table",
     "orbit_weight",
     "orbit_weights",
     "to_cartan_h",
@@ -129,11 +128,6 @@ def _count(a: int, b: Fraction, e: int) -> int:
     """a + b 2^e; 2^e is formed only when b is nonzero, that is for spin
     templates, so a count without them takes no time linear in e."""
     return a + int(b * 2**e) if b else a
-
-
-def template_columns(rank: int, templates: tuple) -> int:
-    """Number of columns the templates give on `rank` coordinate rows."""
-    return _count(*_column_terms(rank, templates), rank - 1)
 
 
 @functools.cache
@@ -589,7 +583,7 @@ def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:
 
 @dataclass(frozen=True)
 class ModuleSpec:
-    """A (family, rank, module, field) request plus mode flags; `module_templates`
+    """A (family, rank, module, field) request plus mode flags; `module_table`
     checks it, for both `build_weight_matrix` and `verify.module_code`."""
 
     family: str
@@ -636,11 +630,13 @@ _MODULES = {
 ALLOWED_MODULES = {family: tuple(mod for fam, mod in _MODULES if fam == family) for family, _ in _MODULES}
 
 
-def module_templates(ms: ModuleSpec) -> tuple | None:
-    """The column templates of an sl(n) or o(2m) module request, None for an
-    exceptional one, or ValueError: the module table decides which (family,
-    module) pairs exist and over which fields, the templates the ranks and
-    modes; then the basis is checked, and the size of the matrix."""
+def module_table(ms: ModuleSpec) -> tuple[tuple, int] | None:
+    """The column templates of an sl(n) or o(2m) module request and the
+    number of columns they give, None for an exceptional one, or ValueError:
+    the module table decides which (family, module) pairs exist and over
+    which fields, the templates the ranks and modes; then the basis is
+    checked, and the size of the matrix.  The size check and `module_code`
+    read the one column count worked out here."""
     allowed = ALLOWED_MODULES.get(ms.family)
     if allowed is None:
         raise ValueError(f"unknown family {ms.family!r}; expected one of {sorted(ALLOWED_MODULES)}")
@@ -666,19 +662,19 @@ def module_templates(ms: ModuleSpec) -> tuple | None:
     a, b = _column_terms(rows, templates)
     # past 64 rows a spin module is refused from the exponent alone: forming
     # 2^(rows - 1) would take time and memory linear in rows
-    if (b and rows > 64) or rows * _count(a, b, rows - 1) > _MAX_ENTRIES:
+    if (b and rows > 64) or rows * (columns := _count(a, b, rows - 1)) > _MAX_ENTRIES:
         algebra = f"sl({rows})" if ms.family == "A" else f"o({2 * rows})"
         size = f"{rows} x {_count_text(a, b, rows - 1)} = {_count_text(rows * a, rows * b, rows - 1)}"
         raise ValueError(f"{ms.module} of {algebra} would have {size} entries, over {_MAX_ENTRIES}")
-    return templates
+    return templates, columns
 
 
 def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
     """Construct the weight matrix of a module request, or raise the
-    ValueError of `module_templates`.  The builders give the coordinate rows;
+    ValueError of `module_table`.  The builders give the coordinate rows;
     an sl(n) matrix moves to the Cartan generators unless the request asks
     for matrix_unit_E."""
-    module_templates(ms)
+    module_table(ms)
     _, args, build, _, _ = _MODULES[ms.family, ms.module]
     wm = build(*args(ms))
     return to_cartan_h(wm) if ms.family == "A" and ms.basis != "matrix_unit_E" else wm
@@ -686,8 +682,8 @@ def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
 
 def column_labels(ms: ModuleSpec) -> tuple[str, ...]:
     """The names of the columns of `build_weight_matrix(ms)`, in order, from
-    the request alone, or the ValueError of `module_templates`.  A change of
+    the request alone, or the ValueError of `module_table`.  A change of
     basis keeps the columns, so the names do not depend on it."""
-    module_templates(ms)
+    module_table(ms)
     _, args, _, _, labels = _MODULES[ms.family, ms.module]
     return labels(*args(ms))

@@ -30,9 +30,8 @@ from .repweights import (
     ModuleSpec,
     WeightMatrix,
     build_weight_matrix,
-    module_templates,
+    module_table,
     orbit_weights,
-    template_columns,
     to_cartan_h,
 )
 from .rootsys import EXCEPTIONAL_RANKS, cartan_matrix
@@ -155,6 +154,9 @@ class VerifyLimits:
     max_work: int = 600_000_000
 
 
+_DEFAULT_LIMITS = VerifyLimits()
+
+
 # One rule per parametric family, in registry order: (case id pattern, the
 # registered sizes, the claim at size r as (spec, n, k, d, self_orthogonal,
 # doubly_even, citation)); None claims neither flag.
@@ -270,34 +272,52 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     permutes the template columns up to sign, so the weight of c . X depends
     only on how many coefficients of c are 0, 1 and 2: the distribution is a
     sum over those O(r^2) compositions, each counted with its multinomial
-    orbit size.  Over F3 a composition and its mirror, the orbit of -c, are
-    weighed once.  No weight matrix is built, and no Python step is taken
-    per coordinate: one `orbit_weights` call weighs every orbit, and the two
-    orbits a binary code's flags read, after looking up the templates'
-    placements and the falling factorials of r once; each orbit then costs a
-    few integer products per template and a spin template one closed form (a
-    sum over j only for the r + 1 orbits with no coefficient 0).  The orbit
-    sizes are then added up by weight, so the kernel division, the
-    orthogonality test and `distribution_report` see only the weights that
-    occur.
+    orbit size, walked along each row of fixed n1 from one binomial.  Over
+    F3 a composition and its mirror, the orbit of -c, are weighed once.
+    When the all-ones vector also gives the zero word (over F3, for the
+    matrix-unit ext3 and adjoint codes, and the sum-zero ones with 3 | r),
+    adding it to c turns (n0, n1, n2) into (n2, n0, n1), so the weight is
+    the same under every permutation of the composition: one orbit with
+    n0 >= n1 >= n2 is weighed per class and counted 1, 3 or 6 times.  No
+    weight matrix is built, and no Python step is taken per coordinate: one
+    `orbit_weights` call weighs every orbit, and the two orbits a binary
+    code's flags read, after looking up the templates' placements and the
+    falling factorials of r once; each orbit then costs a few integer
+    products per template and a spin template one closed form (a sum over j
+    only for the r + 1 orbits with no coefficient 0).  The orbit sizes are
+    then added up by weight, so the kernel division, the orthogonality test
+    and `distribution_report` see only the weights that occur.
     """
-    templates = module_templates(spec)
-    if templates is None:
+    table = module_table(spec)
+    if table is None:
         return row_space_code(build_weight_matrix(spec).mod(spec.p))
+    templates, n = table
     p, r = spec.p, spec.rank
     # the Cartan-basis sl(n) code (the basis `build_weight_matrix` gives) is
     # spanned by the X_i - X_(i+1): its words are the c . X with c_1 + ... + c_r = 0
     sum_zero = spec.family == "A" and spec.basis != "matrix_unit_E"
+    # over F3, c and -c = 2c (n1 and n2 swapped) have one weight, the same
+    # orbit size and both or neither c_1 + ... + c_r = 0: a pair is weighed
+    # once, from the composition with n2 < n1, and counted twice.  The
+    # all-ones vector u puts sum(coeffs) on each column of a template, and
+    # r + |S| (mod 3), not always 0, on the spin column of a subset S; when
+    # its word is zero (and its sum, for a sum-zero code), the S3 classes apply
+    ones_zero = all(coeffs is not None and sum(coeffs) % p == 0 for coeffs, _ in templates)
+    s3 = p == 3 and ones_zero and (not sum_zero or r % 3 == 0)
     orbits, sizes = [], []
-    for n1 in range(r + 1):
-        # over F3, c and -c = 2c (n1 and n2 swapped) have one weight, the same
-        # orbit size and both or neither c_1 + ... + c_r = 0: a pair is
-        # weighed once, from the composition with n2 < n1, and counted twice
-        for n2 in range(min(n1, r - n1) + 1 if p == 3 else 1):
+    for n1 in range(r // 2 + 1 if s3 else r + 1):
+        size = comb(r, n1)  # r! / (n0! n1! n2!) at n2 = 0
+        top = 0 if p == 2 else min(n1, r - 2 * n1 if s3 else r - n1)
+        for n2 in range(top + 1):
+            n0 = r - n1 - n2
             if not sum_zero or (n1 + 2 * n2) % p == 0:
-                size = comb(r, n1) * comb(r - n1, n2)
-                orbits.append((r - n1 - n2, n1, n2))
-                sizes.append(2 * size if p == 3 and n2 < n1 else size)
+                if s3:
+                    copies = 1 if n0 == n2 else 3 if n0 == n1 or n1 == n2 else 6
+                else:
+                    copies = 2 if p == 3 and n2 < n1 else 1
+                orbits.append((n0, n1, n2))
+                sizes.append(copies * size)
+            size = size * n0 // (n2 + 1)
     # a binary code's flags also read w1 and w2 (below), weighed after the orbits
     flag_orbits = [(r - 1, 1, 0), (r - 2, 2, 0)] if p == 2 else []
     weights = orbit_weights(templates, p, r, orbits + flag_orbits)
@@ -322,7 +342,6 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
         # weight w2 and products w2 / 2 (mod 2) with their neighbours
         w1, w2 = weights[len(sizes):]
         orthogonal = w2 % 4 == 0 if sum_zero else w1 % 2 == 0 and (w1 - w2 // 2) % 2 == 0
-    n = template_columns(r, templates)
     return distribution_report(p, n, k, {w: count // kernel for w, count in counts.items()}, orthogonal)
 
 
@@ -347,15 +366,14 @@ def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResul
     report that breaks the Griesmer bound fails the case whatever the
     expectation says: no linear code has such n, k and d.
     """
-    limits = limits or VerifyLimits()
-    skipped = CaseResult(case, (), None, 0.0)
+    limits = limits or _DEFAULT_LIMITS
     if case.spec.rank > {"A": limits.max_n, "D": limits.max_m}.get(case.spec.family, case.spec.rank):
-        return skipped
+        return CaseResult(case, (), None, 0.0)
     t0 = time.perf_counter()
     report = module_code(case.spec)
     if isinstance(report, LinearCode):
         if report.n * report.p**report.k > limits.max_work:
-            return skipped
+            return CaseResult(case, (), None, 0.0)
         report = analyze(report)
     mismatches = [
         f"{name}: expected {want}, computed {got}"
@@ -485,7 +503,7 @@ def reproduce_table(table_id: str) -> tuple[TableRow, ...]:
         labels, weights = [], []
         for m in range(r, r + len(stated)):
             labels.append(f"m={m}")
-            weights += orbit_weights(module_templates(replace(spec, rank=m)), spec.p, m, [(0, m - 1, 1)])
+            weights += orbit_weights(module_table(replace(spec, rank=m))[0], spec.p, m, [(0, m - 1, 1)])
     else:
         if spec.p == 2:
             orbits = {f"t={t}": (r - 2 * t, 2 * t, 0) for t in range(1, r // 2 + 1)}
@@ -496,7 +514,7 @@ def reproduce_table(table_id: str) -> tuple[TableRow, ...]:
             # seven are the printed generator
             orbits = {f"(s,t)=({s},{t})": (r - s - t, s, t) for s, t in _ST_PAIRS}
         labels = list(orbits)
-        weights = orbit_weights(module_templates(spec), spec.p, r, list(orbits.values()))
+        weights = orbit_weights(module_table(spec)[0], spec.p, r, list(orbits.values()))
     scale = 2 if spec.module == "adjoint" else 1  # 6.3 states doubled weights
     rows = []
     for i, (label, weight, want) in enumerate(zip(labels, weights, stated, strict=True)):

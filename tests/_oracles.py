@@ -40,9 +40,8 @@ from liecodes.repweights import (
     ModuleSpec,
     _placements,
     build_weight_matrix,
-    module_templates,
+    module_table,
     orbit_weight,
-    template_columns,
     to_cartan_h,
 )
 from liecodes.rootsys import cartan_matrix, reflect_coroot_coeffs
@@ -248,10 +247,10 @@ def weight_distribution_unpaired(spec):
     every composition (n0, n1, n2) of the rank weighed on its own by the
     one-orbit `orbit_weight`, apart from the batched, mirror-paired count of
     `module_code`."""
-    templates = module_templates(spec)
+    templates, n = module_table(spec)
     p, r = spec.p, spec.rank
     sum_zero = spec.family == "A" and spec.basis != "matrix_unit_E"
-    counts = [0] * (template_columns(r, templates) + 1)
+    counts = [0] * (n + 1)
     for n1 in range(r + 1):
         for n2 in range(r - n1 + 1 if p == 3 else 1):
             if not sum_zero or (n1 + 2 * n2) % p == 0:

@@ -17,14 +17,14 @@ from liecodes.repweights import (
     ADJOINT_SPIN_MODES,
     ALLOWED_MODULES,
     ModuleSpec,
+    _column_terms,
     build_weight_matrix,
     d_spin_templates,
     ext_templates_A,
     fixture_matrix,
-    module_templates,
+    module_table,
     orbit_weight,
     orbit_weights,
-    template_columns,
 )
 from liecodes.verify import module_code, registered_cases
 
@@ -151,13 +151,13 @@ def module_orbits(draw):
 def test_template_weight_is_the_builders_combination_weight(case):
     spec, coeffs, counts = case
     matrix = build_weight_matrix(spec).mod(spec.p)
-    assert combination_weight(matrix, coeffs) == orbit_weight(module_templates(spec), spec.p, counts)
+    assert combination_weight(matrix, coeffs) == orbit_weight(module_table(spec)[0], spec.p, counts)
 
 
 def test_template_weight_matches_the_fraction_and_pair_sums():
     # every composition of every A/D module's templates at ranks 3..30, over
     # every field it allows, weighed in one batch per rank; the templates are
-    # read from the module table, as the size check of `module_templates`
+    # read from the module table, as the size check of `module_table`
     # refuses spin past rank 18
     checked = set()
     for (family, module), (fields, args, _, templates, _) in repweights._MODULES.items():
@@ -248,7 +248,7 @@ def test_orbit_counts_must_be_a_composition_of_the_rank(templates):
 )
 def test_template_columns_must_be_a_whole_count(templates, message):
     with pytest.raises(ValueError, match=message + ", not a whole number"):
-        template_columns(3, templates)
+        _column_terms(3, templates)
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,7 @@ import itertools
 from fractions import Fraction
 
 from liecodes import verify
-from liecodes.repweights import module_templates, orbit_weight
+from liecodes.repweights import module_table, orbit_weight
 
 
 def claim(pattern: str, r: int):
@@ -32,8 +32,8 @@ def assert_orbit_weight(pattern: str, sizes, closed_form) -> None:
     same at every size in `sizes`.  Over F2 no coefficient is 2, and
     neither side reads n2."""
     spec = claim(pattern, sizes[0])[0]
-    templates = module_templates(spec)
-    assert {module_templates(claim(pattern, r)[0]) for r in sizes} == {templates}
+    templates = module_table(spec)[0]
+    assert {module_table(claim(pattern, r)[0])[0] for r in sizes} == {templates}
     t = max(len(coeffs) for coeffs, _ in templates)
     for counts in itertools.product(range(t + 1), repeat=3):
         assert orbit_weight(templates, spec.p, counts) == closed_form(*counts), counts

@@ -30,7 +30,7 @@ from liecodes.repweights import (
     exceptional_minimal_matrix,
     ext_weight_matrix_A,
     fixture_matrix,
-    module_templates,
+    module_table,
     to_cartan_h,
 )
 from liecodes.rootsys import EXCEPTIONAL_RANKS, cartan_matrix, positive_roots
@@ -372,6 +372,39 @@ def test_build_weight_matrix_legality():
         d_adjoint_spin_matrix(6, None)
 
 
+# (a valid request, a refused one of the same family and module, its
+# message): the valid one is counted first
+COUNTED_THEN_REFUSED = [
+    (ModuleSpec("A", 6, "ext4", 3), ModuleSpec("A", 6, "ext4", 2), "over F3 only"),
+    (ModuleSpec("D", 6, "ext2", 3), ModuleSpec("D", 6, "ext2", 2), "over F3 only"),
+    (ModuleSpec("A", 6, "ext3", 3), ModuleSpec("A", 6, "ext3", 3, basis="weyl"), "unknown basis"),
+    (ModuleSpec("D", 6, "ext3", 3), ModuleSpec("D", 6, "ext3", 3, basis="matrix_unit_E"), "family A only"),
+    (ModuleSpec("D", 6, "spin", 3), ModuleSpec("D", 6, "spin", 3, mode="direct_sum"), "adjoint_plus_spin only"),
+    (
+        ModuleSpec("D", 8, "adjoint_plus_spin", 3, mode="weight_code"),
+        ModuleSpec("D", 8, "adjoint_plus_spin", 3, mode="weight"),
+        "needs a mode",
+    ),
+    (ModuleSpec("A", 40, "ext3", 3), ModuleSpec("A", 300, "ext3", 3), "entries, over 4194304"),
+    (ModuleSpec("D", 18, "spin", 3), ModuleSpec("D", 19, "spin", 3), "entries, over 4194304"),
+]
+
+
+@pytest.mark.parametrize(
+    "good, bad, message",
+    COUNTED_THEN_REFUSED,
+    ids=["field-A", "field-D", "basis-A", "basis-D", "mode-spin", "mode-adjoint_plus_spin", "cap-A", "cap-D"],
+)
+def test_refusal_holds_after_a_counted_request(good, bad, message):
+    # a refused request is refused on every call, also right after a valid
+    # request of its module was counted; the count is the one the size check read
+    for _ in range(2):
+        assert module_table(good)[1] == module_code(good).n
+        for call in (module_table, build_weight_matrix, column_labels, module_code):
+            with pytest.raises(ValueError, match=message):
+                call(bad)
+
+
 def test_allowed_modules_order():
     # the command line offers its --family and --module choices in this order
     assert list(ALLOWED_MODULES.items()) == [
@@ -481,7 +514,7 @@ TEMPLATE_MODULES = [
 def test_templates_list_the_builders_columns(family, module, mode, basis, largest):
     rank = (LARGEST_RANK if largest else MIN_RANK)[family, module]
     spec = ModuleSpec(family, rank, module, 3, mode=mode, basis=None if basis == "cartan_h" else basis)
-    cols, weights = expand_templates(module_templates(spec), rank)
+    cols, weights = expand_templates(module_table(spec)[0], rank)
     if basis == "cartan_h":
         cols = cols[:-1] - cols[1:]
     wm = build_weight_matrix(spec)
@@ -491,7 +524,7 @@ def test_templates_list_the_builders_columns(family, module, mode, basis, larges
         assert columns_up_to_scalars(cols, p, weights) == columns_up_to_scalars(built, p, [24] * built.shape[1])
     if largest:
         with pytest.raises(ValueError, match="entries, over"):
-            module_templates(replace(spec, rank=rank + 1))
+            module_table(replace(spec, rank=rank + 1))
 
 
 def test_to_cartan_h_families():

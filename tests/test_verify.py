@@ -184,6 +184,49 @@ def test_module_code_equals_the_unpaired_count(pattern):
         assert module_code(spec).weight_distribution == weight_distribution_unpaired(spec), pattern.format(r)
 
 
+def _admissible_compositions(spec):
+    # every (n0, n1, n2) of the rank, and for a Cartan-basis sl(n) code only
+    # those of coefficient sum 0 (mod 3)
+    r = spec.rank
+    sum_zero = spec.family == "A" and spec.basis is None
+    return [
+        (r - n1 - n2, n1, n2)
+        for n1 in range(r + 1)
+        for n2 in range(r + 1 - n1)
+        if not sum_zero or (n1 + 2 * n2) % 3 == 0
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, kept",
+    [
+        # the all-ones vector gives the zero word: one orbit per S3 class
+        (ModuleSpec("A", 12, "ext3", 3, basis="matrix_unit_E"), "sorted"),
+        (ModuleSpec("A", 12, "adjoint", 3, basis="matrix_unit_E"), "sorted"),
+        (ModuleSpec("A", 12, "ext3", 3), "sorted"),
+        # it does not, or its sum 11 is not 0 (mod 3): one orbit per mirror pair
+        (ModuleSpec("A", 11, "ext3", 3), "mirror"),
+        (ModuleSpec("A", 11, "ext2", 3), "mirror"),
+        (ModuleSpec("A", 12, "ext2", 3), "mirror"),
+        (ModuleSpec("D", 12, "spin", 3), "mirror"),
+    ],
+    ids=["sl12-ext3-E", "sl12-adjoint-E", "sl12-ext3", "sl11-ext3", "sl11-ext2", "sl12-ext2", "o24-spin"],
+)
+def test_module_code_weighs_one_orbit_per_class(monkeypatch, spec, kept):
+    real, calls = verify.orbit_weights, []
+
+    def recording(templates, p, rank, orbits):
+        calls.append(list(orbits))
+        return real(templates, p, rank, orbits)
+
+    monkeypatch.setattr(verify, "orbit_weights", recording)
+    report = module_code(spec)
+    keep = {"sorted": lambda n0, n1, n2: n0 >= n1 >= n2, "mirror": lambda n0, n1, n2: n1 >= n2}[kept]
+    assert len(calls) == 1
+    assert sorted(calls[0]) == sorted(c for c in _admissible_compositions(spec) if keep(*c))
+    assert report.weight_distribution == weight_distribution_unpaired(spec)
+
+
 # SHA-256 of repr(registered_cases()) as recorded before the registry was
 # generated from the family rules
 REGISTRY_SHA256 = "7bfe9a7b036a17df57b62d63be25985068b7c8e6248c1ab34f802d01be9f1f1b"
