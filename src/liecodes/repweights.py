@@ -42,7 +42,6 @@ __all__ = [
     "build_weight_matrix",
     "column_labels",
     "module_table",
-    "orbit_weight",
     "orbit_weights",
     "to_cartan_h",
 ]
@@ -194,11 +193,6 @@ def orbit_weights(templates: tuple, p: int, rank: int, orbits: Sequence[tuple[in
                 raise _not_whole(coeffs, h, share)
             weights[i] += whole
     return weights
-
-
-def orbit_weight(templates: tuple, p: int, counts: tuple[int, int, int]) -> int:
-    """The weight of one orbit, `orbit_weights` on the rank sum(counts)."""
-    return orbit_weights(templates, p, sum(counts), [counts])[0]
 
 
 def _count_text(a: int, b: Fraction, e: int) -> str:

@@ -36,6 +36,8 @@ from liecodes.verify import (
 )
 
 from _oracles import (
+    CLAIMS,
+    admissible_sizes,
     assert_same_text,
     closed_form_weight,
     suite_json_by_dumps,
@@ -135,22 +137,11 @@ def test_work_budget_uses_computed_rank(monkeypatch):
     assert res.skipped and not res.passed and res.report is None
 
 
-# The sizes at which each family's claim is stated, by case id pattern:
-# every such size to n = 40 and m = 20, the spin codes to m = 18, the last
-# size under the 2^22-entry cap.  A lower bound without a stated condition
-# is the smallest registered size.
-ADMISSIBLE = {
-    "thm2.1/m={}": range(2, 21),  # sl(2m)
-    "thm2.2/n={}": [n for n in range(6, 41) if n % 4 in (2, 3)],  # n = 2, 3 (mod 4)
-    "thm2.3/ext2/n={}": range(5, 41, 3),  # sl(3m + 2)
-    "thm2.3/ext3/n={}": [n for n in range(5, 41) if n % 3 != 1],  # n = 0, 2 (mod 3)
-    "thm2.3/rowsE/n={}": range(5, 41),  # n >= 5
-    "thm2.4/L/n={}": range(4, 41),  # n >= 4
-    "thm2.4/K/m={}": range(2, 14),  # sl(3m), m >= 2
-    "thm3.1/m={}": range(4, 21, 3),  # o(2m), m = 1 (mod 3)
-    "thm3.2/m={}": range(3, 21),  # o(2m), m >= 3
-    "thm3.3/m={}": range(4, 19),  # o(2m), m >= 4
-}
+# The sizes at which each family's claim is stated, by case id pattern,
+# read off the size conditions of `_oracles.CLAIMS`: every such size to
+# n = 40 and m = 20, the spin codes to m = 18, the last size under the
+# 2^22-entry cap.
+ADMISSIBLE = {claims.pattern: admissible_sizes(claims) for claims in CLAIMS}
 
 # Each family rule at every admissible size, up to 10^18 codewords; only the
 # orbit count reaches the largest.  The binary cube codes are
