@@ -115,41 +115,19 @@ def format_matrix_text(m: FpMatrix) -> str:
     return f"{m.p} {m.rows} {m.cols}\n" + digit_rows(m, " ")
 
 
-def _check_entry(token: str, p: int) -> None:
-    """Raise the error for a token that is not an entry modulo p."""
-    try:
-        v = int(token)
-    except ValueError as exc:
-        raise ValueError(f"non-numeric matrix entry {token!r}") from exc
-    if not 0 <= v < p:
-        raise ValueError(f"entry {v} out of range for modulus {p}")
-
-
 # the ASCII characters str.split() splits on
 _ASCII_SPACE = np.array([chr(c).isspace() for c in range(128)])
 
 
-def _one_character_tokens(body: str, count: int) -> np.ndarray | None:
-    """The tokens of a body of `count` one-character ASCII tokens, each but
-    the last followed by one whitespace character (the body
-    `format_matrix_text` writes), as their character codes; None for any
-    other body.  `body` starts with a token."""
-    end = 2 * count - 1  # just past the last token
-    if not count or len(body) < end or not body.isascii():
-        return None
-    codes = np.frombuffer(body.encode("ascii"), dtype=np.uint8)
-    space = _ASCII_SPACE[codes]
-    if space[:end:2].any() or not space[1:end:2].all() or not space[end:].all():
-        return None
-    return codes[:end:2]
-
-
 def parse_matrix_text(text: str) -> FpMatrix:
-    """Parse the shared text format, rejecting out-of-range symbols.
+    """Parse the shared text format in the shape `format_matrix_text`
+    writes, rejecting out-of-range symbols.
 
-    The error names the first bad entry in reading order.  A body of
-    one-character tokens is read from its bytes with one conversion; any
-    other is split into tokens, which numpy converts.
+    After the header the body must hold rows x cols one-character ASCII
+    entries, each but the last followed by one whitespace character, and
+    then only whitespace; it is read from its bytes with one conversion.
+    Any other body is refused with one message.  The error names the first
+    bad entry in reading order.
     """
     head = text.split(maxsplit=3)
     if len(head) < 3:
@@ -162,29 +140,23 @@ def parse_matrix_text(text: str) -> FpMatrix:
         raise ValueError(f"modulus must be one of {SUPPORTED_PRIMES}, got {p}")
     if rows < 0 or cols < 1:
         raise ValueError(f"bad matrix shape {rows}x{cols}")
-    body = head[3] if len(head) > 3 else ""
-    codes = _one_character_tokens(body, rows * cols)
-    if codes is not None:
-        bad = (codes < ord("0")) | (codes >= ord("0") + p)
-        if bad.any():
-            _check_entry(chr(codes[bad.argmax()]), p)
-        a = np.empty((rows, cols), dtype=np.int64)
-        np.subtract(codes.reshape(rows, cols), ord("0"), out=a)
-        return FpMatrix(p, frozen(a))
-    tokens = body.split()
-    if len(tokens) != rows * cols:
-        raise ValueError(f"expected {rows * cols} entries, found {len(tokens)}")
-    try:
-        a = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
-        # a token int() cannot read, or one past int64; find the first bad one
-        for token in tokens:
-            _check_entry(token, p)
-        raise
-    bad = (a < 0) | (a >= p)
+    body = head[3] if len(head) > 3 else ""  # starts with an entry
+    end = max(2 * rows * cols - 1, 0)  # just past the last entry
+    codes = np.frombuffer(body.encode("ascii", "replace"), dtype=np.uint8)
+    space = _ASCII_SPACE[codes]
+    entries_apart = len(codes) >= end and not space[:end:2].any() and space[1:end:2].all()
+    if not (body.isascii() and entries_apart and space[end:].all()):
+        raise ValueError(f"expected {rows * cols} one-character entries, each followed by one whitespace character")
+    codes = codes[:end:2]
+    bad = (codes < ord("0")) | (codes >= ord("0") + p)
     if bad.any():
-        _check_entry(tokens[bad.argmax()], p)
-    return FpMatrix(p, a.reshape(rows, cols))
+        entry = chr(codes[bad.argmax()])
+        if entry.isdigit():
+            raise ValueError(f"entry {entry} out of range for modulus {p}")
+        raise ValueError(f"non-numeric matrix entry {entry!r}")
+    a = np.empty((rows, cols), dtype=np.int64)
+    np.subtract(codes.reshape(rows, cols), ord("0"), out=a)
+    return FpMatrix(p, frozen(a))
 
 
 def rref(m: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:

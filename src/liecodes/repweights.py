@@ -19,7 +19,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, ldexp, log2, perm
+from math import comb, factorial, log2, perm
 from operator import mul
 
 import numpy as np
@@ -98,35 +98,20 @@ def _not_whole(coeffs, hits, share: Fraction) -> ValueError:
     return ValueError(f"template {coeffs} counts {hits} x {share} columns, not a whole number")
 
 
-def _columns(coeffs, hits: int, share: Fraction) -> int:
-    """The columns a template with `hits` hits counts: each column is hit
-    1/share times, its equal coefficients in every order or both columns of
-    a +- pair.  A count that is not whole raises ValueError."""
-    whole, rest = divmod(hits * share.numerator, share.denominator)
-    if rest:
-        raise _not_whole(coeffs, hits, share)
-    return whole
-
-
-def _column_terms(rank: int, templates: tuple) -> tuple[int, Fraction]:
-    """(a, b): the templates give a + b 2^(rank - 1) columns on `rank`
-    coordinate rows, b 2^(rank - 1) of them from the spin templates; a is
-    counted template by template in integers.  A template whose count is not
-    whole raises ValueError."""
-    a = sum(_columns(c, perm(rank, len(c)), share) for c, share in templates if c is not None)
-    spin = [share for c, share in templates if c is None]
-    # share x 2^(rank - 1) is whole when the share's denominator is a power
-    # of two no larger than 2^(rank - 1), which is checked without forming it
-    for share in spin:
-        if share.denominator & (share.denominator - 1) or share.denominator.bit_length() > rank:
-            raise _not_whole(None, f"2^{rank - 1}", share)
-    return a, sum(spin)
-
-
-def _count(a: int, b: Fraction, e: int) -> int:
-    """a + b 2^e; 2^e is formed only when b is nonzero, that is for spin
-    templates, so a count without them takes no time linear in e."""
-    return a + int(b * 2**e) if b else a
+def _columns(rank: int, templates: tuple) -> int:
+    """The columns the templates give on `rank` coordinate rows.  A template
+    hits its coefficients placed on distinct rows in every order, a spin
+    template its 2^(rank - 1) subsets, and each column 1/share times, its
+    equal coefficients in every order or both columns of a +- pair.  A count
+    that is not whole raises ValueError."""
+    total = 0
+    for coeffs, share in templates:
+        hits = 1 << (rank - 1) if coeffs is None else perm(rank, len(coeffs))
+        whole, rest = divmod(hits * share.numerator, share.denominator)
+        if rest:
+            raise _not_whole(coeffs, hits, share)
+        total += whole
+    return total
 
 
 @functools.cache
@@ -195,19 +180,13 @@ def orbit_weights(templates: tuple, p: int, rank: int, orbits: Sequence[tuple[in
     return weights
 
 
-def _count_text(a: int, b: Fraction, e: int) -> str:
-    """The count a + b 2^e in digits, or as a power of two past 2^64 (the
-    digits of 2^(m-1) for a large spin module would not print).  2^e is
-    formed only for e <= 64; past that the text is read off the exponent."""
-    if not b or e <= 64:
-        x = _count(a, b, e)
-        if x < 1 << 64:
-            return str(x)
-        top = x.bit_length() - 1
-        return f"2^{top}" if x == 1 << top else f"about 2^{log2(x):.1f}"
-    if not a and (b.numerator * b.denominator).bit_count() == 1:
-        return f"2^{e + round(log2(b))}"
-    return f"about 2^{e + log2(b + ldexp(a, -e)):.1f}"
+def _count_text(x: int) -> str:
+    """x in digits, or as a power of two past 2^64 (the digits of 2^(m-1)
+    for a large spin module would not print)."""
+    if x < 1 << 64:
+        return str(x)
+    top = x.bit_length() - 1
+    return f"2^{top}" if x == 1 << top else f"about 2^{log2(x):.1f}"
 
 
 def _subset_label(members) -> str:
@@ -629,8 +608,9 @@ def module_table(ms: ModuleSpec) -> tuple[tuple, int] | None:
     number of columns they give, None for an exceptional one, or ValueError:
     the module table decides which (family, module) pairs exist and over
     which fields, the templates the ranks and modes; then the basis is
-    checked, and the size of the matrix.  The size check and `module_code`
-    read the one column count worked out here."""
+    checked, and the size of the matrix: a request of more than 2^22 rows
+    is refused by its row count alone, any other by its exact column count,
+    which `module_code` reads too."""
     allowed = ALLOWED_MODULES.get(ms.family)
     if allowed is None:
         raise ValueError(f"unknown family {ms.family!r}; expected one of {sorted(ALLOWED_MODULES)}")
@@ -653,14 +633,16 @@ def module_table(ms: ModuleSpec) -> tuple[tuple, int] | None:
     if ms.basis not in (None, "matrix_unit_E"):
         raise ValueError(f"unknown basis {ms.basis!r}; the one override is 'matrix_unit_E'")
     rows = ms.rank
-    a, b = _column_terms(rows, templates)
-    # past 64 rows a spin module is refused from the exponent alone: forming
-    # 2^(rows - 1) would take time and memory linear in rows
-    if (b and rows > 64) or rows * (columns := _count(a, b, rows - 1)) > _MAX_ENTRIES:
-        algebra = f"sl({rows})" if ms.family == "A" else f"o({2 * rows})"
-        size = f"{rows} x {_count_text(a, b, rows - 1)} = {_count_text(rows * a, rows * b, rows - 1)}"
-        raise ValueError(f"{ms.module} of {algebra} would have {size} entries, over {_MAX_ENTRIES}")
-    return templates, columns
+    # every module has a column, so past _MAX_ENTRIES rows the matrix is over
+    # the cap whatever its columns, and they are not counted
+    if rows > _MAX_ENTRIES:
+        size = f"{rows} rows, so at least {rows}"
+    elif rows * (columns := _columns(rows, templates)) > _MAX_ENTRIES:
+        size = f"{rows} x {_count_text(columns)} = {_count_text(rows * columns)}"
+    else:
+        return templates, columns
+    algebra = f"sl({rows})" if ms.family == "A" else f"o({2 * rows})"
+    raise ValueError(f"{ms.module} of {algebra} would have {size} entries, over {_MAX_ENTRIES}")
 
 
 def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:

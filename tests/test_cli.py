@@ -65,10 +65,10 @@ def test_report_at_the_size_cap(capsys):
 
 
 def test_oversized_module_is_a_usage_error(capsys):
-    # refused before anything is allocated: 30 x 2^29, 300 x C(300, 3),
-    # 16000 x 2^15999 and 10^8 x 2^(10^8 - 1) entries; the last two counts
-    # have too many digits to print, and the last is refused from its
-    # exponent, without forming 2^(10^8 - 1)
+    # refused before anything is allocated: 30 x 2^29, 300 x C(300, 3) and
+    # 16000 x 2^15999 entries, the last count with too many digits to print;
+    # past 2^22 rows a request is refused by its row count alone, so 10^8
+    # and 10^18 rows count no column and form no 2^(10^8 - 1)
     for argv, size, budget in (
         (["report", "--family", "D", "--m", "30", "--module", "spin"], "30 x 536870912", 1.0),
         (["matrix", "--family", "A", "--n", "300", "--module", "ext3"], "300 x 4455100", 1.0),
@@ -79,19 +79,27 @@ def test_oversized_module_is_a_usage_error(capsys):
         ),
         (
             ["report", "--family", "D", "--m", "100000000", "--module", "spin"],
-            "spin of o(200000000) would have 100000000 x 2^99999999 = about 2^100000025.6",
+            "spin of o(200000000) would have 100000000 rows, so at least 100000000 entries",
             0.2,
         ),
-        # no spin columns: the count has no 2^(10^8 - 1) term, and that
-        # power is not formed
         (
             ["report", "--family", "D", "--m", "100000000", "--module", "ext3"],
-            "ext3 of o(200000000) would have 100000000 x about 2^79.1",
+            "ext3 of o(200000000) would have 100000000 rows, so at least 100000000 entries",
             0.2,
         ),
         (
             ["matrix", "--family", "A", "--n", "100000000", "--module", "ext2"],
-            "ext2 of sl(100000000) would have 100000000 x 4999999950000000",
+            "ext2 of sl(100000000) would have 100000000 rows, so at least 100000000 entries",
+            0.2,
+        ),
+        (
+            ["report", "--family", "D", "--m", str(10**18), "--module", "spin"],
+            f"spin of o({2 * 10**18}) would have {10**18} rows, so at least {10**18} entries",
+            0.2,
+        ),
+        (
+            ["matrix", "--family", "D", "--m", str(10**18), "--module", "ext2"],
+            f"ext2 of o({2 * 10**18}) would have {10**18} rows, so at least {10**18} entries",
             0.2,
         ),
     ):

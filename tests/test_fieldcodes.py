@@ -107,11 +107,14 @@ def test_text_format_round_trip_without_rows():
     assert parse_matrix_text("3 0 4\n") == m
 
 
+# the one shape of body that is read
+SHAPE = "one-character entries, each followed by one whitespace character"
+
 # each malformed text and the error it raises
 TEXT_ERRORS = {
     "3 1": "matrix text needs a 'p rows cols' header",  # truncated header
     "3 1 2\n0 3": "entry 3 out of range for modulus 3",  # out-of-range symbol
-    "2 1 2\n0": "expected 2 entries, found 1",  # wrong entry count
+    "2 1 2\n0": f"expected 2 {SHAPE}",  # too few
     "2 1 2\n0 x": "non-numeric matrix entry 'x'",  # non-numeric entry
     "7 1 1\n0": "modulus must be one of (2, 3), got 7",  # unsupported modulus
     "3 x 2\n0 1": "malformed matrix header ['3', 'x', '2']",  # non-numeric header
@@ -120,10 +123,11 @@ TEXT_ERRORS = {
     # the first bad entry in reading order is named
     "3 1 3\n0 5 x": "entry 5 out of range for modulus 3",
     "3 1 3\n0 x 5": "non-numeric matrix entry 'x'",
-    "2 1 2\n99999999999999999999999 x": "entry 99999999999999999999999 out of range for modulus 2",
-    # as many characters as four one-character tokens, but three tokens
-    "3 2 2\n1 001 1\n": "expected 4 entries, found 3",
-    "3 2 2\n1   1 1\n": "expected 4 entries, found 3",
+    # any other body shape is refused: a longer token, or as many characters
+    # as four one-character entries but three tokens
+    "2 1 2\n99999999999999999999999 x": f"expected 2 {SHAPE}",
+    "3 2 2\n1 001 1\n": f"expected 4 {SHAPE}",
+    "3 2 2\n1   1 1\n": f"expected 4 {SHAPE}",
 }
 
 
@@ -151,22 +155,35 @@ OTHER_GAPS = ["  ", "\t", " \n", "\x1c", "\r\n", "\x85", " \t\n"]
 @st.composite
 def matrix_texts(draw):
     """A header and a body of tokens drawn from one of three alphabets, apart
-    by single spaces and newlines or by any whitespace, so that either
-    reading, and both success and each error, are drawn often."""
+    by single spaces and newlines or by any whitespace, so that both success
+    and each error are drawn often; and whether the body has the shape
+    `format_matrix_text` writes: an ASCII text with the right count of
+    one-character tokens, each but the last followed by one whitespace
+    character."""
     p, rows, cols = draw(st.sampled_from([2, 3, 3, 5])), draw(st.integers(0, 3)), draw(st.integers(1, 4))
     count = max(rows * cols + draw(st.sampled_from([0, 0, 0, 0, -1, 1])), 0)
     alphabet = draw(st.sampled_from([["0", "1"], ONE_CHARACTER, ONE_CHARACTER + OTHER_TOKENS]))
     gaps = draw(st.sampled_from([ONE_GAP, ONE_GAP + OTHER_GAPS]))
+    tokens = draw(st.lists(st.sampled_from(alphabet), min_size=count, max_size=count))
+    between = draw(st.lists(st.sampled_from(gaps), min_size=count, max_size=count))
     text = f"{p} {rows} {cols}" + draw(st.sampled_from(["\n", " ", "\n\n"]))
-    for token in draw(st.lists(st.sampled_from(alphabet), min_size=count, max_size=count)):
-        text += token + draw(st.sampled_from(gaps))
-    return text[: len(text) - draw(st.sampled_from([0, 0, 1]))]
+    text += "".join(map(str.__add__, tokens, between))
+    text = text[: len(text) - draw(st.sampled_from([0, 0, 1]))]
+    canonical = count == rows * cols and all(len(t) == 1 for t in tokens) and all(len(g) == 1 for g in between[:-1])
+    return text, canonical and text.isascii()
 
 
 @settings(max_examples=400, deadline=None)
 @given(matrix_texts())
-def test_text_is_read_as_numpy_reads_its_tokens(text):
-    assert parse_outcome(parse_matrix_text, text) == parse_outcome(parse_matrix_text_by_tokens, text)
+def test_text_is_read_as_numpy_reads_its_tokens(drawn):
+    # text in the written shape is read, or refused, exactly as numpy reads
+    # its tokens; any other is refused, even where numpy reads it
+    text, canonical = drawn
+    outcome = parse_outcome(parse_matrix_text, text)
+    if canonical:
+        assert outcome == parse_outcome(parse_matrix_text_by_tokens, text)
+    else:
+        assert outcome[0] == "error"
 
 
 def test_canonical_text_is_read_without_tokens(monkeypatch):
@@ -188,8 +205,8 @@ def test_canonical_text_is_read_without_tokens(monkeypatch):
         assert parse_matrix_text(text.rstrip("\n")) == m
     with pytest.raises(ValueError, match="entry 5 out of range for modulus 3"):
         parse_matrix_text(bad)
-    # another token shape takes the numpy conversion
-    with pytest.raises(AssertionError, match="a token was converted"):
+    # another token shape is refused, not converted
+    with pytest.raises(ValueError, match=f"^expected 2 {SHAPE}$"):
         parse_matrix_text("3 1 2\n01 1\n")
 
 

@@ -5,6 +5,7 @@ matrix and the builders' own combination weights."""
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from liecodes.repweights import (
     ADJOINT_SPIN_MODES,
     ALLOWED_MODULES,
     ModuleSpec,
-    _column_terms,
+    _columns,
     build_weight_matrix,
     d_spin_templates,
     ext_templates_A,
@@ -246,14 +247,46 @@ def test_orbit_counts_must_be_a_composition_of_the_rank(templates):
     [
         # one coefficient goes on 3 rows in 3 ways; at share 1/2 that is 1.5 columns
         ((((1,), Fraction(1, 2)),), "counts 3 x 1/2 columns"),
-        # 2^2 spin columns on 3 rows; at share 1/8 (or 1/3) that is not whole
-        (((None, Fraction(1, 8)),), r"counts 2\^2 x 1/8 columns"),
-        (((None, Fraction(1, 3)),), r"counts 2\^2 x 1/3 columns"),
+        # a spin template hits the 2^2 subsets of 3 rows; at share 1/8 (or 1/3)
+        # that is not whole
+        (((None, Fraction(1, 8)),), "counts 4 x 1/8 columns"),
+        (((None, Fraction(1, 3)),), "counts 4 x 1/3 columns"),
     ],
 )
 def test_template_columns_must_be_a_whole_count(templates, message):
     with pytest.raises(ValueError, match=message + ", not a whole number"):
-        _column_terms(3, templates)
+        _columns(3, templates)
+
+
+def _weight_code_columns(m):
+    # [ext2 | -ext2 | spin] for odd m, [ext2 | half spin] for even m
+    return 2 * m * (m - 1) + 2 ** (m - 1) if m % 2 else m * (m - 1) + 2 ** (m - 2)
+
+
+# each module's smallest rank and its column count in closed form
+COLUMN_COUNTS = {
+    ("A", "ext2", None): (3, lambda n: comb(n, 2)),
+    ("A", "ext3", None): (4, lambda n: comb(n, 3)),
+    ("A", "ext4", None): (5, lambda n: comb(n, 4)),
+    ("A", "adjoint", None): (3, lambda n: comb(n, 2)),
+    ("D", "ext2", None): (3, lambda m: m * (m - 1)),
+    ("D", "ext3", None): (3, lambda m: comb(m, 3) + m * comb(m, 2)),
+    ("D", "spin", None): (3, lambda m: 2 ** (m - 1)),
+    ("D", "adjoint_plus_spin", "weight_code"): (4, _weight_code_columns),
+    ("D", "adjoint_plus_spin", "direct_sum"): (4, lambda m: m * (m - 1) + 2 ** (m - 1)),
+}
+
+
+@pytest.mark.parametrize("family, module, mode", list(COLUMN_COUNTS))
+def test_column_count_is_the_closed_form(family, module, mode):
+    # every rank from the module's smallest to 64, and three far past the
+    # ranks `module_table` admits, where the spin counts have up to 2^22 bits
+    _, args, _, templates, _ = repweights._MODULES[family, module]
+    smallest, count = COLUMN_COUNTS[family, module, mode]
+    with pytest.raises(ValueError, match=" needs "):
+        templates(*args(ModuleSpec(family, smallest - 1, module, 3, mode=mode)))
+    for rank in [*range(smallest, 65), 10**3, 10**6, 1 << 22]:
+        assert _columns(rank, templates(*args(ModuleSpec(family, rank, module, 3, mode=mode)))) == count(rank), rank
 
 
 @pytest.mark.parametrize(
