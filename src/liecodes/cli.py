@@ -11,9 +11,9 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import sys
 from functools import cache
+from itertools import compress
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .verify import (
     CaseResult,
     SuiteReport,
     TableRow,
-    _json_with_distributions,
+    json_text,
     module_code,
     reproduce_table,
     run_suite,
@@ -135,8 +135,8 @@ def _matrix_payload(matrix: FpMatrix, spec: ModuleSpec, fmt: str) -> str:
             "entries": None,  # spliced in: a label cannot hold the key's unescaped quotes
             "column_labels": list(labels),
         }
-        head, _, tail = json.dumps(payload, indent=2, sort_keys=True).partition('"entries": null')
-        return f'{head}"entries": {_json_entries(matrix)}{tail}\n'
+        head, _, tail = json_text(payload).partition('"entries": null')
+        return f'{head}"entries": {_json_entries(matrix)}{tail}'
     return _csv_text(list(labels), []) + digit_rows(matrix, ",")
 
 
@@ -149,14 +149,14 @@ def _text_value(value) -> str:
 
 
 def _report_payload(report: CodeReport, fmt: str) -> str:
-    """Every format writes the fields of `CodeReport.to_dict`; text and csv
-    write the weight distribution as w:c pairs, and text names the binary
-    flags over F2 only."""
+    """Every format writes the fields of `CodeReport.to_dict`, json through
+    `json_text`; text and csv write the nonzero weights of the distribution
+    as w:c pairs, and text names the binary flags over F2 only."""
     fields = report.to_dict()
     if fmt == "json":
-        fields["weight_distribution"] = 0  # the index of its list
-        return _json_with_distributions(fields, [report.weight_distribution])
-    fields["weight_distribution"] = " ".join(f"{w}:{c}" for w, c in enumerate(report.weight_distribution) if c)
+        return json_text(fields)
+    dist = report.weight_distribution
+    fields["weight_distribution"] = " ".join(f"{w}:{dist[w]}" for w in compress(range(len(dist)), dist))
     if fmt == "csv":
         return _csv_text(list(fields), [list(fields.values())])
     if report.p != 2:
@@ -199,8 +199,7 @@ def _suite_payload(report: SuiteReport, fmt: str, stable: bool) -> str:
 def _table_payload(rows: tuple[TableRow, ...], fmt: str) -> str:
     names = [f.name for f in dataclasses.fields(TableRow)]
     if fmt == "json":
-        payload = [{name: getattr(r, name) for name in names} for r in rows]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json_text([{name: getattr(r, name) for name in names} for r in rows])
     if fmt == "csv":
         return _csv_text(names, [[getattr(r, name) for name in names] for r in rows])
     lines = [f"{'label':<14} {'stated':>7} {'computed':>9}  note"]

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import fnmatch
 import json
-import re
 import time
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from math import comb
+from functools import cache
+from itertools import compress, pairwise, repeat
+from json.encoder import encode_basestring_ascii
+from math import comb, isfinite
 
 import numpy as np
 
@@ -52,6 +54,7 @@ __all__ = [
     "registered_cases",
     "run_case",
     "run_suite",
+    "json_text",
     "to_json",
     "reproduce_table",
     "TABLE_IDS",
@@ -405,42 +408,60 @@ def run_suite(filter: str | None = None, include_optional: bool = False) -> Suit
     return SuiteReport(tuple(map(run_case, cases)))
 
 
-# a "weight_distribution" key whose value is an integer placeholder; a JSON
-# string escapes its quotes and newlines, so no string value can hold this
-# text, and the payloads have the key only where a distribution goes
-_DISTRIBUTION = re.compile(r'\n( *)"weight_distribution": (\d+)')
+# scalars of these exact types are written without a call of `write`, which sends the rest to json's encoder
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): {None: "null"}.__getitem__,
+            bool: {True: "true", False: "false"}.__getitem__,
+            float: lambda x: float.__repr__(x) if isfinite(x) else json.dumps(x)}
 
 
-def _json_with_distributions(payload, distributions: list) -> str:
-    """`json.dumps(payload, indent=2, sort_keys=True)` plus a newline, where
-    each "weight_distribution" of the payload is the index of its list in
-    `distributions`.  Each list is spliced in as one join: with an indent,
-    json encodes every entry in Python."""
+def json_text(value) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` plus a newline, for
+    values of dicts, lists, tuples, str, int, float, bool and None.  With an
+    indent json encodes in Python; here a container holding no container is
+    one call of json's C encoder, and a list of ints writes each run of
+    zeros as one repeated string.  A dict key that is not a str raises
+    TypeError, where json would write it as a string."""
+    flat = cache(lambda sep: json.JSONEncoder(separators=(sep, ": "), sort_keys=True).encode)
 
-    def splice(match: re.Match) -> str:
-        indent = match[1]
-        entries = f",\n{indent}  ".join(map(str, distributions[int(match[2])]))
-        return f'\n{indent}"weight_distribution": [\n{indent}  {entries}\n{indent}]'
+    def write(value, indent: str) -> str:  # indent: a newline and the indentation of `value`
+        inner = indent + "  "
+        sep = "," + inner
+        if isinstance(value, dict):
+            if set(map(type, value.values())).issubset(_SCALARS) and all(map(isinstance, value, repeat(str))):
+                body = flat(sep)(value)[1:-1]
+            else:  # a key that is not a str makes encode_basestring_ascii raise TypeError
+                body = sep.join(
+                    f"{encode_basestring_ascii(k)}: {t(v) if (t := _SCALARS.get(type(v))) else write(v, inner)}"
+                    for k, v in sorted(value.items())
+                )
+            return f"{{{inner}{body}{indent}}}" if value else "{}"
+        if not isinstance(value, (list, tuple)):
+            return flat(sep)(value)
+        types = set(map(type, value))
+        if types == {int}:
+            zero, at = "0" + sep, [-1, *compress(range(len(value)), value)]
+            runs = (f"{zero * (i - last - 1)}{int.__repr__(value[i])}{sep}" for last, i in pairwise(at))
+            body = ("".join(runs) + zero * (len(value) - at[-1] - 1))[: -len(sep)]
+        elif types.issubset(_SCALARS):
+            body = flat(sep)(value)[1:-1]
+        else:
+            body = sep.join(t(v) if (t := _SCALARS.get(type(v))) else write(v, inner) for v in value)
+        return f"[{inner}{body}{indent}]" if value else "[]"
 
-    return _DISTRIBUTION.sub(splice, json.dumps(payload, indent=2, sort_keys=True)) + "\n"
+    return write(value, "\n") + "\n"
 
 
 def to_json(report: SuiteReport, stable: bool = False) -> str:
-    """Deterministic JSON rendering of a suite report; `stable` zeroes the
-    timing field."""
+    """Deterministic JSON rendering of a suite report, through `json_text`;
+    `stable` zeroes the timing field."""
     out_cases = []
-    distributions = []
     for res in report.results:
         case = res.case
-        computed = None
-        if res.report:
-            computed = {**res.report.to_dict(), "weight_distribution": len(distributions)}
-            distributions.append(res.report.weight_distribution)
         entry = {
             "case_id": res.case_id,
             "citation": case.citation,
             "expected": case.expected_dict(),
-            "computed": computed,
+            "computed": res.report.to_dict() if res.report else None,
             "pass": res.passed,
             "skipped": res.skipped,
             "millis": 0.0 if stable else round(res.millis, 3),
@@ -449,7 +470,7 @@ def to_json(report: SuiteReport, stable: bool = False) -> str:
             entry["annotation"] = {"stated": case.annotation.stated, "note": case.annotation.note}
         out_cases.append(entry)
     payload = {"cases": out_cases, "totals": report.totals, "discrepancies": list(report.discrepancies)}
-    return _json_with_distributions(payload, distributions)
+    return json_text(payload)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def test_payloads_do_not_depend_on_the_hash_seed(payloads):
 
 
 def test_json_payloads_are_canonical(payloads):
-    # the weight distributions and matrix entries are spliced into the JSON;
+    # the JSON comes from verify.json_text, with matrix entries spliced in;
     # the text must still be what json.dumps writes for the data it holds
     noncanonical = [
         command

@@ -8,6 +8,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liecodes import cli, repweights, verify
 from liecodes.fieldcodes import combination_weight
@@ -26,6 +28,7 @@ from liecodes.verify import (
     SuiteReport,
     VerifyLimits,
     branch_equivalences,
+    json_text,
     module_code,
     registered_cases,
     reproduce_table,
@@ -320,7 +323,7 @@ def test_suite_totals_and_discrepancies_with_skipped_cases(monkeypatch):
     )
 
 
-# a note holding the text of the spliced key, which JSON writes with its quotes escaped
+# a note holding the text of a weight_distribution entry, which JSON writes with its quotes escaped
 TRAP_NOTE = 'a stated "weight_distribution": 7 in the note'
 
 SUITES = {
@@ -341,6 +344,47 @@ SUITES = {
 def test_to_json_equals_json_dumps(monkeypatch, name, stable):
     report = SUITES[name](monkeypatch)
     assert_same_text(to_json(report, stable), suite_json_by_dumps(report, stable))
+
+
+# keys with non-ASCII text, quotes, backslashes and control characters
+JSON_KEYS = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "é", "\U0001f600", "\ud800", ""])
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats()  # nan and both infinities among them
+    | st.just(-0.0)
+    | st.text(max_size=6)
+)
+# int lists dense with zeros, so runs lead, trail and fill them; some hold bools
+ZERO_RUNS = st.lists(st.just(0) | st.integers(), max_size=40) | st.lists(
+    st.just(0) | st.integers() | st.booleans(), max_size=20
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | ZERO_RUNS,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(JSON_KEYS, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_equals_json_dumps(value):
+    assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("key", [1, None])
+@pytest.mark.parametrize("entry", [0, [0]], ids=["flat", "nested"])
+def test_json_text_refuses_keys_that_are_not_str(key, entry):
+    # json would write such a key as a string
+    for value in ({key: entry}, [{"a": {key: entry}, "b": [1]}]):
+        with pytest.raises(TypeError):
+            json_text(value)
 
 
 def test_annotations_record_stated_and_computed():
