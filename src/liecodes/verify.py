@@ -281,15 +281,28 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     matrix-unit ext3 and adjoint codes, and the sum-zero ones with 3 | r),
     adding it to c turns (n0, n1, n2) into (n2, n0, n1), so the weight is
     the same under every permutation of the composition: one orbit with
-    n0 >= n1 >= n2 is weighed per class and counted 1, 3 or 6 times.  No
-    weight matrix is built, and no Python step is taken per coordinate: one
-    `orbit_weights` call weighs every orbit, and the two orbits a binary
+    n0 >= n1 >= n2 is weighed per class and counted 1, 3 or 6 times.
+
+    An o(2m) code has the whole of W(D_m) = S_m x| (Z/2)^(m-1): it also
+    changes the signs of any two rows X_i.  Every o(2m) module's weights
+    are W-stable, and W maps each kept column to a kept column up to sign,
+    so the weight of c . X is W-invariant; a sign change turns c_i into
+    -c_i, a one into a two.  Paired with a zero coefficient it is a single
+    change, so for each n0 = 1..m there is one class (n0, m - n0, 0) of
+    C(m, n0) 2^(m - n0) vectors.  With no zero the sign changes keep the
+    parity of n2: for even m the classes (0, m, 0) and (0, m - 1, 1) of
+    2^(m - 1) vectors each, for odd m one class (0, m, 0) of 2^m, since -c
+    swaps the parities.  That is m + 1 or m + 2 orbits in place of about
+    (m + 2)^2/4 mirror pairs.
+
+    No weight matrix is built, and no Python step is taken per coordinate:
+    one `orbit_weights` call weighs every orbit, and the two orbits a binary
     code's flags read, after looking up the templates' placements and the
     falling factorials of r once; each orbit then costs a few integer
     products per template and a spin template one closed form (a sum over j
-    only for the r + 1 orbits with no coefficient 0).  The orbit sizes are
-    then added up by weight, so the kernel division, the orthogonality test
-    and `distribution_report` see only the weights that occur.
+    only for the at most two orbits with no coefficient 0).  The orbit sizes
+    are then added up by weight, so the kernel division, the orthogonality
+    test and `distribution_report` see only the weights that occur.
     """
     table = module_table(spec)
     if table is None:
@@ -299,28 +312,40 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     # the Cartan-basis sl(n) code (the basis `build_weight_matrix` gives) is
     # spanned by the X_i - X_(i+1): its words are the c . X with c_1 + ... + c_r = 0
     sum_zero = spec.family == "A" and spec.basis != "matrix_unit_E"
-    # over F3, c and -c = 2c (n1 and n2 swapped) have one weight, the same
-    # orbit size and both or neither c_1 + ... + c_r = 0: a pair is weighed
-    # once, from the composition with n2 < n1, and counted twice.  The
-    # all-ones vector u puts sum(coeffs) on each column of a template, and
-    # r + |S| (mod 3), not always 0, on the spin column of a subset S; when
-    # its word is zero (and its sum, for a sum-zero code), the S3 classes apply
-    ones_zero = all(coeffs is not None and sum(coeffs) % p == 0 for coeffs, _ in templates)
-    s3 = p == 3 and ones_zero and (not sum_zero or r % 3 == 0)
-    orbits, sizes = [], []
-    for n1 in range(r // 2 + 1 if s3 else r + 1):
-        size = comb(r, n1)  # r! / (n0! n1! n2!) at n2 = 0
-        top = 0 if p == 2 else min(n1, r - 2 * n1 if s3 else r - n1)
-        for n2 in range(top + 1):
-            n0 = r - n1 - n2
-            if not sum_zero or (n1 + 2 * n2) % p == 0:
-                if s3:
-                    copies = 1 if n0 == n2 else 3 if n0 == n1 or n1 == n2 else 6
-                else:
-                    copies = 2 if p == 3 and n2 < n1 else 1
-                orbits.append((n0, n1, n2))
-                sizes.append(copies * size)
-            size = size * n0 // (n2 + 1)
+    if spec.family == "D":
+        # the classes of W(D_m): n0 >= 1 zeros in C(r, n0) places and any signs
+        # on the rest; with none, an even or odd count of twos, which -c swaps
+        # for odd r
+        orbits = [(n0, r - n0, 0) for n0 in range(1, r + 1)]
+        sizes = [comb(r, n0) << (r - n0) for n0 in range(1, r + 1)]
+        if r % 2:
+            orbits.append((0, r, 0))
+            sizes.append(1 << r)
+        else:
+            orbits += [(0, r, 0), (0, r - 1, 1)]
+            sizes += [1 << (r - 1)] * 2
+    else:
+        # over F3, c and -c = 2c (n1 and n2 swapped) have one weight, the same
+        # orbit size and both or neither c_1 + ... + c_r = 0: a pair is weighed
+        # once, from the composition with n2 < n1, and counted twice.  The
+        # all-ones vector u puts sum(coeffs) on each column of a template; when
+        # its word is zero (and its sum, for a sum-zero code), the S3 classes apply
+        ones_zero = all(sum(coeffs) % p == 0 for coeffs, _ in templates)
+        s3 = p == 3 and ones_zero and (not sum_zero or r % 3 == 0)
+        orbits, sizes = [], []
+        for n1 in range(r // 2 + 1 if s3 else r + 1):
+            size = comb(r, n1)  # r! / (n0! n1! n2!) at n2 = 0
+            top = 0 if p == 2 else min(n1, r - 2 * n1 if s3 else r - n1)
+            for n2 in range(top + 1):
+                n0 = r - n1 - n2
+                if not sum_zero or (n1 + 2 * n2) % p == 0:
+                    if s3:
+                        copies = 1 if n0 == n2 else 3 if n0 == n1 or n1 == n2 else 6
+                    else:
+                        copies = 2 if p == 3 and n2 < n1 else 1
+                    orbits.append((n0, n1, n2))
+                    sizes.append(copies * size)
+                size = size * n0 // (n2 + 1)
     # a binary code's flags also read w1 and w2 (below), weighed after the orbits
     flag_orbits = [(r - 1, 1, 0), (r - 2, 2, 0)] if p == 2 else []
     weights = orbit_weights(templates, p, r, orbits + flag_orbits)

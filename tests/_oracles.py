@@ -426,8 +426,10 @@ def spin_orbit_weight_by_sum(counts):
 def weight_distribution_unpaired(spec):
     """The weight distribution of an sl(n) or o(2m) code from its templates,
     every composition (n0, n1, n2) of the rank weighed on its own, one
-    `orbit_weights` call per orbit, apart from the batched, mirror-paired count of
-    `module_code`."""
+    `orbit_weights` call per orbit, apart from the batched count of
+    `module_code`, which weighs one composition per class of its symmetry:
+    the mirror pair of c and -c, the S3 class, or for o(2m) the class of
+    W(D_m), permutations and an even number of sign changes."""
     templates, n = module_table(spec)
     p, r = spec.p, spec.rank
     sum_zero = spec.family == "A" and spec.basis != "matrix_unit_E"

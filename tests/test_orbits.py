@@ -3,6 +3,7 @@ column templates, against enumeration, the orbit count over the built
 matrix and the builders' own combination weights."""
 
 import itertools
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -215,6 +216,33 @@ def test_ternary_template_weight_is_mirror_symmetric():
                     assert _orbit_weight(tmpl, 3, (n0, n1, n2)) == _orbit_weight(tmpl, 3, (n0, n2, n1)), (module, mode)
             checked.add((family, module, mode))
     assert len(checked) == 9  # every A and D module, each mode of adjoint_plus_spin
+
+
+def test_o2m_template_weight_is_one_per_weyl_class():
+    # W(D_m) permutes the rows and changes the signs of any two, which maps
+    # every o(2m) column to a column up to sign: every D template table at
+    # every rank from 3 to 60 gives one weight per class, which `module_code`
+    # relies on.  A zero coefficient absorbs one of the two sign changes, so
+    # (n0, n1, n2) with n0 >= 1 all agree; with none, the parity of n2 (that
+    # of n1 for even m) is kept, and for odd m -c swaps it too
+    checked = set()
+    for (family, module), (_, args, _, templates, _) in repweights._MODULES.items():
+        if family != "D":
+            continue
+        modes = ADJOINT_SPIN_MODES if module == "adjoint_plus_spin" else (None,)
+        for mode, rank in itertools.product(modes, range(3, 61)):
+            try:
+                tmpl = templates(*args(ModuleSpec(family, rank, module, 3, mode=mode)))
+            except ValueError:
+                continue  # below the module's smallest rank
+            orbits = [(rank - n1 - n2, n1, n2) for n1 in range(rank + 1) for n2 in range(rank - n1 + 1)]
+            weights = defaultdict(set)
+            for (n0, n1, _), weight in zip(orbits, orbit_weights(tmpl, 3, rank, orbits)):
+                weights[n0, n1 % 2 if n0 == 0 and rank % 2 == 0 else None].add(weight)
+            assert len(weights) == rank + 1 + (rank % 2 == 0)
+            assert all(len(ws) == 1 for ws in weights.values()), (module, mode, rank)
+            checked.add((module, mode))
+    assert len(checked) == 5  # every D module, each mode of adjoint_plus_spin
 
 
 def test_template_weight_must_be_a_whole_count():

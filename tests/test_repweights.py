@@ -208,6 +208,33 @@ def test_adjoint_spin_codes():
     assert analyze(row_space_code(d_adjoint_spin_matrix(6, "direct_sum").mod(3))).params() == (62, 6, 27)
 
 
+@pytest.mark.parametrize(
+    "module, mode",
+    [("ext2", None), ("ext3", None), ("spin", None), *(("adjoint_plus_spin", mode) for mode in ADJOINT_SPIN_MODES)],
+)
+def test_o2m_columns_are_kept_up_to_sign_by_two_sign_changes(module, mode):
+    # W(D_m) changes the signs of any two rows; from the builders alone,
+    # which share nothing with the templates, that keeps the columns up to
+    # sign, so the weight of c . X is that of c with two coefficients
+    # negated.  One sign change keeps the spin columns for odd m only, where
+    # it is a change of the other m - 1 rows followed by c -> -c
+    for m in range(3, 9):
+        spec = ModuleSpec("D", m, module, 3, mode=mode)
+        if m < 4 and module == "adjoint_plus_spin":
+            continue
+        # the residues mod 3 as -1, 0 and 1, so that negation over F3 is negation
+        entries = (build_weight_matrix(spec).mod(3).entries + 1) % 3 - 1
+        columns = column_multiset_up_to_sign(entries)
+        for rows in itertools.combinations(range(m), 2):
+            negated = entries.copy()
+            negated[list(rows)] *= -1
+            assert column_multiset_up_to_sign(negated) == columns, (m, rows)
+        if module == "spin":
+            negated = entries.copy()
+            negated[0] *= -1
+            assert (column_multiset_up_to_sign(negated) == columns) == (m % 2 == 1), m
+
+
 # ---------------------------------------------------------------------------
 # exceptional families and fixtures
 

@@ -169,13 +169,43 @@ def test_extended_range_cases_pass(case):
 
 @pytest.mark.parametrize("pattern", list(ADMISSIBLE))
 def test_module_code_equals_the_unpaired_count(pattern):
-    # `module_code` weighs all orbits in one batch, and over F3 the orbits of
-    # c and -c once; weighed one by one, every composition gives the same
-    # distribution
+    # `module_code` weighs all orbits in one batch, over F3 the orbits of c
+    # and -c once, and for o(2m) one orbit per class of W(D_m); weighed one
+    # by one, every composition gives the same distribution
     rule = next(rule for pat, _, rule in verify._FAMILIES if pat == pattern)
     for r in ADMISSIBLE[pattern]:
         spec = rule(r)[0]
         assert module_code(spec).weight_distribution == weight_distribution_unpaired(spec), pattern.format(r)
+
+
+# each o(2m) module request, both modes of adjoint-plus-spin among them
+D_MODULES = {
+    "ext2": ("ext2", None),
+    "ext3": ("ext3", None),
+    "spin": ("spin", None),
+    "adjoint_plus_spin-weight_code": ("adjoint_plus_spin", "weight_code"),
+    "adjoint_plus_spin-direct_sum": ("adjoint_plus_spin", "direct_sum"),
+}
+
+
+@pytest.mark.parametrize("module, mode", D_MODULES.values(), ids=D_MODULES)
+def test_o2m_module_code_equals_the_unpaired_count_at_every_rank(module, mode):
+    # ADMISSIBLE holds the stated sizes of the family rules, and cor3.4 is
+    # none: here every m from the module's smallest to 60 or the last one
+    # `module_table` accepts
+    checked = []
+    for m in range(3, 61):
+        spec = ModuleSpec("D", m, module, 3, mode=mode)
+        try:
+            repweights.module_table(spec)
+        except ValueError:
+            if checked:
+                break
+            continue  # below the module's smallest rank
+        assert module_code(spec).weight_distribution == weight_distribution_unpaired(spec), m
+        checked.append(m)
+    last = {"ext2": 60, "ext3": 50}.get(module, 18)  # 152 codes in all
+    assert checked == list(range(checked[0], last + 1))
 
 
 def _admissible_compositions(spec):
@@ -191,6 +221,22 @@ def _admissible_compositions(spec):
     ]
 
 
+# the compositions `module_code` weighs, one for each class of its symmetry
+_ONE_PER_CLASS = {
+    "sorted": lambda n0, n1, n2: n0 >= n1 >= n2,
+    "mirror": lambda n0, n1, n2: n1 >= n2,
+    # W(D_m): (n0, m - n0, 0) for every n0, and for even m also (0, m - 1, 1)
+    "weyl": lambda n0, n1, n2: n2 == 0 or (n0, n2) == (0, 1) and (n1 + n2) % 2 == 0,
+}
+
+
+_D_SPECS = {
+    f"o{2 * m}-{name}": ModuleSpec("D", m, module, 3, mode=mode)
+    for m in (11, 12)
+    for name, (module, mode) in D_MODULES.items()
+}
+
+
 @pytest.mark.parametrize(
     "spec, kept",
     [
@@ -202,9 +248,10 @@ def _admissible_compositions(spec):
         (ModuleSpec("A", 11, "ext3", 3), "mirror"),
         (ModuleSpec("A", 11, "ext2", 3), "mirror"),
         (ModuleSpec("A", 12, "ext2", 3), "mirror"),
-        (ModuleSpec("D", 12, "spin", 3), "mirror"),
+        # o(2m): one orbit per class of W(D_m), at odd and even m
+        *((spec, "weyl") for spec in _D_SPECS.values()),
     ],
-    ids=["sl12-ext3-E", "sl12-adjoint-E", "sl12-ext3", "sl11-ext3", "sl11-ext2", "sl12-ext2", "o24-spin"],
+    ids=["sl12-ext3-E", "sl12-adjoint-E", "sl12-ext3", "sl11-ext3", "sl11-ext2", "sl12-ext2", *_D_SPECS],
 )
 def test_module_code_weighs_one_orbit_per_class(monkeypatch, spec, kept):
     real, calls = verify.orbit_weights, []
@@ -215,9 +262,8 @@ def test_module_code_weighs_one_orbit_per_class(monkeypatch, spec, kept):
 
     monkeypatch.setattr(verify, "orbit_weights", recording)
     report = module_code(spec)
-    keep = {"sorted": lambda n0, n1, n2: n0 >= n1 >= n2, "mirror": lambda n0, n1, n2: n1 >= n2}[kept]
     assert len(calls) == 1
-    assert sorted(calls[0]) == sorted(c for c in _admissible_compositions(spec) if keep(*c))
+    assert sorted(calls[0]) == sorted(c for c in _admissible_compositions(spec) if _ONE_PER_CLASS[kept](*c))
     assert report.weight_distribution == weight_distribution_unpaired(spec)
 
 
