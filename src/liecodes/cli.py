@@ -24,8 +24,10 @@ from .verify import (
     CaseResult,
     SuiteReport,
     TableRow,
+    _matches,
     json_text,
     module_code,
+    registered_cases,
     reproduce_table,
     run_suite,
     to_json,
@@ -248,7 +250,9 @@ def run(argv=None) -> int:
         if args.command == "verify":
             suite = run_suite(filter=args.filter, include_optional=args.include_optional)
             if not suite.results:
-                raise ValueError(f"--filter {args.filter!r} selects no claim")
+                optional = [c.case_id for c in registered_cases() if c.optional and _matches(c.case_id, args.filter)]
+                hint = f"only optional claims ({', '.join(optional)}); add --include-optional to run them"
+                raise ValueError(f"--filter {args.filter!r} selects {hint if optional else 'no claim'}")
             _write_payload(_suite_payload(suite, args.format, args.stable), args.output)
             return EXIT_OK if suite.totals["failed"] == 0 else EXIT_VERIFY_FAILED
 

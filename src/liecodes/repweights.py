@@ -566,6 +566,12 @@ class ModuleSpec:
     mode: str | None = None  # adjoint_plus_spin: weight_code | direct_sum
     basis: str | None = None  # "matrix_unit_E" keeps the sl(n) coordinate rows
 
+    @property
+    def sum_zero(self) -> bool:
+        """Whether this is a Cartan-basis sl(n) code, spanned by the
+        X_i - X_(i+1): its words are the c . X with c_1 + ... + c_r = 0."""
+        return self.family == "A" and self.basis != "matrix_unit_E"
+
 
 # (family, module) -> (fields it is defined over, arguments of a request,
 # builder, column templates, column labels); the templates function checks
@@ -653,7 +659,7 @@ def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
     module_table(ms)
     _, args, build, _, _ = _MODULES[ms.family, ms.module]
     wm = build(*args(ms))
-    return to_cartan_h(wm) if ms.family == "A" and ms.basis != "matrix_unit_E" else wm
+    return to_cartan_h(wm) if ms.sum_zero else wm
 
 
 def column_labels(ms: ModuleSpec) -> tuple[str, ...]:

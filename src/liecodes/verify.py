@@ -3,14 +3,15 @@ checks every one of them by exact computation: Weyl-orbit counting over the
 column templates of the sl(n) and o(2m) codes, exhaustive enumeration for
 the exceptional ones.
 
-The registry is one rule per parametric family, which maps a size to the
-claimed (n, k, d) and flags and is evaluated at the family's registered
-sizes, plus row tables of the single claims and one annotation map: where a
-stated value disagrees with exhaustive enumeration, the case carries an
-annotation holding the stated value, the expectation is the computed one,
-and the suite reports the discrepancy instead of hiding it.  The same
-convention covers the numeric weight tables: orbit weights counted from
-the same templates, which the tests check by matrix products.
+The registry is one row of data per parametric family, its claimed n, k,
+d and flags as closed forms in the rank on each residue class, with the d
+the paper states where they do not hold, evaluated at the family's
+registered sizes; plus row tables of the single claims and one annotation
+map: where a stated value disagrees with exhaustive enumeration, the case
+carries an annotation holding the stated value, the expectation is the
+computed one, and the suite reports the discrepancy instead of hiding it.
+The same convention covers the numeric weight tables: orbit weights
+counted from the same templates, which the tests check by matrix products.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import fnmatch
 import json
 import time
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache
-from itertools import compress, pairwise, repeat
+from fractions import Fraction
+from itertools import compress, pairwise, repeat, zip_longest
 from json.encoder import encode_basestring_ascii
 from math import comb, isfinite
 
@@ -160,50 +162,170 @@ class VerifyLimits:
 _DEFAULT_LIMITS = VerifyLimits()
 
 
-# One rule per parametric family, in registry order: (case id pattern, the
-# registered sizes, the claim at size r as (spec, n, k, d, self_orthogonal,
-# doubly_even, citation)); None claims neither flag.
-_FAMILIES = (
-    # binary code of the square exterior power of sl(2m)
-    ("thm2.1/m={}", range(2, 8), lambda m: (
-        ModuleSpec("A", 2 * m, "ext2", 2), m * (2 * m - 1), 2 * (m - 1), 4 * (m - 1), True, True,
-        f"binary weight code of sl({2 * m}) on its square exterior power")),
-    # binary code of the cube exterior power of sl(n), n = 2, 3 mod 4
-    ("thm2.2/n={}", (6, 7, 10, 11, 14, 15), lambda n: (
-        ModuleSpec("A", n, "ext3", 2), comb(n, 3), n - 1, {6: 8, 7: 16}.get(n, (n - 2) * (n - 3)), True, True,
-        f"binary weight code of sl({n}) on its cube exterior power")),
-    # ternary square exterior codes of sl(3m+2)
-    ("thm2.3/ext2/n={}", (5, 8, 11), lambda n: (
-        ModuleSpec("A", n, "ext2", 3), comb(n, 2), n - 1, 2 * (n - 2), True, None,
-        f"ternary weight code of sl({n}) on its square exterior power")),
-    # ternary cube exterior codes of sl(n), n = 0 or 2 mod 3
-    ("thm2.3/ext3/n={}", (5, 6, 8, 9, 11, 12), lambda n: (
-        ModuleSpec("A", n, "ext3", 3), comb(n, 3),
-        *((n - 2, (n - 2) * (n - 3)) if n % 3 == 0 else (n - 1, (n - 1) * (n - 2) // 2)), True, None,
-        f"ternary weight code of sl({n}) on its cube exterior power")),
-    # ternary code generated by the full matrix-unit rows on the cube power
-    ("thm2.3/rowsE/n={}", (5, 7), lambda n: (
-        ModuleSpec("A", n, "ext3", 3, basis="matrix_unit_E"), comb(n, 3), n - 1, comb(n - 1, 2), None, None,
-        f"ternary code of the matrix-unit rows on the cube power of sl({n})")),
-    # adjoint sl(n): matrix-unit rows, then the weight code for n = 3m
-    ("thm2.4/L/n={}", range(4, 9), lambda n: (
-        ModuleSpec("A", n, "adjoint", 3, basis="matrix_unit_E"), comb(n, 2), n - 1, n - 1, None, None,
-        f"ternary code of the matrix-unit rows on the adjoint of sl({n})")),
-    ("thm2.4/K/m={}", (2, 3), lambda m: (
-        ModuleSpec("A", 3 * m, "adjoint", 3), comb(3 * m, 2), 3 * m - 2, 3 * (2 * m - 1), True, None,
-        f"ternary weight code of sl({3 * m}) on its adjoint module")),
-    # o(2m) square exterior codes, m = 1 mod 3
-    ("thm3.1/m={}", (4, 7, 10), lambda m: (
-        ModuleSpec("D", m, "ext2", 3), m * (m - 1), m, 2 * (m - 1), True, None,
-        f"ternary weight code of o({2 * m}) on its square exterior power")),
-    # o(2m) cube exterior codes; orthogonal exactly when m != -1 mod 3
-    ("thm3.2/m={}", range(3, 9), lambda m: (
-        ModuleSpec("D", m, "ext3", 3), m * (m - 1) * (2 * m - 1) // 3, m, (m - 1) * (2 * m - 3), m % 3 != 2, None,
-        f"ternary weight code of o({2 * m}) on its cube exterior power")),
-    # spin codes of o(2m): d = 2^(m-2) but at m = 4, 6 and 8 (the tests check to m = 18)
-    ("thm3.3/m={}", range(4, 9), lambda m: (
-        ModuleSpec("D", m, "spin", 3), 2 ** (m - 1), m, {4: 2, 6: 12, 8: 58}.get(m, 2 ** (m - 2)), None, None,
-        f"ternary spin code of o({2 * m})")),
+@dataclass(frozen=True)
+class Poly:
+    """The polynomial sum(coeffs[i] N^i) / den in the rank N, integer
+    coefficients lowest degree first.  It is written from `N` with +, - and
+    * and division by a positive integer, so a closed form held as one
+    cannot hide a case split the way a rule function can."""
+
+    coeffs: tuple[int, ...]
+    den: int = 1
+
+    def __call__(self, x: int) -> int | Fraction:
+        value = 0
+        for c in reversed(self.coeffs):
+            value = value * x + c
+        return value // self.den if value % self.den == 0 else Fraction(value, self.den)
+
+    def __add__(self, other: Poly | int) -> Poly:
+        other = other if isinstance(other, Poly) else Poly((other,))
+        terms = zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Poly(tuple(a * other.den + b * self.den for a, b in terms), self.den * other.den)
+
+    def __sub__(self, other: Poly | int) -> Poly:
+        return self + -1 * other
+
+    def __mul__(self, other: Poly | int) -> Poly:
+        other = other if isinstance(other, Poly) else Poly((other,))
+        out = [0] * (len(self.coeffs) + len(other.coeffs))
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return Poly(tuple(out), self.den * other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, divisor: int) -> Poly:
+        return Poly(self.coeffs, self.den * divisor)
+
+
+N = Poly((0, 1))  # the rank: n of sl(n), m of o(2m)
+
+
+@dataclass(frozen=True)
+class Pow2:
+    """2^(N + shift): the length and distance of the spin codes, which are
+    not polynomials in the rank."""
+
+    shift: int
+
+    def __call__(self, x: int) -> int:
+        return 1 << (x + self.shift)
+
+
+@dataclass(frozen=True)
+class Forms:
+    """The claimed n, k and d of a family on one residue class of the rank,
+    as closed forms in it, and its flags (None: no claim either way)."""
+
+    n: Poly | Pow2
+    k: Poly
+    d: Poly | Pow2
+    self_orthogonal: bool | None
+    doubly_even: bool | None
+
+
+@dataclass(frozen=True)
+class FamilyClaims:
+    """One parametric family of the paper, stated once, as data.
+
+    Index i of `pattern` is the rank `scale` * i.  The claim is stated at
+    every rank from `spec.rank` whose residue mod `modulus` is a key of
+    `classes`; the registry holds it at the indices `sizes`.  The closed
+    forms of a rank's class give its n, k, d and flags, but for the ranks
+    of `exceptions`, where the paper states another d.  From `n0` on the
+    tests prove the forms for every rank; `n0` is None for a family they
+    leave to computation.  `citation` names the algebra as `sl({n})` or
+    `o({2m})`.
+    """
+
+    pattern: str
+    spec: ModuleSpec  # the module at the smallest rank the claim is stated at
+    scale: int
+    modulus: int
+    n0: int | None
+    classes: dict  # residue of the rank mod `modulus` -> Forms
+    sizes: range | tuple[int, ...]
+    citation: str
+    exceptions: dict = field(default_factory=dict)  # rank -> the stated d, below n0
+
+    def at(self, rank: int) -> ModuleSpec:
+        return replace(self.spec, rank=rank)
+
+    def case(self, i: int) -> TheoremCase:
+        """The claim at index i, annotated where computation supersedes it."""
+        rank, case_id = self.scale * i, self.pattern.format(i)
+        forms, citation = self.classes[rank % self.modulus], self.citation.format(**{"n": rank, "2m": 2 * rank})
+        d = self.exceptions.get(rank, forms.d(rank))
+        return TheoremCase(case_id, self.at(rank), forms.n(rank), forms.k(rank), d, forms.self_orthogonal,
+                           forms.doubly_even, citation, _ANNOTATIONS.get(case_id))
+
+
+_C2, _C3 = N * (N - 1) / 2, N * (N - 1) * (N - 2) / 6
+
+# Every parametric family, in registry order.
+CLAIMS = (
+    FamilyClaims(
+        "thm2.1/m={}", ModuleSpec("A", 4, "ext2", 2), scale=2, modulus=2, n0=4,
+        classes={0: Forms(_C2, N - 2, 2 * (N - 2), True, True)},
+        sizes=range(2, 8), citation="binary weight code of sl({n}) on its square exterior power",
+    ),
+    FamilyClaims(
+        "thm2.2/n={}", ModuleSpec("A", 6, "ext3", 2), scale=1, modulus=4, n0=10,
+        classes={r: Forms(_C3, N - 1, (N - 2) * (N - 3), True, True) for r in (2, 3)},
+        sizes=(6, 7, 10, 11, 14, 15), citation="binary weight code of sl({n}) on its cube exterior power",
+        exceptions={6: 8, 7: 16},
+    ),
+    FamilyClaims(
+        "thm2.3/ext2/n={}", ModuleSpec("A", 5, "ext2", 3), scale=1, modulus=3, n0=5,
+        classes={2: Forms(_C2, N - 1, 2 * (N - 2), True, None)},
+        sizes=(5, 8, 11), citation="ternary weight code of sl({n}) on its square exterior power",
+    ),
+    FamilyClaims(
+        "thm2.3/ext3/n={}", ModuleSpec("A", 5, "ext3", 3), scale=1, modulus=3, n0=5,
+        classes={
+            0: Forms(_C3, N - 2, (N - 2) * (N - 3), True, None),
+            2: Forms(_C3, N - 1, (N - 1) * (N - 2) / 2, True, None),
+        },
+        sizes=(5, 6, 8, 9, 11, 12), citation="ternary weight code of sl({n}) on its cube exterior power",
+    ),
+    # the full matrix-unit rows on the cube power
+    FamilyClaims(
+        "thm2.3/rowsE/n={}", ModuleSpec("A", 5, "ext3", 3, basis="matrix_unit_E"), scale=1, modulus=1, n0=5,
+        classes={0: Forms(_C3, N - 1, (N - 1) * (N - 2) / 2, None, None)},
+        sizes=(5, 7), citation="ternary code of the matrix-unit rows on the cube power of sl({n})",
+    ),
+    # adjoint sl(n): the matrix-unit rows, then the weight code for n = 3m
+    FamilyClaims(
+        "thm2.4/L/n={}", ModuleSpec("A", 4, "adjoint", 3, basis="matrix_unit_E"), scale=1, modulus=1, n0=4,
+        classes={0: Forms(_C2, N - 1, N - 1, None, None)},
+        sizes=range(4, 9), citation="ternary code of the matrix-unit rows on the adjoint of sl({n})",
+    ),
+    FamilyClaims(
+        "thm2.4/K/m={}", ModuleSpec("A", 6, "adjoint", 3), scale=3, modulus=3, n0=6,
+        classes={0: Forms(_C2, N - 2, 2 * N - 3, True, None)},
+        sizes=(2, 3), citation="ternary weight code of sl({n}) on its adjoint module",
+    ),
+    FamilyClaims(
+        "thm3.1/m={}", ModuleSpec("D", 4, "ext2", 3), scale=1, modulus=3, n0=4,
+        classes={1: Forms(N * (N - 1), N, 2 * (N - 1), True, None)},
+        sizes=(4, 7, 10), citation="ternary weight code of o({2m}) on its square exterior power",
+    ),
+    FamilyClaims(
+        "thm3.2/m={}", ModuleSpec("D", 3, "ext3", 3), scale=1, modulus=3, n0=3,
+        # self-orthogonal exactly when m != 2 (mod 3)
+        classes={r: Forms(N * (N - 1) * (2 * N - 1) / 3, N, (N - 1) * (2 * N - 3), r != 2, None) for r in range(3)},
+        sizes=range(3, 9), citation="ternary weight code of o({2m}) on its cube exterior power",
+    ),
+    # the spin weights are sums of binomials over j, not polynomials in the
+    # counts, so no N0; the tests compute d = 2^(m-2) to m = 18
+    FamilyClaims(
+        "thm3.3/m={}", ModuleSpec("D", 4, "spin", 3), scale=1, modulus=1, n0=None,
+        classes={0: Forms(Pow2(-1), N, Pow2(-2), None, None)},
+        sizes=range(4, 9), citation="ternary spin code of o({2m})",
+        exceptions={4: 2, 6: 12, 8: 58},
+    ),
 )
 
 # Combined adjoint-plus-spin codes of o(2m): (m, mode, n, d); the computed
@@ -242,14 +364,12 @@ _ANNOTATIONS = {
 }
 
 
+@cache
 def registered_cases() -> tuple[TheoremCase, ...]:
     """Every claim the suite checks, in a fixed deterministic order: each
-    family rule at its registered sizes, then the single claims."""
-    cases = []
-    for pattern, sizes, rule in _FAMILIES:
-        for r in sizes:
-            case_id = pattern.format(r)
-            cases.append(TheoremCase(case_id, *rule(r), _ANNOTATIONS.get(case_id)))
+    family row at its registered sizes, then the single claims.  Built once
+    per process: the tuple and its cases are immutable."""
+    cases = [claims.case(i) for claims in CLAIMS for i in claims.sizes]
     for m, mode, n, d in _COMBINED:
         case_id = f"cor3.4/m={m}"
         citation = (
@@ -308,10 +428,7 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     if table is None:
         return row_space_code(build_weight_matrix(spec).mod(spec.p))
     templates, n = table
-    p, r = spec.p, spec.rank
-    # the Cartan-basis sl(n) code (the basis `build_weight_matrix` gives) is
-    # spanned by the X_i - X_(i+1): its words are the c . X with c_1 + ... + c_r = 0
-    sum_zero = spec.family == "A" and spec.basis != "matrix_unit_E"
+    p, r, sum_zero = spec.p, spec.rank, spec.sum_zero
     if spec.family == "D":
         # the classes of W(D_m): n0 >= 1 zeros in C(r, n0) places and any signs
         # on the rest; with none, an even or odd count of twos, which -c swaps

@@ -22,19 +22,16 @@ template count of a code's weight distribution is here as first written,
 without pairing the orbits of c and -c over F3, and a spin orbit's weight
 as one sum over j for every orbit, before its closed form.  A long payload
 that differs from its oracle is reported by its first differing line, not
-by a full diff.  Each parametric family's claim is here as data: its size
-condition and its closed forms of n, k and d, polynomials in the rank, from
-which `tests/test_proofs.py` proves it and `test_verify.py` reads the sizes
-it computes.
+by a full diff.  The sizes at which a family row of `verify.CLAIMS` is
+stated, to n = 40 and m = 20, are read off its size condition here.
 """
 
 import csv
 import io
 import json
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product, takewhile, zip_longest
+from itertools import product, takewhile
 from math import comb, perm
 
 import numpy as np
@@ -141,166 +138,13 @@ def closed_form_weight(formula_id, **params):
     return CLOSED_FORMS[formula_id](**params)
 
 
-@dataclass(frozen=True)
-class Poly:
-    """A polynomial in one variable with exact coefficients, lowest degree
-    first, without trailing zeros.  It is written from the variable `N` with
-    +, - and * and division by an integer, so a closed form held as one
-    cannot hide a case split the way a rule function can."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        coeffs = [Fraction(c) for c in self.coeffs]
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-
-    @staticmethod
-    def of(x):
-        return x if isinstance(x, Poly) else Poly((x,))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        value = Fraction(0)
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value.numerator if value.denominator == 1 else value
-
-    def __add__(self, other):
-        return Poly(tuple(a + b for a, b in zip_longest(self.coeffs, Poly.of(other).coeffs, fillvalue=0)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + -Poly.of(other)
-
-    def __rsub__(self, other):
-        return Poly.of(other) - self
-
-    def __mul__(self, other):
-        other = Poly.of(other).coeffs
-        out = [Fraction(0)] * (len(self.coeffs) + len(other))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other):
-                out[i + j] += a * b
-        return Poly(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, divisor: int):
-        return Poly(tuple(c / divisor for c in self.coeffs))
-
-
-N = Poly((0, 1))  # the rank: n of sl(n), m of o(2m)
-
-
-@dataclass(frozen=True)
-class Forms:
-    """The claimed n, k and d of a family on one residue class of the rank,
-    as polynomials in it, and its flags (None: no claim either way)."""
-
-    n: Poly
-    k: Poly
-    d: Poly
-    self_orthogonal: bool | None
-    doubly_even: bool | None
-
-
-@dataclass(frozen=True)
-class FamilyClaims:
-    """One parametric family of `verify._FAMILIES` as data.
-
-    The rule of `pattern` maps its index i to the rank `scale` * i.  The
-    claim is stated at every rank from `spec.rank` whose residue mod
-    `modulus` is a key of `classes`, and from `n0` on the closed forms of
-    that class hold; `n0` is None, and every class None, for a family with
-    no closed form in the rank.
-    """
-
-    pattern: str
-    spec: ModuleSpec  # the module at the smallest rank the claim is stated at
-    scale: int
-    modulus: int
-    n0: int | None
-    classes: dict  # residue of the rank mod `modulus` -> Forms, or None
-
-    def at(self, rank):
-        return replace(self.spec, rank=rank)
-
-    @property
-    def sum_zero(self):
-        # the Cartan-basis sl(n) code: the words c . X with c_1 + ... + c_r = 0
-        return self.spec.family == "A" and self.spec.basis != "matrix_unit_E"
-
-    def admits(self, orbit):
-        """Whether the residues of the orbit (n0, n1, n2) put it in the claim:
-        its rank in a stated class and, for a sum-zero code, n1 + 2 n2 = 0
-        (mod p)."""
-        _, n1, n2 = orbit
-        return sum(orbit) % self.modulus in self.classes and not (self.sum_zero and (n1 + 2 * n2) % self.spec.p)
-
-
-_C2, _C3 = N * (N - 1) / 2, N * (N - 1) * (N - 2) / 6
-
-CLAIMS = (
-    FamilyClaims(
-        "thm2.1/m={}", ModuleSpec("A", 4, "ext2", 2), scale=2, modulus=2, n0=4,
-        classes={0: Forms(_C2, N - 2, 2 * (N - 2), True, True)},
-    ),
-    FamilyClaims(
-        "thm2.2/n={}", ModuleSpec("A", 6, "ext3", 2), scale=1, modulus=4, n0=10,  # d is 8 and 16 at n = 6 and 7
-        classes={r: Forms(_C3, N - 1, (N - 2) * (N - 3), True, True) for r in (2, 3)},
-    ),
-    FamilyClaims(
-        "thm2.3/ext2/n={}", ModuleSpec("A", 5, "ext2", 3), scale=1, modulus=3, n0=5,
-        classes={2: Forms(_C2, N - 1, 2 * (N - 2), True, None)},
-    ),
-    FamilyClaims(
-        "thm2.3/ext3/n={}", ModuleSpec("A", 5, "ext3", 3), scale=1, modulus=3, n0=5,
-        classes={
-            0: Forms(_C3, N - 2, (N - 2) * (N - 3), True, None),
-            2: Forms(_C3, N - 1, (N - 1) * (N - 2) / 2, True, None),
-        },
-    ),
-    FamilyClaims(
-        "thm2.3/rowsE/n={}", ModuleSpec("A", 5, "ext3", 3, basis="matrix_unit_E"), scale=1, modulus=1, n0=5,
-        classes={0: Forms(_C3, N - 1, (N - 1) * (N - 2) / 2, None, None)},
-    ),
-    FamilyClaims(
-        "thm2.4/L/n={}", ModuleSpec("A", 4, "adjoint", 3, basis="matrix_unit_E"), scale=1, modulus=1, n0=4,
-        classes={0: Forms(_C2, N - 1, N - 1, None, None)},
-    ),
-    FamilyClaims(
-        "thm2.4/K/m={}", ModuleSpec("A", 6, "adjoint", 3), scale=3, modulus=3, n0=6,
-        classes={0: Forms(_C2, N - 2, 2 * N - 3, True, None)},
-    ),
-    FamilyClaims(
-        "thm3.1/m={}", ModuleSpec("D", 4, "ext2", 3), scale=1, modulus=3, n0=4,
-        classes={1: Forms(N * (N - 1), N, 2 * (N - 1), True, None)},
-    ),
-    FamilyClaims(
-        "thm3.2/m={}", ModuleSpec("D", 3, "ext3", 3), scale=1, modulus=3, n0=3,
-        # self-orthogonal exactly when m != 2 (mod 3)
-        classes={r: Forms(N * (N - 1) * (2 * N - 1) / 3, N, (N - 1) * (2 * N - 3), r != 2, None) for r in range(3)},
-    ),
-    # the spin weights are sums of binomials over j, not polynomials in the counts
-    FamilyClaims("thm3.3/m={}", ModuleSpec("D", 4, "spin", 3), scale=1, modulus=1, n0=None, classes={0: None}),
-)
-
 # the sizes the tests compute each family at: to n = 40 and m = 20, as far
 # as the 2^22-entry cap of `module_table` admits
 SWEEP_TOP = {"A": 40, "D": 20}
 
 
 def admissible_sizes(claims):
-    """The rule indices at which a family's claim is stated, up to its
+    """The indices at which a row of `verify.CLAIMS` is stated, up to its
     family's `SWEEP_TOP` and the last size `module_table` accepts."""
     top = SWEEP_TOP[claims.spec.family] // claims.scale
     stated = [

@@ -373,6 +373,13 @@ def test_verify_empty_filter(capsys):
     code, out, err = invoke(capsys, "verify", "--filter", "nothing-here")
     assert code == 2 and not out
     assert err.startswith("liecodes: error: ") and "'nothing-here'" in err
+    # a pattern that selects only optional claims says so, and how to run them
+    code, out, err = invoke(capsys, "verify", "--filter", "cor3.4/m=11")
+    assert code == 2 and not out
+    assert err == (
+        "liecodes: error: --filter 'cor3.4/m=11' selects only optional claims (cor3.4/m=11);"
+        " add --include-optional to run them\n"
+    )
 
 
 def test_usage_error_lists_valid_values(capsys):

@@ -1,13 +1,12 @@
 """Certificates that nine parametric families have their claimed n, k, d
 and flags at every size from a threshold N0 on, not only at the sizes run.
 
-Each family is one row of `_oracles.CLAIMS`: its module, its size condition
-on the rank mod a modulus L, the closed forms of n, k and d as polynomials
-in the rank on each residue class, N0 and the flag claims.  The engine reads
-nothing else of a family.  It never reads the rule functions of
-`verify._FAMILIES`, which are not polynomials (thm2.2's d is 8 and 16 at
-n = 6 and 7); `test_rules_agree_with_the_claims` checks them against the
-rows.
+Each family is one row of `verify.CLAIMS`, the row the registry's cases
+are generated from: its module, its size condition on the rank mod a
+modulus L, the closed forms of n, k and d as polynomials in the rank on
+each residue class, N0 and the flag claims.  The engine reads nothing else
+of a family; the d the paper states below N0 (thm2.2's 8 and 16 at n = 6
+and 7) is left to computation with the rest below N0.
 
 On the orbit (n0, n1, n2), n_v coefficients equal to v, the weight w is a
 polynomial of degree at most D in each count.  A region is a corner c and
@@ -40,10 +39,8 @@ from fractions import Fraction
 
 import pytest
 
-from liecodes import verify
 from liecodes.repweights import module_table, orbit_weights
-
-from _oracles import CLAIMS, N, admissible_sizes
+from liecodes.verify import CLAIMS, N, run_case
 
 # The weight of an orbit is a sum over the templates of a share times
 # products perm(n_v, k_v), k0 + k1 + k2 the template length.  A share is
@@ -63,6 +60,19 @@ PROVED = [claims for claims in CLAIMS if claims.n0 is not None]
 
 def family_id(claims):
     return claims.pattern.rsplit("/", 1)[0]
+
+
+def degree(poly):
+    return max((i for i, c in enumerate(poly.coeffs) if c), default=-1)
+
+
+def admits(claims, orbit):
+    """Whether the residues of the orbit (n0, n1, n2) put it in the claim:
+    its rank in a stated class and, for a sum-zero code, n1 + 2 n2 = 0
+    (mod p)."""
+    _, n1, n2 = orbit
+    spec = claims.spec
+    return sum(orbit) % claims.modulus in claims.classes and not (spec.sum_zero and (n1 + 2 * n2) % spec.p)
 
 
 def forward_differences(values):
@@ -137,17 +147,17 @@ def _check_class(claims, counts, forms, first, weigh, kernel):
     polynomials of degree <= D along a line of ranks or counts, so D + 1
     values fix them."""
     p, L = claims.spec.p, claims.modulus
-    assert max(forms.n.degree, forms.k.degree, forms.d.degree) <= D
+    assert max(degree(forms.n), degree(forms.k), degree(forms.d)) <= D
     ranks = [first + L * t for t in range(D + 1)]
     d_less_one = forward_differences({(t,): forms.d(rank) - 1 for t, rank in enumerate(ranks)})
     assert min(d_less_one.values()) >= 0, f"the claimed d {forms.d} is below 1 from rank {first}"
     columns = [module_table(claims.at(rank))[1] for rank in ranks]
     assert columns == [forms.n(rank) for rank in ranks], f"columns {columns} at ranks {ranks}, claimed n {forms.n}"
     assert all(len(free) == 1 and c[free[0]] == sum(c) <= first for c, free in kernel), kernel
-    gap = (N - 1 if claims.sum_zero else N) - forms.k
-    assert gap.degree <= 0 and p ** gap(0) == len(kernel), f"{len(kernel)} kernel lines, claimed k {forms.k}"
+    gap = (N - 1 if claims.spec.sum_zero else N) - forms.k
+    assert degree(gap) <= 0 and p ** gap(0) == len(kernel), f"{len(kernel)} kernel lines, claimed k {forms.k}"
     starts = [(first - n1 - n2, n1, n2) for n1 in range(first + 1) for n2 in range(first - n1 + 1 if p == 3 else 1)]
-    starts = [start for start in starts if claims.admits(start)]
+    starts = [start for start in starts if admits(claims, start)]
     lines = [[_move(start, [axis], [L * t]) for t in range(D + 1)] for start in starts for axis in counts]
     assert any(
         all(w == forms.d(sum(orbit)) for orbit, w in zip(line, weigh(line))) for line in lines
@@ -181,7 +191,7 @@ def certify(claims, templates=None):
     fire.
     """
     spec, L = claims.spec, claims.modulus
-    assert not claims.sum_zero or L % spec.p == 0, "the sum-zero condition must be one on a region"
+    assert not spec.sum_zero or L % spec.p == 0, "the sum-zero condition must be one on a region"
     weigh = _weigher(claims, templates or (lambda rank: module_table(claims.at(rank))[0]))
     counts = (0, 1) if spec.p == 2 else (0, 1, 2)  # over F2 no coefficient is 2
     claimed_d = functools.cache(lambda rank: claims.classes[rank % L].d(rank))
@@ -191,7 +201,7 @@ def certify(claims, templates=None):
     while queue:
         assert sum(tally.values()) < MAX_REGIONS, "the regions do not settle"
         corner, free = queue.popleft()
-        if not claims.admits(corner):
+        if not admits(claims, corner):
             tally["outside"] += 1
             continue
         rank = sum(corner)
@@ -247,21 +257,6 @@ def test_forward_differences_on_hand_examples():
         assert sum(v * math.comb(x, a) * math.comb(y, b) for (a, b), v in diffs.items()) == f(x, y)
 
 
-@pytest.mark.parametrize("claims", CLAIMS, ids=family_id)
-def test_rules_agree_with_the_claims(claims):
-    # at every registered and admissible size: the rule's module, and from
-    # N0 on its n, k, d and flags
-    registered, rule = next((sizes, rule) for pattern, sizes, rule in verify._FAMILIES if pattern == claims.pattern)
-    for i in sorted({*registered, *admissible_sizes(claims)}):
-        rank = claims.scale * i
-        spec, n, k, d, self_orthogonal, doubly_even, _ = rule(i)
-        assert spec == claims.at(rank), claims.pattern.format(i)
-        if claims.n0 is not None and rank >= claims.n0:
-            forms = claims.classes[rank % claims.modulus]
-            want = (forms.n(rank), forms.k(rank), forms.d(rank), forms.self_orthogonal, forms.doubly_even)
-            assert (n, k, d, self_orthogonal, doubly_even) == want, claims.pattern.format(i)
-
-
 @pytest.mark.parametrize("claims", PROVED, ids=family_id)
 def test_claims_hold_from_their_threshold(claims):
     tally = certify(claims)
@@ -298,6 +293,19 @@ def test_each_gate_fires_on_every_family(claims, gate):
     field, change, message = GATES[gate]
     with pytest.raises(AssertionError, match=message):
         certify(_changed(claims, field, change))
+
+
+@pytest.mark.parametrize("claims", PROVED, ids=family_id)
+def test_a_raised_d_fails_the_registry_and_the_certificate(claims):
+    # the registry's cases and the certificate read one row, so one change
+    # to it fails both: every registered size the form gives d at, and N0 on
+    raised = _changed(claims, "d", lambda d: d + 1)
+    for i in claims.sizes:
+        if claims.scale * i not in claims.exceptions:
+            res = run_case(raised.case(i))
+            assert not res.passed and res.mismatches[0].startswith("d: expected"), res.mismatches
+    with pytest.raises(AssertionError, match="below the claimed d"):
+        certify(raised)
 
 
 def _claims(pattern):

@@ -22,6 +22,7 @@ from liecodes.repweights import (
     ext_weight_matrix_A,
 )
 from liecodes.verify import (
+    CLAIMS,
     TABLE_IDS,
     Annotation,
     TheoremCase,
@@ -39,7 +40,6 @@ from liecodes.verify import (
 )
 
 from _oracles import (
-    CLAIMS,
     admissible_sizes,
     assert_same_text,
     closed_form_weight,
@@ -141,24 +141,33 @@ def test_work_budget_uses_computed_rank(monkeypatch):
 
 
 # The sizes at which each family's claim is stated, by case id pattern,
-# read off the size conditions of `_oracles.CLAIMS`: every such size to
+# read off the size conditions of `verify.CLAIMS`: every such size to
 # n = 40 and m = 20, the spin codes to m = 18, the last size under the
 # 2^22-entry cap.
 ADMISSIBLE = {claims.pattern: admissible_sizes(claims) for claims in CLAIMS}
 
-# Each family rule at every admissible size, up to 10^18 codewords; only the
+# Each family row at every admissible size, up to 10^18 codewords; only the
 # orbit count reaches the largest.  The binary cube codes are
 # doubly even for n = 2, 3 (mod 4) only, so n = 40 carries no flag claim.
 EXTENDED_RANGE = (
     TheoremCase("thm2.2/n=40", ModuleSpec("A", 40, "ext3", 2), comb(40, 3), 39, 38 * 37, None, None, "binary ext3"),
-    *(TheoremCase(pattern.format(r), *rule(r)) for pattern, _, rule in verify._FAMILIES for r in ADMISSIBLE[pattern]),
+    *(claims.case(i) for claims in CLAIMS for i in ADMISSIBLE[claims.pattern]),
 )
 
 
 def test_registered_sizes_are_admissible():
-    assert list(ADMISSIBLE) == [pattern for pattern, _, _ in verify._FAMILIES]
-    for pattern, sizes, _ in verify._FAMILIES:
-        assert set(sizes) <= set(ADMISSIBLE[pattern]), pattern
+    for claims in CLAIMS:
+        assert set(claims.sizes) <= set(ADMISSIBLE[claims.pattern]), claims.pattern
+
+
+def test_stated_exceptions_lie_below_n0_and_off_the_forms():
+    # a d the paper states in place of the form's value: below N0, or for a
+    # row with no N0 below the sizes past the registry that the sweep above
+    # computes by the forms; an exception equal to its form's value is stale
+    for claims in CLAIMS:
+        top = claims.n0 or claims.scale * max(claims.sizes) + 1
+        for rank, d in claims.exceptions.items():
+            assert rank < top and d != claims.classes[rank % claims.modulus].d(rank), (claims.pattern, rank, d)
 
 
 @pytest.mark.parametrize("case", EXTENDED_RANGE, ids=lambda c: c.case_id)
@@ -167,15 +176,14 @@ def test_extended_range_cases_pass(case):
     assert res.passed and not res.skipped, res.mismatches
 
 
-@pytest.mark.parametrize("pattern", list(ADMISSIBLE))
-def test_module_code_equals_the_unpaired_count(pattern):
+@pytest.mark.parametrize("claims", CLAIMS, ids=lambda claims: claims.pattern)
+def test_module_code_equals_the_unpaired_count(claims):
     # `module_code` weighs all orbits in one batch, over F3 the orbits of c
     # and -c once, and for o(2m) one orbit per class of W(D_m); weighed one
     # by one, every composition gives the same distribution
-    rule = next(rule for pat, _, rule in verify._FAMILIES if pat == pattern)
-    for r in ADMISSIBLE[pattern]:
-        spec = rule(r)[0]
-        assert module_code(spec).weight_distribution == weight_distribution_unpaired(spec), pattern.format(r)
+    for r in ADMISSIBLE[claims.pattern]:
+        spec = claims.at(claims.scale * r)
+        assert module_code(spec).weight_distribution == weight_distribution_unpaired(spec), claims.pattern.format(r)
 
 
 # each o(2m) module request, both modes of adjoint-plus-spin among them
@@ -190,7 +198,7 @@ D_MODULES = {
 
 @pytest.mark.parametrize("module, mode", D_MODULES.values(), ids=D_MODULES)
 def test_o2m_module_code_equals_the_unpaired_count_at_every_rank(module, mode):
-    # ADMISSIBLE holds the stated sizes of the family rules, and cor3.4 is
+    # ADMISSIBLE holds the stated sizes of the family rows, and cor3.4 is
     # none: here every m from the module's smallest to 60 or the last one
     # `module_table` accepts
     checked = []
