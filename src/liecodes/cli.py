@@ -13,7 +13,6 @@ import dataclasses
 import io
 import sys
 from functools import cache
-from itertools import compress
 
 import numpy as np
 
@@ -152,13 +151,12 @@ def _text_value(value) -> str:
 
 def _report_payload(report: CodeReport, fmt: str) -> str:
     """Every format writes the fields of `CodeReport.to_dict`, json through
-    `json_text`; text and csv write the nonzero weights of the distribution
-    as w:c pairs, and text names the binary flags over F2 only."""
+    `json_text`; text and csv write the report's counts as w:c pairs, and
+    text names the binary flags over F2 only."""
     fields = report.to_dict()
     if fmt == "json":
         return json_text(fields)
-    dist = report.weight_distribution
-    fields["weight_distribution"] = " ".join(f"{w}:{dist[w]}" for w in compress(range(len(dist)), dist))
+    fields["weight_distribution"] = " ".join(f"{w}:{count}" for w, count in report.counts)
     if fmt == "csv":
         return _csv_text(list(fields), [list(fields.values())])
     if report.p != 2:

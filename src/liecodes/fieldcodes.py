@@ -12,8 +12,8 @@ weights are counted with a population count and a histogram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ __all__ = [
     "row_space_code",
     "weight_distribution",
     "analyze",
-    "distribution_report",
     "combination_weight",
     "frozen",
     "read_only",
@@ -322,20 +321,39 @@ def weight_distribution(c: LinearCode) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CodeReport:
-    """Everything the verification suite needs to know about one code.
-
-    `d` is None for the zero code.  `even` and `doubly_even` are None for
-    ternary codes.
+    """Everything the verification suite needs to know about one code: its
+    counts, the (w, A_w) pairs of the weights that occur in increasing w (a
+    mapping is accepted), which must be a weight distribution of a code of
+    length n and dimension k, and d and the binary flags read off them.  `d`
+    is None for the zero code, `even` and `doubly_even` for ternary codes.
     """
 
     p: int
     n: int
     k: int
-    d: int | None
-    weight_distribution: tuple[int, ...]
+    counts: tuple[tuple[int, int], ...]
     self_orthogonal: bool
-    even: bool | None
-    doubly_even: bool | None
+    d: int | None = field(init=False)
+    even: bool | None = field(init=False)
+    doubly_even: bool | None = field(init=False)
+
+    def __post_init__(self) -> None:
+        counts = tuple(sorted(dict(self.counts).items()))
+        occurring = len(counts) == len(self.counts) and all(0 <= w <= self.n and count > 0 for w, count in counts)
+        if not occurring or counts[:1] != ((0, 1),) or sum(count for _, count in counts) != self.p**self.k:
+            raise ValueError(f"not a weight distribution of a code of length {self.n} and dimension {self.k}")
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "d", counts[1][0] if len(counts) > 1 else None)
+        object.__setattr__(self, "even", all(w % 2 == 0 for w, _ in counts) if self.p == 2 else None)
+        object.__setattr__(self, "doubly_even", all(w % 4 == 0 for w, _ in counts) if self.p == 2 else None)
+
+    @property
+    def weight_distribution(self) -> tuple[int, ...]:
+        """The counts A_0..A_n, formed on each call."""
+        dist = [0] * (self.n + 1)
+        for w, count in self.counts:
+            dist[w] = count
+        return tuple(dist)
 
     @property
     def self_dual(self) -> bool:
@@ -363,20 +381,4 @@ def analyze(c: LinearCode) -> CodeReport:
     """Full report of a code whose weight distribution is enumerated."""
     g = c.basis.entries
     counts = {w: count for w, count in enumerate(weight_distribution(c)) if count}
-    return distribution_report(c.p, c.n, c.k, counts, not (g @ g.T % c.p).any())
-
-
-def distribution_report(p: int, n: int, k: int, counts: Mapping[int, int], self_orthogonal: bool) -> CodeReport:
-    """The report of a code of length n and dimension k with counts[w]
-    codewords at each weight w that occurs; d and the binary flags are read
-    off those weights alone, and the dense distribution is formed once."""
-    occurring = all(0 <= w <= n and count > 0 for w, count in counts.items())
-    if not occurring or counts.get(0) != 1 or sum(counts.values()) != p**k:
-        raise ValueError(f"not a weight distribution of a code of length {n} and dimension {k}")
-    d = min((w for w in counts if w), default=None)
-    even = all(w % 2 == 0 for w in counts) if p == 2 else None
-    doubly_even = all(w % 4 == 0 for w in counts) if p == 2 else None
-    dist = [0] * (n + 1)
-    for w, count in counts.items():
-        dist[w] = count
-    return CodeReport(p, n, k, d, tuple(dist), self_orthogonal, even, doubly_even)
+    return CodeReport(c.p, c.n, c.k, counts, not (g @ g.T % c.p).any())

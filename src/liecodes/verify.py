@@ -29,7 +29,7 @@ from math import comb, isfinite
 
 import numpy as np
 
-from .fieldcodes import CodeReport, LinearCode, analyze, distribution_report, row_space_code
+from .fieldcodes import CodeReport, LinearCode, analyze, row_space_code
 from .repweights import (
     ModuleSpec,
     WeightMatrix,
@@ -422,7 +422,7 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     products per template and a spin template one closed form (a sum over j
     only for the at most two orbits with no coefficient 0).  The orbit sizes
     are then added up by weight, so the kernel division, the orthogonality
-    test and `distribution_report` see only the weights that occur.
+    test and the `CodeReport` see only the weights that occur.
     """
     table = module_table(spec)
     if table is None:
@@ -487,7 +487,7 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
         # weight w2 and products w2 / 2 (mod 2) with their neighbours
         w1, w2 = weights[len(sizes):]
         orthogonal = w2 % 4 == 0 if sum_zero else w1 % 2 == 0 and (w1 - w2 // 2) % 2 == 0
-    return distribution_report(p, n, k, {w: count // kernel for w, count in counts.items()}, orthogonal)
+    return CodeReport(p, n, k, {w: count // kernel for w, count in counts.items()}, orthogonal)
 
 
 def _griesmer_length(p: int, k: int, d: int) -> int:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from liecodes import cli, repweights, verify
 from liecodes.cli import _matrix_payload, _report_payload, _suite_payload, run
-from liecodes.fieldcodes import FpMatrix, analyze, distribution_report, parse_matrix_text, row_space_code
+from liecodes.fieldcodes import CodeReport, FpMatrix, analyze, parse_matrix_text, row_space_code
 from liecodes.repweights import ADJOINT_SPIN_MODES, ModuleSpec, exceptional_minimal_matrix
 from liecodes.rootsys import EXCEPTIONAL_RANKS
 from liecodes.verify import SuiteReport, module_code, registered_cases, run_case, run_suite, to_json
@@ -498,7 +498,7 @@ def test_matrix_csv_of_edge_shapes():
 @pytest.mark.parametrize(
     "report",
     [
-        distribution_report(3, 0, 0, {0: 1}, True),  # the code of length 0: a one-entry distribution
+        CodeReport(3, 0, 0, {0: 1}, True),  # the code of length 0: a one-entry distribution
         analyze(row_space_code(FpMatrix(3, np.zeros((1, 4), dtype=np.int64)))),
         module_code(ModuleSpec("A", 8, "ext3", 2)),
         analyze(module_code(ModuleSpec("E8", 8, "adjoint", 3))),

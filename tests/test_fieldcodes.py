@@ -1,5 +1,6 @@
 """Tests for the F2/F3 matrix algebra and the packed code analytics."""
 
+import dataclasses
 from math import comb
 
 import numpy as np
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 
 from liecodes import fieldcodes
 from liecodes.fieldcodes import (
+    CodeReport,
     FpMatrix,
     analyze,
     combination_weight,
-    distribution_report,
     format_matrix_text,
     frozen,
     parse_matrix_text,
@@ -39,6 +40,7 @@ from _oracles import (
     naive_weight_distribution,
     parse_matrix_text_by_tokens,
 )
+from test_orbits import LARGE_SPECS
 
 
 def random_fp_matrix(rng, p, max_rows=4, max_cols=20):
@@ -434,10 +436,14 @@ def test_analyze_sl7_cube_not_orthogonal():
     assert not rep.self_orthogonal
 
 
-def test_distribution_report_takes_a_counted_distribution():
+def test_code_report_takes_a_counted_distribution():
     code = row_space_code(to_cartan_h(ext_weight_matrix_A(6, 2)).mod(2))
     counts = {w: count for w, count in enumerate(weight_distribution(code)) if count}
-    assert distribution_report(2, code.n, code.k, counts, True) == analyze(code)
+    rep = CodeReport(2, code.n, code.k, counts, True)
+    assert rep == analyze(code)
+    assert rep.counts == tuple(counts.items())
+    # pairs in any order, or a mapping, make one report
+    assert CodeReport(2, code.n, code.k, tuple(reversed(counts.items())), True) == rep
     top = max(counts)
     rest = {w: count for w, count in counts.items() if w != top}
     for bad in (
@@ -446,14 +452,21 @@ def test_distribution_report_takes_a_counted_distribution():
         {**rest, code.n + 1: counts[top]},  # a weight past n
         {**rest, -1: counts[top]},  # a negative weight
         {**counts, 1: 0},  # a weight held by no word
+        (*counts.items(), (top, counts[top])),  # a weight given twice
     ):
         with pytest.raises(ValueError, match="not a weight distribution"):
-            distribution_report(2, code.n, code.k, bad, True)
+            CodeReport(2, code.n, code.k, bad, True)
+    # d and the flags are read off the counts, never set apart from them
+    for name in ("d", "even", "doubly_even"):
+        with pytest.raises((TypeError, ValueError), match=f"{name} is declared with init=False"):
+            dataclasses.replace(rep, **{name: 9})
+    with pytest.raises(ValueError, match="not a weight distribution"):
+        dataclasses.replace(rep, counts=rest)
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_distribution_report_of_the_zero_code(p):
-    rep = distribution_report(p, 5, 0, {0: 1}, True)
+def test_code_report_of_the_zero_code(p):
+    rep = CodeReport(p, 5, 0, {0: 1}, True)
     assert rep.d is None
     assert rep.self_orthogonal and not rep.self_dual
     # no nonzero weight occurs, so none is odd or 2 mod 4
@@ -464,14 +477,15 @@ def test_distribution_report_of_the_zero_code(p):
     "p, n, even, doubly_even",
     [(2, 4, True, True), (2, 6, True, False), (2, 7, False, False), (3, 5, None, None)],
 )
-def test_distribution_report_of_a_repetition_code(p, n, even, doubly_even):
+def test_code_report_of_a_repetition_code(p, n, even, doubly_even):
     # the only nonzero weight is n, the last entry of the distribution
-    rep = distribution_report(p, n, 1, {0: 1, n: p - 1}, n % p == 0)
+    rep = CodeReport(p, n, 1, {0: 1, n: p - 1}, n % p == 0)
     assert rep.d == n
     assert (rep.even, rep.doubly_even) == (even, doubly_even)
+    assert rep.weight_distribution == (1, *[0] * (n - 1), p - 1)
 
 
-def test_distribution_report_of_a_count_past_2_64():
+def test_code_report_of_a_count_past_2_64():
     # thm2.3/ext3/n=45: 3^43 codewords, some weights held by more than 2^64
     # of them, which no fixed-width integer holds
     rep = module_code(ModuleSpec("A", 45, "ext3", 3))
@@ -480,7 +494,31 @@ def test_distribution_report_of_a_count_past_2_64():
     assert rep.params() == (comb(45, 3), 43, 43 * 42)
     assert rep.d == next(w for w in range(1, rep.n + 1) if dist[w])
     counts = {w: count for w, count in enumerate(dist) if count}
-    assert distribution_report(3, rep.n, rep.k, counts, rep.self_orthogonal) == rep
+    assert CodeReport(3, rep.n, rep.k, counts, rep.self_orthogonal) == rep
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [case.spec for case in registered_cases()] + list(LARGE_SPECS),
+    ids=[case.case_id for case in registered_cases()]
+    + [f"{s.family}{s.rank}-{s.module}-F{s.p}-{s.basis or s.mode}" for s in LARGE_SPECS],
+)
+def test_code_report_fields_agree_with_the_dense_view(spec):
+    # the pairs are the nonzero entries of A_0..A_n, and d and the flags are
+    # what the dense distribution gives
+    rep = module_code(spec)
+    if isinstance(rep, fieldcodes.LinearCode):
+        rep = analyze(rep)
+    dist = rep.weight_distribution
+    assert len(dist) == rep.n + 1
+    assert rep.counts == tuple((w, count) for w, count in enumerate(dist) if count)
+    occurring = [w for w in range(1, rep.n + 1) if dist[w]]
+    assert rep.d == (occurring[0] if occurring else None)
+    if rep.p == 2:
+        assert rep.even == all(w % 2 == 0 for w in occurring)
+        assert rep.doubly_even == all(w % 4 == 0 for w in occurring)
+    else:
+        assert rep.even is None and rep.doubly_even is None
 
 
 def test_analyze_self_dual_repetition_code():

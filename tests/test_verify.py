@@ -467,11 +467,13 @@ def test_run_case_reports_mismatches(case_id, field, wrong, mismatch):
 
 def test_run_case_fails_a_report_past_the_griesmer_bound(monkeypatch):
     # [15, 4, 8]_2 meets the bound with equality: no linear [15, 4, 9]_2
-    # code exists, so d = 9 fails even where the expectation claims it
+    # code exists, so d = 9 fails even where the expectation claims it.  A
+    # forged report's d comes from its counts, 15 words of weight 9, which
+    # are not doubly even, so the case drops that expectation
     report = run_case(case_by_id("thm2.1/m=3")).report
     assert report.params() == (15, 4, 8)
-    case = dataclasses.replace(case_by_id("thm2.1/m=3"), expected_d=9)
-    monkeypatch.setattr(verify, "module_code", lambda spec: dataclasses.replace(report, d=9))
+    case = dataclasses.replace(case_by_id("thm2.1/m=3"), expected_d=9, doubly_even=None)
+    monkeypatch.setattr(verify, "module_code", lambda spec: dataclasses.replace(report, counts={0: 1, 9: 15}))
     result = run_case(case)
     assert not result.passed and not result.skipped
     assert result.mismatches == ("griesmer: n = 15 is below the bound 19 for k = 4, d = 9",)
@@ -607,8 +609,9 @@ def test_branch_equivalences_identical():
 
 
 def test_branch_gate_fires(monkeypatch):
-    # one codeword of sl(8) ext2 moved up one weight: n, k and d hold, so
-    # only the distributions can tell that pair apart
+    # one codeword of sl(8) ext2 moved from weight d to the next weight that
+    # occurs: n, k and d hold, so only the distributions can tell that pair
+    # apart
     real = verify.module_code
     shifted_spec = ModuleSpec("A", 8, "ext2", 3)
 
@@ -616,10 +619,11 @@ def test_branch_gate_fires(monkeypatch):
         report = real(spec)
         if spec != shifted_spec:
             return report
-        dist = list(report.weight_distribution)
-        dist[report.d] -= 1
-        dist[report.d + 1] += 1
-        return dataclasses.replace(report, weight_distribution=tuple(dist))
+        counts = dict(report.counts)
+        low, high = list(counts)[1:3]  # d and the next weight that occurs
+        counts[low] -= 1
+        counts[high] += 1
+        return dataclasses.replace(report, counts=counts)
 
     monkeypatch.setattr(verify, "module_code", shifted)
     checks = {c.check_id: c for c in branch_equivalences()}
