@@ -153,10 +153,9 @@ def _report_payload(report: CodeReport, fmt: str) -> str:
     """Every format writes the fields of `CodeReport.to_dict`, json through
     `json_text`; text and csv write the report's counts as w:c pairs, and
     text names the binary flags over F2 only."""
-    fields = report.to_dict()
     if fmt == "json":
-        return json_text(fields)
-    fields["weight_distribution"] = " ".join(f"{w}:{count}" for w, count in report.counts)
+        return json_text(report.to_dict())
+    fields = report.to_dict(" ".join(f"{w}:{count}" for w, count in report.counts))
     if fmt == "csv":
         return _csv_text(list(fields), [list(fields.values())])
     if report.p != 2:

@@ -347,13 +347,16 @@ class CodeReport:
         object.__setattr__(self, "even", all(w % 2 == 0 for w, _ in counts) if self.p == 2 else None)
         object.__setattr__(self, "doubly_even", all(w % 4 == 0 for w, _ in counts) if self.p == 2 else None)
 
-    @property
-    def weight_distribution(self) -> tuple[int, ...]:
-        """The counts A_0..A_n, formed on each call."""
+    def _dense_counts(self) -> list[int]:
         dist = [0] * (self.n + 1)
         for w, count in self.counts:
             dist[w] = count
-        return tuple(dist)
+        return dist
+
+    @property
+    def weight_distribution(self) -> tuple[int, ...]:
+        """The counts A_0..A_n, formed on each call."""
+        return tuple(self._dense_counts())
 
     @property
     def self_dual(self) -> bool:
@@ -362,8 +365,11 @@ class CodeReport:
     def params(self) -> tuple[int, int, int | None]:
         return (self.n, self.k, self.d)
 
-    def to_dict(self) -> dict:
-        """The fields in the order the text and CSV reports list them."""
+    def to_dict(self, weight_distribution: object = None) -> dict:
+        """The fields in the order the text and CSV reports list them; the
+        weight distribution is the list A_0..A_n unless a value is given."""
+        if weight_distribution is None:
+            weight_distribution = self._dense_counts()
         return {
             "p": self.p,
             "n": self.n,
@@ -373,7 +379,7 @@ class CodeReport:
             "self_dual": self.self_dual,
             "even": self.even,
             "doubly_even": self.doubly_even,
-            "weight_distribution": list(self.weight_distribution),
+            "weight_distribution": weight_distribution,
         }
 
 

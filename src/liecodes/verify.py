@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import fnmatch
 import json
+import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -25,7 +26,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import compress, pairwise, repeat, zip_longest
 from json.encoder import encode_basestring_ascii
-from math import comb, isfinite
+from math import comb, isfinite, prod
 
 import numpy as np
 
@@ -727,30 +728,47 @@ def branch_equivalences() -> tuple[BranchCheck, ...]:
     )
 
 
+def _fuzz_draws(seed: int, trials: int, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fuzz's coefficients (trials x rank) in -2..2, word lengths
+    (trials) in 1..10 and nodes (10 x trials) in 0..rank-1, each one
+    `randbytes` call read as little-endian 16-bit words and reduced mod
+    q = 5, 10 and rank, so every residue's probability is within a factor
+    1 +- q/2^16 of 1/q.  `random.Random` seeds with abs(seed), so a negative
+    seed raises rather than repeat the words of -seed."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    rng = random.Random(seed)
+
+    def draw(shape: tuple[int, ...], q: int) -> np.ndarray:
+        words = np.frombuffer(rng.randbytes(2 * prod(shape)), dtype="<u2")
+        return (words % q).reshape(shape).astype(np.intp)
+
+    return draw((trials, rank), 5) - 2, draw((trials,), 10) + 1, draw((10, trials), rank)
+
+
 def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int, seed: int = 0) -> int:
     """Count combination weights changed by random reflection words.
 
     The matrix is moved to the Cartan-generator basis first.  Each trial
     draws a coefficient vector in -2..2 and a word of 1 to 10 simple
-    reflections.  A simple reflection moves one coordinate only: the node's
-    coefficient picks up minus the pairing of the vector with the node's
-    row of the Cartan matrix, as in `reflect_coroot_coeffs`.  All trials
-    move together, one coordinate each per position, a trial whose word is
-    over keeping its vector.  Both blocks of vectors are then reduced mod p,
-    so every entry of their product with the matrix is at most
-    rank * (p - 1)^2; the product is taken exactly in the narrowest unsigned
-    type that holds that, and gives the weights of every vector before and
-    after its word, which must agree.
+    reflections from the standard library's generator, no numpy.random
+    (`_fuzz_draws`: 16-bit words reduced mod q, so a draw is biased by less
+    than q/2^16; the seed must be non-negative).  A simple reflection moves
+    one coordinate only: the node's coefficient picks up minus the pairing
+    of the vector with the node's row of the Cartan matrix, as in
+    `reflect_coroot_coeffs`.  All trials move together, one coordinate each
+    per position, a trial whose word is over keeping its vector.  Both
+    blocks of vectors are then reduced mod p, so every entry of their
+    product with the matrix is at most rank * (p - 1)^2; the product is
+    taken exactly in the narrowest unsigned type that holds that, and gives
+    the weights of every vector before and after its word, which must agree.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     hm = to_cartan_h(wm)
     cartan_rank = hm.rank - 1 if hm.family == "A" else hm.rank
     cartan = np.array(cartan_matrix(hm.family, cartan_rank).entries, dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    coeffs = rng.integers(-2, 3, size=(trials, cartan_rank))
-    lengths = rng.integers(1, 11, size=trials)
-    nodes = rng.integers(0, cartan_rank, size=(10, trials))
+    coeffs, lengths, nodes = _fuzz_draws(seed, trials, cartan_rank)
     moved = coeffs.copy()
     every = np.arange(trials)
     for step, node in enumerate(nodes):

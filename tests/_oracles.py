@@ -46,6 +46,7 @@ from liecodes.repweights import (
     to_cartan_h,
 )
 from liecodes.rootsys import cartan_matrix, reflect_coroot_coeffs
+from liecodes.verify import _fuzz_draws
 
 
 def all_codewords(p, basis_rows, n):
@@ -296,17 +297,15 @@ def pairing_vector(cm, root_coeffs):
 def weyl_violations_by_loop(wm, p, trials, seed=0):
     """`weyl_invariance_violations` one trial at a time: the same draws from
     the same seed, each word applied one reflection after another with
-    Python integers."""
+    Python integers.  The draws are shared because this checks the walk and
+    the weighing; `test_verify` checks their ranges."""
     hm = to_cartan_h(wm)
     rank = hm.rank - 1 if hm.family == "A" else hm.rank
     cm = cartan_matrix(hm.family, rank)
     matrix = hm.mod(p)
-    rng = np.random.default_rng(seed)
-    coeffs = rng.integers(-2, 3, size=(trials, rank)).tolist()
-    lengths = rng.integers(1, 11, size=trials).tolist()
-    nodes = rng.integers(0, rank, size=(10, trials)).T.tolist()
+    coeffs, lengths, nodes = _fuzz_draws(seed, trials, rank)
     violations = 0
-    for start, length, word in zip(coeffs, lengths, nodes):
+    for start, length, word in zip(coeffs.tolist(), lengths.tolist(), nodes.T.tolist()):
         moved = start
         for node in word[:length]:
             moved = reflect_coroot_coeffs(cm, node, moved)

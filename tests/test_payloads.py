@@ -4,7 +4,8 @@ canonical JSON where its format is json.
 
 All commands run through `cli.run` in one child process per seed, since a
 payload that iterates a set or a dict of strings could only show its
-dependence on the seed across processes."""
+dependence on the seed across processes.  One more child checks what the
+commands and the cross-checks load."""
 
 import json
 import os
@@ -71,15 +72,35 @@ json.dump(results, sys.stdout)
 """
 
 
-def run_in_child(hash_seed):
+FOOTPRINT_CHILD = """
+import contextlib, io, json, sys
+from liecodes.cli import run
+from liecodes.repweights import ModuleSpec, build_weight_matrix
+from liecodes.verify import branch_equivalences, weyl_invariance_violations
+commands = [
+    "verify --include-optional",
+    "report --family E8 --module adjoint --field 3",
+    "report --family D --m 8 --module spin --field 3",
+    "table 3.5",
+    "matrix --family D --m 12 --module adjoint_plus_spin --mode direct_sum --field 3 --format text",
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [run(command.split()) for command in commands]
+assert codes == [0] * len(commands), codes
+branch_equivalences()
+for spec in (ModuleSpec("A", 7, "ext2", 3), ModuleSpec("D", 5, "ext3", 3), ModuleSpec("E6", 6, "minimal", 3)):
+    assert weyl_invariance_violations(build_weight_matrix(spec), spec.p, 200) == 0, spec
+json.dump(sorted(name for name in sys.modules if name.startswith("numpy.random")), sys.stdout)
+"""
+
+
+def run_in_child(hash_seed, script=CHILD, stdin=json.dumps(COMMANDS)):
     # the package is named on the path, so an uninstalled checkout works too
     path = [str(Path(liecodes.__file__).resolve().parents[1])]
     if os.environ.get("PYTHONPATH"):
         path.append(os.environ["PYTHONPATH"])
     env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": os.pathsep.join(path)}
-    child = subprocess.run(
-        [sys.executable, "-c", CHILD], input=json.dumps(COMMANDS), capture_output=True, text=True, env=env
-    )
+    child = subprocess.run([sys.executable, "-c", script], input=stdin, capture_output=True, text=True, env=env)
     assert child.returncode == 0, child.stderr
     return json.loads(child.stdout)
 
@@ -109,3 +130,9 @@ def test_json_payloads_are_canonical(payloads):
         if command.endswith("json") and out != json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
     ]
     assert noncanonical == []
+
+
+def test_no_command_or_cross_check_loads_numpy_random():
+    # the Weyl fuzz draws from the standard library's generator, which numpy
+    # has loaded already; numpy.random would add some 6 MB to the process
+    assert run_in_child("0", FOOTPRINT_CHILD, "") == []

@@ -28,6 +28,7 @@ from liecodes.verify import (
     TheoremCase,
     SuiteReport,
     VerifyLimits,
+    _fuzz_draws,
     branch_equivalences,
     json_text,
     module_code,
@@ -687,6 +688,25 @@ def test_weyl_invariance_fuzz_needs_a_trial(trials):
     wm = build_weight_matrix(ModuleSpec("A", 4, "ext2", 3))
     with pytest.raises(ValueError, match="trials"):
         weyl_invariance_violations(wm, 3, trials)
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_weyl_fuzz_draws_cover_their_ranges(rank):
+    # the oracle shares the draws, so a wrong range would pass it unseen:
+    # each draw must stay in its range and reach every value of it
+    coeffs, lengths, nodes = _fuzz_draws(99, 200, rank)
+    assert (coeffs.shape, lengths.shape, nodes.shape) == ((200, rank), (200,), (10, 200))
+    assert set(coeffs.flat) == set(range(-2, 3))
+    assert set(lengths.flat) == set(range(1, 11))
+    assert set(nodes.flat) == set(range(rank))
+
+
+def test_weyl_fuzz_refuses_a_negative_seed():
+    # random.Random seeds with abs(seed): seed -s would repeat the words of s
+    wm = build_weight_matrix(ModuleSpec("A", 4, "ext2", 3))
+    assert weyl_invariance_violations(wm, 3, 10, seed=0) == 0
+    with pytest.raises(ValueError, match="seed"):
+        weyl_invariance_violations(wm, 3, 10, seed=-1)
 
 
 def test_every_binary_doubly_even_case_is_self_orthogonal():
