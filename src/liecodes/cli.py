@@ -116,7 +116,7 @@ def _json_entries(matrix: FpMatrix) -> str:
     body[:, :6] = np.frombuffer(b"    [\n", dtype=np.uint8)
     cells = body[:, 6:-6].reshape(matrix.rows, matrix.cols, 9)
     cells[:] = np.frombuffer(b"      0,\n", dtype=np.uint8)
-    np.add(matrix.entries, ord("0"), out=cells[:, :, 6], casting="unsafe")  # no int64 temporary
+    np.add(matrix.entries, ord("0"), out=cells[:, :, 6], casting="unsafe")  # no temporary
     cells[:, -1, 7:] = np.frombuffer(b"\n ", dtype=np.uint8)  # the space indents the closing bracket
     body[:, -6:] = np.frombuffer(b"   ],\n", dtype=np.uint8)
     return "[\n" + str(body.reshape(-1)[:-2], "ascii") + "\n  ]"

@@ -38,27 +38,36 @@ SUPPORTED_PRIMES = (2, 3)
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
-    """`a`, made read-only.  Handed to an `FpMatrix` or a `WeightMatrix`, a
-    fresh int64 array frozen this way is kept, not copied."""
+    """`a`, made read-only.  Handed to an `FpMatrix` (int8) or a
+    `WeightMatrix` (int64), a fresh array of that dtype frozen this way is
+    kept, not copied."""
     a.setflags(write=False)
     return a
 
 
-def read_only(entries) -> np.ndarray:
-    """The entries as a read-only int64 array.  An int64 array that owns its
-    memory and is already read-only (see `frozen`) is kept; anything else is
-    copied, so that later writes by the caller do not reach the matrix."""
-    if isinstance(entries, np.ndarray) and entries.dtype == np.int64:
+def read_only(entries, dtype: type = np.int64) -> np.ndarray:
+    """The entries as a read-only array of `dtype`: int64 for a
+    `WeightMatrix`, int8 (values 0..p-1) for an `FpMatrix`, whose
+    accumulating arithmetic must widen first.  An array of that dtype that
+    owns its memory and is already read-only (see `frozen`) is kept;
+    anything else is copied, so that later writes by the caller do not
+    reach the matrix.  The copy casts unchecked: a caller narrowing to int8
+    checks the range first."""
+    if isinstance(entries, np.ndarray) and entries.dtype == dtype:
         if entries.flags.owndata and not entries.flags.writeable:
             return entries
-    return frozen(np.array(entries, dtype=np.int64))
+    return frozen(np.array(entries, dtype=dtype))
 
 
 @dataclass(frozen=True, eq=False)
 class FpMatrix:
     """An integer matrix with every entry reduced modulo p, p in {2, 3}.
 
-    A matrix with zero rows is legal; it generates the zero code.
+    `entries` is a read-only int8 array, one byte per entry, of values
+    0..p-1.  The range is checked on the caller's values before they are
+    narrowed.  Arithmetic that accumulates (a matrix product, a row sum)
+    must widen first: in int8 it wraps past 127.  A matrix with zero rows is
+    legal; it generates the zero code.
     """
 
     p: int
@@ -67,19 +76,23 @@ class FpMatrix:
     def __post_init__(self) -> None:
         if self.p not in SUPPORTED_PRIMES:
             raise ValueError(f"modulus must be one of {SUPPORTED_PRIMES}, got {self.p}")
-        a = read_only(self.entries)
+        a = np.asarray(self.entries)
         if a.ndim != 2:
             raise ValueError("matrix entries must form a two-dimensional array")
         if a.shape[1] < 1:
             raise ValueError("a matrix needs at least one column")
         if a.size and (int(a.min()) < 0 or int(a.max()) >= self.p):
             raise ValueError(f"entries must lie in 0..{self.p - 1}")
-        object.__setattr__(self, "entries", a)
+        object.__setattr__(self, "entries", read_only(a, np.int8))
 
     @classmethod
     def reduce(cls, p: int, entries) -> "FpMatrix":
-        """Reduce an arbitrary integer matrix modulo p."""
-        return cls(p, frozen(np.mod(np.asarray(entries, dtype=np.int64), p)))
+        """Reduce an arbitrary integer matrix modulo p.  The residues are
+        written straight into the int8 entries, in no wider copy."""
+        a = np.asarray(entries)
+        residues = np.empty(a.shape, dtype=np.int8)
+        np.remainder(a, p, out=residues, casting="unsafe")
+        return cls(p, frozen(residues))
 
     @property
     def rows(self) -> int:
@@ -103,7 +116,7 @@ def digit_rows(m: FpMatrix, sep: str) -> str:
     is one run of bytes: a digit and `sep` per entry, the last `sep`
     replaced by a newline."""
     body = np.full((m.rows, 2 * m.cols), ord(sep), dtype=np.uint8)
-    np.add(m.entries, ord("0"), out=body[:, ::2], casting="unsafe")  # no int64 temporary
+    np.add(m.entries, ord("0"), out=body[:, ::2], casting="unsafe")  # no temporary
     body[:, -1] = ord("\n")
     return str(body, "ascii")
 
@@ -153,8 +166,8 @@ def parse_matrix_text(text: str) -> FpMatrix:
         if entry.isdigit():
             raise ValueError(f"entry {entry} out of range for modulus {p}")
         raise ValueError(f"non-numeric matrix entry {entry!r}")
-    a = np.empty((rows, cols), dtype=np.int64)
-    np.subtract(codes.reshape(rows, cols), ord("0"), out=a)
+    a = np.empty((rows, cols), dtype=np.int8)
+    np.subtract(codes.reshape(rows, cols), ord("0"), out=a, casting="unsafe")
     return FpMatrix(p, frozen(a))
 
 
@@ -162,7 +175,8 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:
     """Reduced row echelon form over F_p.
 
     Returns (reduced, rank, pivot_columns); `reduced` keeps only the nonzero
-    rows and is the canonical basis of the row space of `m`.
+    rows and is the canonical basis of the row space of `m`.  The work stays
+    in int8: every intermediate lies in -4..4.
     """
     p = m.p
     a = m.entries.copy()
@@ -189,7 +203,7 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:
         a %= p
         pivots.append(c)
         r += 1
-    reduced = a[:r] if r else np.zeros((0, ncols), dtype=np.int64)
+    reduced = a[:r] if r else np.zeros((0, ncols), dtype=np.int8)
     return FpMatrix(p, reduced), r, tuple(pivots)
 
 
@@ -215,7 +229,9 @@ def combination_weight(m: FpMatrix, coeffs: Sequence[int]) -> int:
     v = np.asarray(list(coeffs), dtype=np.int64)
     if v.shape != (m.rows,):
         raise ValueError(f"expected {m.rows} coefficients, got {v.shape[0] if v.ndim == 1 else v.shape}")
-    return int(np.count_nonzero(v @ m.entries % m.p))
+    # einsum widens the int8 entries in buffered chunks; `v @ m.entries`
+    # would first copy the whole matrix to int64
+    return int(np.count_nonzero(np.einsum("i,ij->j", v, m.entries) % m.p))
 
 
 # ---------------------------------------------------------------------------
@@ -385,6 +401,6 @@ class CodeReport:
 
 def analyze(c: LinearCode) -> CodeReport:
     """Full report of a code whose weight distribution is enumerated."""
-    g = c.basis.entries
+    g = c.basis.entries.astype(np.int64)  # an int8 Gram product wraps
     counts = {w: count for w, count in enumerate(weight_distribution(c)) if count}
     return CodeReport(c.p, c.n, c.k, counts, not (g @ g.T % c.p).any())

@@ -137,6 +137,8 @@ MATRIX_TEXT_SHA256 = {
     "--family D --m 12 --module adjoint_plus_spin --mode direct_sum --field 3":
         "3d43991df42c69789ddb873784dbb3f8979295c9f5bafb8df0b3570b13d59ffc",
     "--family A --n 20 --module ext3 --field 2": "54d10f59b3e3cc612993b5d8419b56e8f83d62a70d813fe77f7cd4ad5568dafc",
+    # 18 x 131072, recorded while FpMatrix held int64 entries
+    "--family D --m 18 --module spin --field 3": "4c8f98c8591015ab027efc11110db0de0d1326e10a50f77886e902de923b0b9a",
 }
 
 

@@ -1,6 +1,7 @@
 """Tests for the F2/F3 matrix algebra and the packed code analytics."""
 
 import dataclasses
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -24,6 +25,7 @@ from liecodes.fieldcodes import (
 from liecodes.repweights import (
     ModuleSpec,
     adjoint_weight_matrix_A,
+    build_weight_matrix,
     d_spin_matrix,
     exceptional_adjoint_matrix,
     ext_weight_matrix_A,
@@ -64,6 +66,12 @@ def test_fpmatrix_rejects_bad_inputs():
     for entries in ([0, 1], np.zeros((1, 1, 1), dtype=np.int64)):
         with pytest.raises(ValueError, match="^matrix entries must form a two-dimensional array$"):
             FpMatrix(2, entries)
+    # each of these wraps into 0..2 under a bare int8 cast: the range is
+    # checked on the caller's values, before they are narrowed
+    for bad in (256, -255, 2**32):
+        for p in (2, 3):
+            with pytest.raises(ValueError, match=rf"^entries must lie in 0\.\.{p - 1}$"):
+                FpMatrix(p, np.array([[0, bad]], dtype=np.int64))
 
 
 def test_fpmatrix_reduce_normalizes():
@@ -80,10 +88,51 @@ def test_fpmatrix_copies_what_it_does_not_own():
         a[0, 0] = 0
         with pytest.raises(ValueError):
             m.entries[0, 0] = 1
-    # a frozen array is kept, and so are the entries of another matrix
-    b = frozen(np.ones((2, 2), dtype=np.int64))
+    # a frozen int8 array is kept, and so are the entries of another matrix;
+    # a frozen int64 array is copied into int8
+    b = frozen(np.ones((2, 2), dtype=np.int8))
     assert FpMatrix(2, b).entries is b
     assert FpMatrix(3, FpMatrix(2, b).entries).entries is b
+    wide = frozen(np.ones((2, 2), dtype=np.int64))
+    kept = FpMatrix(2, wide).entries
+    assert kept is not wide and kept.dtype == np.int8 and kept.tolist() == wide.tolist()
+
+
+def test_every_fpmatrix_holds_one_byte_per_entry():
+    a = np.array([[0, 1, 2], [2, 2, 0]], dtype=np.int64)
+    made = {
+        "list": FpMatrix(3, a.tolist()),
+        "int64": FpMatrix(3, a),
+        "frozen int8": FpMatrix(3, frozen(a.astype(np.int8))),
+        "reduce": FpMatrix.reduce(3, a - 3),
+        "WeightMatrix.mod": build_weight_matrix(ModuleSpec("D", 6, "spin", 3)).mod(3),
+        "parse_matrix_text": parse_matrix_text(format_matrix_text(FpMatrix(3, a))),
+        "rref": rref(FpMatrix(3, a))[0],
+    }
+    for how, m in made.items():
+        assert m.entries.dtype == np.int8, how
+        assert m.entries.nbytes == m.rows * m.cols, how
+    assert made["reduce"] == made["int64"] == made["parse_matrix_text"]
+
+
+def test_reduce_and_combination_weight_make_no_wide_copy():
+    # o(36) spin: 18 x 131072 entries, reduced straight into int8 and
+    # weighed without widening the whole matrix; an int64 copy alone would
+    # take 8 bytes an entry
+    wm = build_weight_matrix(ModuleSpec("D", 18, "spin", 3))
+    tracemalloc.start()
+    try:
+        m = wm.mod(3)
+        reduce_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        weight = combination_weight(m, range(m.rows))
+        weight_peak = tracemalloc.get_traced_memory()[1] - m.entries.nbytes
+    finally:
+        tracemalloc.stop()
+    assert m.entries.dtype == np.int8
+    assert reduce_peak < 2 * m.rows * m.cols
+    assert weight_peak < 2 * m.rows * m.cols
+    assert weight == np.count_nonzero(np.arange(m.rows) @ wm.entries % 3)
 
 
 def test_text_format_round_trip():
@@ -406,14 +455,14 @@ def test_dual_involution_and_dimension(seed=7):
         assert code.k + dual.k == code.n
         assert dual_code(dual) == code
         # orthogonality of the pair
-        prod = code.basis.entries @ dual.basis.entries.T % p
+        prod = code.basis.entries.astype(np.int64) @ dual.basis.entries.T % p
         assert not prod.any()
 
 
 def test_f4_minimal_inside_its_dual():
     code = row_space_code(fixture_matrix("F4_minimal").mod(3))
     dual = dual_code(code)
-    prod = code.basis.entries @ dual.basis.entries.T % 3
+    prod = code.basis.entries.astype(np.int64) @ dual.basis.entries.T % 3
     assert not prod.any()
     assert analyze(code).self_orthogonal
 
@@ -543,7 +592,7 @@ def test_self_orthogonal_matches_gram_and_dual(seed=3):
         p = int(rng.choice([2, 3]))
         code = row_space_code(random_fp_matrix(rng, p, max_rows=5, max_cols=10))
         rep = analyze(code)
-        g = code.basis.entries
+        g = code.basis.entries.astype(np.int64)  # an int8 product wraps
         assert rep.self_orthogonal == (not (g @ g.T % p).any())
         dual = dual_code(code)
         contained = all(
