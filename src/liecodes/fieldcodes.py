@@ -12,6 +12,7 @@ weights are counted with a population count and a histogram.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -38,36 +39,47 @@ SUPPORTED_PRIMES = (2, 3)
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
-    """`a`, made read-only.  Handed to an `FpMatrix` (int8) or a
-    `WeightMatrix` (int64), a fresh array of that dtype frozen this way is
-    kept, not copied."""
+    """`a`, made read-only; a fresh int8 array frozen this way is kept, not
+    copied, by `read_only`."""
     a.setflags(write=False)
     return a
 
 
-def read_only(entries, dtype: type = np.int64) -> np.ndarray:
-    """The entries as a read-only array of `dtype`: int64 for a
-    `WeightMatrix`, int8 (values 0..p-1) for an `FpMatrix`, whose
-    accumulating arithmetic must widen first.  An array of that dtype that
-    owns its memory and is already read-only (see `frozen`) is kept;
-    anything else is copied, so that later writes by the caller do not
-    reach the matrix.  The copy casts unchecked: a caller narrowing to int8
-    checks the range first."""
-    if isinstance(entries, np.ndarray) and entries.dtype == dtype:
-        if entries.flags.owndata and not entries.flags.writeable:
-            return entries
-    return frozen(np.array(entries, dtype=dtype))
+def _integers(entries) -> np.ndarray:
+    """`entries` as an array of integers (bool, or Python ints in an object
+    array), else ValueError: a cast would truncate a float and pass it."""
+    a = np.asarray(entries)
+    if a.dtype.kind in "biu" or not a.size:
+        return a
+    if a.dtype == object and all(isinstance(x, numbers.Integral) for x in a.flat):
+        return a
+    raise ValueError(f"expected integer values, got {a.dtype}")
+
+
+def read_only(entries) -> np.ndarray:
+    """The entries as a read-only int8 array, the element type of every matrix
+    here: exact small integers, one byte each, whose accumulating arithmetic
+    (a matrix product, a row sum) must widen first.  The one place an array
+    is narrowed: a float or complex array, or a value outside -128..127,
+    raises ValueError before the cast.  An int8 array that owns its memory
+    and is read-only (see `frozen`) is kept; anything else is copied, so
+    later writes by the caller do not reach the matrix."""
+    a = _integers(entries)
+    if a.dtype == np.int8:
+        if a.flags.owndata and not a.flags.writeable:
+            return a
+    elif a.size and (int(a.min()) < -128 or int(a.max()) > 127):
+        raise ValueError("entries must lie in -128..127")
+    return frozen(a.astype(np.int8))
 
 
 @dataclass(frozen=True, eq=False)
 class FpMatrix:
     """An integer matrix with every entry reduced modulo p, p in {2, 3}.
 
-    `entries` is a read-only int8 array, one byte per entry, of values
-    0..p-1.  The range is checked on the caller's values before they are
-    narrowed.  Arithmetic that accumulates (a matrix product, a row sum)
-    must widen first: in int8 it wraps past 127.  A matrix with zero rows is
-    legal; it generates the zero code.
+    `entries` is a read-only int8 array (see `read_only`) of values 0..p-1,
+    checked on the caller's values before they are narrowed.  A matrix with
+    zero rows is legal; it generates the zero code.
     """
 
     p: int
@@ -83,13 +95,13 @@ class FpMatrix:
             raise ValueError("a matrix needs at least one column")
         if a.size and (int(a.min()) < 0 or int(a.max()) >= self.p):
             raise ValueError(f"entries must lie in 0..{self.p - 1}")
-        object.__setattr__(self, "entries", read_only(a, np.int8))
+        object.__setattr__(self, "entries", read_only(a))
 
     @classmethod
     def reduce(cls, p: int, entries) -> "FpMatrix":
-        """Reduce an arbitrary integer matrix modulo p.  The residues are
-        written straight into the int8 entries, in no wider copy."""
-        a = np.asarray(entries)
+        """Reduce an integer matrix modulo p (a float raises ValueError),
+        writing the residues straight into int8, in no wider copy."""
+        a = _integers(entries)
         residues = np.empty(a.shape, dtype=np.int8)
         np.remainder(a, p, out=residues, casting="unsafe")
         return cls(p, frozen(residues))
@@ -226,7 +238,7 @@ def row_space_code(m: FpMatrix) -> LinearCode:
 
 def combination_weight(m: FpMatrix, coeffs: Sequence[int]) -> int:
     """Hamming weight of the row combination (coeffs . m) reduced mod p."""
-    v = np.asarray(list(coeffs), dtype=np.int64)
+    v = _integers(list(coeffs)).astype(np.int64)
     if v.shape != (m.rows,):
         raise ValueError(f"expected {m.rows} coefficients, got {v.shape[0] if v.ndim == 1 else v.shape}")
     # einsum widens the int8 entries in buffered chunks; `v @ m.entries`

@@ -49,7 +49,8 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
-    """Integer eigenvalue matrix, read-only.
+    """Integer eigenvalue matrix: a read-only int8 array of exact small
+    integers, every module's within -2..4 (see `read_only`).
 
     `rank` is the defining parameter of the algebra: n for sl(n), m for
     o(2m), the Lie rank for the exceptional families.
@@ -215,7 +216,7 @@ def ext_weight_matrix_A(n: int, r: int) -> WeightMatrix:
     """
     ext_templates_A(n, r)
     subsets = _subsets(n, r)
-    e = np.zeros((n, len(subsets)), dtype=np.int64)
+    e = np.zeros((n, len(subsets)), dtype=np.int8)
     e[subsets.T, np.arange(len(subsets))] = 1
     return WeightMatrix("A", n, f"ext{r}", "matrix_unit_E", False, frozen(e))
 
@@ -239,7 +240,7 @@ def adjoint_weight_matrix_A(n: int) -> WeightMatrix:
     """
     adjoint_templates_A(n)
     pairs = _subsets(n, 2)
-    e = np.zeros((n, len(pairs)), dtype=np.int64)
+    e = np.zeros((n, len(pairs)), dtype=np.int8)
     e[pairs.T, np.arange(len(pairs))] = [[1], [-1]]
     return WeightMatrix("A", n, "adjoint", "matrix_unit_E", False, frozen(e))
 
@@ -259,16 +260,14 @@ def d_lambda2_matrix(m: int) -> WeightMatrix:
     """Half weight matrix of o(2m) on its degree-2 exterior module.
 
     Rows are the diagonal generators E_ii - E_(m+i,m+i).  For each pair
-    i < j there is a sum column (weight e_i + e_j) and a difference column
-    (weight e_i - e_j), interleaved in lexicographic pair order.
+    i < j there is a sum column (weight e_i + e_j), that of sl(m) on ext2,
+    and a difference column (weight e_i - e_j), that of its adjoint module,
+    interleaved in lexicographic pair order.
     """
     d_lambda2_templates(m)
-    pairs = _subsets(m, 2)
-    rows = np.zeros((m, 2 * len(pairs)), dtype=np.int64)
-    # a view of the same entries: the sum and difference column of each pair
-    both, cols = rows.reshape(m, len(pairs), 2), np.arange(len(pairs))
-    both[pairs[:, 0], cols] = 1
-    both[pairs[:, 1], cols] = (1, -1)
+    rows = np.empty((m, m * (m - 1)), dtype=np.int8)
+    rows[:, ::2] = ext_weight_matrix_A(m, 2).entries
+    rows[:, 1::2] = adjoint_weight_matrix_A(m).entries
     return WeightMatrix("D", m, "ext2", "matrix_unit_E", False, frozen(rows))
 
 
@@ -292,7 +291,7 @@ def d_lambda3_matrix(m: int) -> WeightMatrix:
     """
     d_lambda3_templates(m)
     triples, pairs = _subsets(m, 3), _subsets(m, 2)
-    rows = np.zeros((m, len(triples) + len(pairs) * m), dtype=np.int64)
+    rows = np.zeros((m, len(triples) + len(pairs) * m), dtype=np.int8)
     rows[triples.T, np.arange(len(triples))] = 1
     # the column of pair (i, j) and row l, one row per pair
     mixed = len(triples) + np.arange(len(pairs) * m).reshape(-1, m)
@@ -330,8 +329,9 @@ def _spin_masks(m: int) -> np.ndarray:
 
 def _spin_rows(m: int, masks: np.ndarray) -> np.ndarray:
     """The spin columns of `masks`: 2 in row r for r in S, 1 elsewhere."""
-    rows = np.right_shift(masks, np.arange(m)[:, None])
-    rows &= 1
+    rows = np.empty((m, len(masks)), dtype=np.int8)
+    for r, row in enumerate(rows):
+        np.bitwise_and(masks >> r, 1, out=row, casting="unsafe")
     rows += 1
     return rows
 
@@ -443,7 +443,7 @@ def exceptional_minimal_matrix(family: str) -> WeightMatrix:
     """
     if family not in _MINIMAL_ORBITS:
         raise ValueError(f"minimal-module matrix known for F4, E6, E7; got {family!r}")
-    entries = np.array(_minimal_orbit(family), dtype=np.int64).T
+    entries = np.array(_minimal_orbit(family), dtype=np.int8).T
     return WeightMatrix(family, EXCEPTIONAL_RANKS[family], "minimal", "cartan_h", False, entries)
 
 
@@ -468,7 +468,7 @@ def _adjoint_labels(family: str) -> tuple[str, ...]:
 
 
 def _parse_rows(rows: tuple[str, ...]) -> np.ndarray:
-    return np.array([[int(t) for t in row.split()] for row in rows], dtype=np.int64)
+    return np.array([[int(t) for t in row.split()] for row in rows], dtype=np.int8)
 
 
 # Verbatim reference matrices from the source tables, used as ground truth

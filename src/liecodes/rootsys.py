@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from operator import mul
+from operator import index, mul
 from typing import Sequence
 
 __all__ = [
@@ -80,6 +80,14 @@ def cartan_matrix(family: str, rank: int) -> CartanMatrix:
     return CartanMatrix(family, rank, tuple(tuple(r) for r in rows))
 
 
+def _integers(values: Sequence[int]) -> list[int]:
+    """`values` as Python ints, or ValueError: int() would truncate a float."""
+    try:
+        return [index(x) for x in values]
+    except TypeError:
+        raise ValueError(f"expected integer values, got {values!r}") from None
+
+
 def _orbit(seeds, reflect, rank: int) -> set[tuple[int, ...]]:
     """Breadth-first closure of `seeds` under the simple reflections;
     `reflect(v, i)` is the image of v under s_i, or None for a move the
@@ -123,7 +131,7 @@ def positive_roots(cm: CartanMatrix) -> tuple[tuple[int, ...], ...]:
 def weyl_orbit(cm: CartanMatrix, dominant: Sequence[int]) -> list[tuple[int, ...]]:
     """Orbit of a dominant weight under the simple reflections, sorted lex;
     s_i subtracts w_i times row i of the Cartan matrix."""
-    mu = tuple(int(x) for x in dominant)
+    mu = tuple(_integers(dominant))
     if len(mu) != cm.rank:
         raise ValueError(f"expected {cm.rank} weight coordinates, got {len(mu)}")
     if any(x < 0 for x in mu):
@@ -144,7 +152,7 @@ def reflect_coroot_coeffs(cm: CartanMatrix, node: int, coeffs: Sequence[int]) ->
     invariant under this action, which is what makes partial row sums
     representative codewords.
     """
-    l = [int(x) for x in coeffs]
+    l = _integers(coeffs)
     if len(l) != cm.rank:
         raise ValueError(f"expected {cm.rank} coefficients, got {len(l)}")
     if not 0 <= node < cm.rank:

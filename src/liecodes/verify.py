@@ -417,13 +417,13 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     (m + 2)^2/4 mirror pairs.
 
     No weight matrix is built, and no Python step is taken per coordinate:
-    one `orbit_weights` call weighs every orbit, and the two orbits a binary
-    code's flags read, after looking up the templates' placements and the
-    falling factorials of r once; each orbit then costs a few integer
-    products per template and a spin template one closed form (a sum over j
-    only for the at most two orbits with no coefficient 0).  The orbit sizes
-    are then added up by weight, so the kernel division, the orthogonality
-    test and the `CodeReport` see only the weights that occur.
+    one `orbit_weights` call weighs every orbit, after looking up the
+    templates' placements and the falling factorials of r once; each orbit
+    then costs a few integer products per template and a spin template one
+    closed form (a sum over j only for the at most two orbits with no
+    coefficient 0).  The orbit sizes are then added up by weight, so the
+    kernel division, the orthogonality test and the `CodeReport` see only
+    the weights that occur.
     """
     table = module_table(spec)
     if table is None:
@@ -464,11 +464,9 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
                     orbits.append((n0, n1, n2))
                     sizes.append(copies * size)
                 size = size * n0 // (n2 + 1)
-    # a binary code's flags also read w1 and w2 (below), weighed after the orbits
-    flag_orbits = [(r - 1, 1, 0), (r - 2, 2, 0)] if p == 2 else []
-    weights = orbit_weights(templates, p, r, orbits + flag_orbits)
+    weights = orbit_weights(templates, p, r, orbits)
     counts = defaultdict(int)  # orbit sizes by weight
-    for w, size in zip(weights, sizes):  # stops before the flag orbits
+    for w, size in zip(weights, sizes):
         counts[w] += size
     # every codeword is the image of p^(dim - k) coefficient vectors, as many
     # as give the zero word
@@ -485,8 +483,10 @@ def module_code(spec: ModuleSpec) -> CodeReport | LinearCode:
     else:
         # X_i . X_i = w1 and X_i . X_j = (2 w1 - w2) / 2 (mod 2), w1 = wt(X_i)
         # and w2 = wt(X_i + X_j); so the differences X_i + X_(i+1) have even
-        # weight w2 and products w2 / 2 (mod 2) with their neighbours
-        w1, w2 = weights[len(sizes):]
+        # weight w2 and products w2 / 2 (mod 2) with their neighbours; the
+        # orbits list (r - 2, 2, 0), and (r - 1, 1, 0) unless the code is sum-zero
+        weight = dict(zip(orbits, weights))
+        w1, w2 = weight.get((r - 1, 1, 0)), weight[r - 2, 2, 0]
         orthogonal = w2 % 4 == 0 if sum_zero else w1 % 2 == 0 and (w1 - w2 // 2) % 2 == 0
     return CodeReport(p, n, k, {w: count // kernel for w, count in counts.items()}, orthogonal)
 

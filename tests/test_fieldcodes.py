@@ -24,6 +24,7 @@ from liecodes.fieldcodes import (
 )
 from liecodes.repweights import (
     ModuleSpec,
+    WeightMatrix,
     adjoint_weight_matrix_A,
     build_weight_matrix,
     d_spin_matrix,
@@ -32,6 +33,7 @@ from liecodes.repweights import (
     fixture_matrix,
     to_cartan_h,
 )
+from liecodes.rootsys import cartan_matrix, reflect_coroot_coeffs, weyl_orbit
 from liecodes.verify import module_code, registered_cases, run_case
 
 from _oracles import (
@@ -72,6 +74,43 @@ def test_fpmatrix_rejects_bad_inputs():
         for p in (2, 3):
             with pytest.raises(ValueError, match=rf"^entries must lie in 0\.\.{p - 1}$"):
                 FpMatrix(p, np.array([[0, bad]], dtype=np.int64))
+    # a cast would round a float toward zero and pass it for an integer
+    for make in (
+        lambda: FpMatrix(2, [[0.9, 1]]),
+        lambda: WeightMatrix("A", 3, "ext2", "matrix_unit_E", False, [[0.5, 1.9]]),
+        lambda: WeightMatrix("A", 3, "ext2", "matrix_unit_E", False, np.array([[1j, 0]])),
+    ):
+        with pytest.raises(ValueError, match="^expected integer values, got (float64|complex128)$"):
+            make()
+    # int8 holds -128..127: 300 would wrap to 44, -129 to 127
+    for bad in (300, -129, 2**70):
+        with pytest.raises(ValueError, match=r"^entries must lie in -128\.\.127$"):
+            WeightMatrix("A", 3, "ext2", "matrix_unit_E", False, [[0, bad]])
+
+
+NON_INTEGER_INPUTS = {
+    "FpMatrix.reduce": lambda: FpMatrix.reduce(3, [[4.5, -1.2]]),
+    "combination_weight": lambda: combination_weight(FpMatrix(3, [[1, 2], [2, 2]]), [0.5, 1]),
+    "reflect_coroot_coeffs": lambda: reflect_coroot_coeffs(cartan_matrix("A", 3), 0, (0.5, 0, 0)),
+    "weyl_orbit": lambda: weyl_orbit(cartan_matrix("A", 3), (1.7, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("make", NON_INTEGER_INPUTS.values(), ids=NON_INTEGER_INPUTS)
+def test_entry_points_refuse_non_integer_input(make):
+    # a cast or int() would truncate each float: 4.5 to 4, 0.5 to 0, 1.7 to 1
+    with pytest.raises(ValueError, match="^expected integer values"):
+        make()
+
+
+def test_entry_points_take_integers_of_any_kind():
+    assert FpMatrix.reduce(3, [[2**70, -2**70]]).entries.tolist() == [[1, 2]]
+    assert FpMatrix.reduce(2, np.array([[True, False]])).entries.tolist() == [[1, 0]]
+    assert combination_weight(FpMatrix(3, [[1, 2]]), [np.int64(2)]) == 2
+    assert combination_weight(FpMatrix(3, np.zeros((0, 2))), []) == 0
+    cm = cartan_matrix("A", 3)
+    assert reflect_coroot_coeffs(cm, 0, (np.int64(1), True, 0)) == (0, 1, 0)
+    assert weyl_orbit(cm, (np.int64(1), False, 0)) == weyl_orbit(cm, (1, 0, 0))
 
 
 def test_fpmatrix_reduce_normalizes():

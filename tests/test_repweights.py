@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from math import comb
@@ -118,7 +119,8 @@ def test_lambda2_shape_and_self_product():
     for m in (3, 4, 7):
         wm = d_lambda2_matrix(m)
         assert wm.cols == m * (m - 1)
-        gram = wm.entries @ wm.entries.T
+        wide = wm.entries.astype(np.int64)  # an int8 Gram product wraps
+        gram = wide @ wide.T
         assert all(gram[i, i] == 2 * (m - 1) for i in range(m))
 
 
@@ -131,7 +133,8 @@ def test_lambda3_shape_and_self_product():
     for m in (3, 5, 6):
         wm = d_lambda3_matrix(m)
         assert wm.cols == comb(m, 3) + m * comb(m, 2)
-        gram = wm.entries @ wm.entries.T
+        wide = wm.entries.astype(np.int64)  # an int8 Gram product wraps
+        gram = wide @ wide.T
         assert all(gram[i, i] == (m - 1) * (2 * m - 3) for i in range(m))
 
 
@@ -168,9 +171,9 @@ def test_spin_rejects_bad_requests():
         d_spin_matrix(6).mod(2)
 
 
-# SHA-256 over the entries and labels of the spin matrices of o(6)..o(24)
-# and the adjoint-plus-spin matrices of o(8)..o(24), as built entry by entry
-# before the membership array
+# SHA-256 over the entries (as int64) and labels of the spin matrices of
+# o(6)..o(24) and the adjoint-plus-spin matrices of o(8)..o(24), as built
+# entry by entry before the membership array
 SPIN_BUILDER_SHA256 = {
     "spin": "33b6a1fc61c1f9370226bf4c0fdff410199a097517dcb19085b0c709e5abb276",
     "weight_code": "a988fb558448300dd406f633993ec1708d0d335f6d78c229611f12ceb6ec3820",
@@ -188,7 +191,7 @@ def test_spin_builders_are_pinned(kind):
         matrices = [d_adjoint_spin_matrix(m, kind) for m in range(4, 13)]
     digest = hashlib.sha256()
     for spec, wm in zip(specs, matrices):
-        digest.update(wm.entries.tobytes())
+        digest.update(wm.entries.astype(np.int64).tobytes())
         digest.update("\n".join(column_labels(spec)).encode())
     assert digest.hexdigest() == SPIN_BUILDER_SHA256[kind]
 
@@ -652,9 +655,56 @@ def test_weight_matrix_copies_what_it_does_not_own():
         a[0, 0] = 1
         with pytest.raises(ValueError):
             wm.entries[0, 0] = 0
-    # a frozen array the caller made is kept: it can no longer be written
-    b = frozen(np.ones((2, 3), dtype=np.int64))
+    # a frozen int8 array the caller made is kept: it can no longer be
+    # written; a frozen int64 array is copied into int8
+    b = frozen(np.ones((2, 3), dtype=np.int8))
     assert WeightMatrix("A", 3, "ext2", "matrix_unit_E", False, b).entries is b
+    wide = frozen(np.ones((2, 3), dtype=np.int64))
+    kept = WeightMatrix("A", 3, "ext2", "matrix_unit_E", False, wide).entries
+    assert kept is not wide and kept.dtype == np.int8 and kept.tolist() == wide.tolist()
+
+
+ONE_BYTE_MATRICES = {
+    "ext_weight_matrix_A": lambda: ext_weight_matrix_A(7, 3),
+    "adjoint_weight_matrix_A": lambda: adjoint_weight_matrix_A(6),
+    "d_lambda2_matrix": lambda: d_lambda2_matrix(6),
+    "d_lambda3_matrix": lambda: d_lambda3_matrix(6),
+    "d_spin_matrix": lambda: d_spin_matrix(7),
+    **{
+        f"d_adjoint_spin_matrix-{mode}-m{m}": lambda m=m, mode=mode: d_adjoint_spin_matrix(m, mode)
+        for mode in ADJOINT_SPIN_MODES
+        for m in (6, 7)
+    },
+    **{f"exceptional_minimal_matrix-{f}": lambda f=f: exceptional_minimal_matrix(f) for f in ("F4", "E6", "E7")},
+    **{f"exceptional_adjoint_matrix-{f}": lambda f=f: exceptional_adjoint_matrix(f) for f in EXCEPTIONAL_RANKS},
+    "to_cartan_h-A": lambda: to_cartan_h(ext_weight_matrix_A(7, 3)),
+    "to_cartan_h-D": lambda: to_cartan_h(d_adjoint_spin_matrix(7, "weight_code")),
+    **{
+        f"fixture_matrix-{name}": lambda name=name: fixture_matrix(name)
+        for name in ("F4_minimal", "F4_adjoint", "E6_minimal", "E7_minimal")
+    },
+}
+
+
+@pytest.mark.parametrize("make", ONE_BYTE_MATRICES.values(), ids=ONE_BYTE_MATRICES)
+def test_every_weight_matrix_holds_one_byte_per_entry(make):
+    wm = make()
+    assert wm.entries.dtype == np.int8
+    assert wm.entries.nbytes == wm.rows * wm.cols
+    assert not wm.entries.flags.writeable
+
+
+def test_spin_build_makes_no_wide_copy():
+    # o(36) spin: 18 x 131072 entries, 2.4 MB at one byte each; an int64
+    # shift table of the masks alone would take 18.9 MB
+    tracemalloc.start()
+    try:
+        wm = build_weight_matrix(ModuleSpec("D", 18, "spin", 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wm.entries.nbytes == 18 << 17
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize(
