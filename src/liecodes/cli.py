@@ -82,8 +82,6 @@ def _module_spec(args: argparse.Namespace) -> ModuleSpec:
         raise ValueError("--n applies to family A only")
     if args.m is not None and args.family != "D":
         raise ValueError("--m applies to family D only")
-    if args.mode is not None and args.module != "adjoint_plus_spin":
-        raise ValueError("--mode applies to module adjoint_plus_spin only")
     if args.family == "A":
         if args.n is None:
             raise ValueError("family A needs --n")

@@ -183,27 +183,23 @@ def parse_matrix_text(text: str) -> FpMatrix:
     return FpMatrix(p, frozen(a))
 
 
-def rref(m: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:
-    """Reduced row echelon form over F_p.
-
-    Returns (reduced, rank, pivot_columns); `reduced` keeps only the nonzero
-    rows and is the canonical basis of the row space of `m`.  The work stays
-    in int8: every intermediate lies in -4..4.
+def rref(m: FpMatrix) -> FpMatrix:
+    """Reduced row echelon form over F_p: its nonzero rows only, the
+    canonical basis of the row space of `m`.  The rank is its row count, and
+    each row's leading 1 marks a pivot column.  The work stays in int8:
+    every intermediate lies in -4..4.
     """
     p = m.p
     a = m.entries.copy()
     nrows, ncols = a.shape
-    pivots: list[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
             break
-        hot = None
-        for i in range(r, nrows):
-            if a[i, c]:
-                hot = i
+        for hot in range(r, nrows):
+            if a[hot, c]:
                 break
-        if hot is None:
+        else:  # no pivot in this column
             continue
         if hot != r:
             a[[r, hot]] = a[[hot, r]]
@@ -213,27 +209,33 @@ def rref(m: FpMatrix) -> tuple[FpMatrix, int, tuple[int, ...]]:
         col[r] = 0
         a -= np.outer(col, a[r])
         a %= p
-        pivots.append(c)
         r += 1
-    reduced = a[:r] if r else np.zeros((0, ncols), dtype=np.int8)
-    return FpMatrix(p, reduced), r, tuple(pivots)
+    return FpMatrix(p, a[:r])
 
 
 @dataclass(frozen=True)
 class LinearCode:
-    """A row space over F_p held by its reduced-row-echelon generator; the
-    basis is canonical, so two codes are equal when their fields are."""
+    """A row space over F_p held by its reduced-row-echelon generator alone:
+    p, n and k are read off it, and two codes are equal when their bases are."""
 
-    p: int
-    n: int
-    k: int
     basis: FpMatrix
+
+    @property
+    def p(self) -> int:
+        return self.basis.p
+
+    @property
+    def n(self) -> int:
+        return self.basis.cols
+
+    @property
+    def k(self) -> int:
+        return self.basis.rows
 
 
 def row_space_code(m: FpMatrix) -> LinearCode:
     """The linear code generated by the rows of `m`, in canonical form."""
-    reduced, rank, _ = rref(m)
-    return LinearCode(m.p, m.cols, rank, reduced)
+    return LinearCode(rref(m))
 
 
 def combination_weight(m: FpMatrix, coeffs: Sequence[int]) -> int:

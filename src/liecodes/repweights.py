@@ -7,8 +7,8 @@ the sl(n) and o(2m) builders give.  Columns are module basis vectors of
 nonzero weight; `column_labels` names them, formed from the request only
 when a payload prints them.  Entries are exact integers, except for the
 spin constructions, which are meaningful only after reducing the
-half-integer eigenvalues modulo 3 (1/2 = -1 = 2 in F3); those carry the
-`mod3_only` flag.
+half-integer eigenvalues modulo 3 (1/2 = -1 = 2 in F3); `WeightMatrix.mod`
+reduces those modules modulo 3 only.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 
+_HALF_INTEGER_MODULES = ("spin", "adjoint_plus_spin")
+
+
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Integer eigenvalue matrix: a read-only int8 array of exact small
@@ -60,7 +63,6 @@ class WeightMatrix:
     rank: int
     module: str
     basis: str  # "cartan_h" | "matrix_unit_E"
-    mod3_only: bool
     entries: np.ndarray
 
     def __post_init__(self) -> None:
@@ -75,14 +77,13 @@ class WeightMatrix:
         return self.entries.shape[1]
 
     def mod(self, p: int) -> FpMatrix:
-        """Reduce the integer entries modulo p."""
-        if self.mod3_only and p != 3:
+        """Reduce the integer entries modulo p (a half-integer module's: 3 only)."""
+        if self.module in _HALF_INTEGER_MODULES and p != 3:
             raise ValueError(f"{self.module} matrices are defined modulo 3 only")
         return FpMatrix.reduce(p, self.entries)
 
 
 ADJOINT_SPIN_MODES = ("weight_code", "direct_sum")
-
 # Ten times the entries of the 40 x 9880 cube matrix of sl(40)
 _MAX_ENTRIES = 1 << 22
 
@@ -218,7 +219,7 @@ def ext_weight_matrix_A(n: int, r: int) -> WeightMatrix:
     subsets = _subsets(n, r)
     e = np.zeros((n, len(subsets)), dtype=np.int8)
     e[subsets.T, np.arange(len(subsets))] = 1
-    return WeightMatrix("A", n, f"ext{r}", "matrix_unit_E", False, frozen(e))
+    return WeightMatrix("A", n, f"ext{r}", "matrix_unit_E", frozen(e))
 
 
 def _ext_labels_A(n: int, r: int) -> tuple[str, ...]:
@@ -242,7 +243,7 @@ def adjoint_weight_matrix_A(n: int) -> WeightMatrix:
     pairs = _subsets(n, 2)
     e = np.zeros((n, len(pairs)), dtype=np.int8)
     e[pairs.T, np.arange(len(pairs))] = [[1], [-1]]
-    return WeightMatrix("A", n, "adjoint", "matrix_unit_E", False, frozen(e))
+    return WeightMatrix("A", n, "adjoint", "matrix_unit_E", frozen(e))
 
 
 def _adjoint_labels_A(n: int) -> tuple[str, ...]:
@@ -268,7 +269,7 @@ def d_lambda2_matrix(m: int) -> WeightMatrix:
     rows = np.empty((m, m * (m - 1)), dtype=np.int8)
     rows[:, ::2] = ext_weight_matrix_A(m, 2).entries
     rows[:, 1::2] = adjoint_weight_matrix_A(m).entries
-    return WeightMatrix("D", m, "ext2", "matrix_unit_E", False, frozen(rows))
+    return WeightMatrix("D", m, "ext2", "matrix_unit_E", frozen(rows))
 
 
 def _d_lambda2_labels(m: int) -> tuple[str, ...]:
@@ -298,7 +299,7 @@ def d_lambda3_matrix(m: int) -> WeightMatrix:
     rows[pairs[:, :1], mixed] = 1
     rows[pairs[:, 1:], mixed] = 1
     rows[np.arange(m), mixed] -= 1
-    return WeightMatrix("D", m, "ext3", "matrix_unit_E", False, frozen(rows))
+    return WeightMatrix("D", m, "ext3", "matrix_unit_E", frozen(rows))
 
 
 def _d_lambda3_labels(m: int) -> tuple[str, ...]:
@@ -361,7 +362,7 @@ def d_spin_matrix(m: int) -> WeightMatrix:
     row r is 2 (that is, 1/2 = -1) when r lies in S and 1 (-1/2) otherwise.
     """
     d_spin_templates(m)
-    return WeightMatrix("D", m, "spin", "matrix_unit_E", True, frozen(_spin_rows(m, _spin_masks(m))))
+    return WeightMatrix("D", m, "spin", "matrix_unit_E", frozen(_spin_rows(m, _spin_masks(m))))
 
 
 def _d_spin_labels(m: int) -> tuple[str, ...]:
@@ -403,7 +404,7 @@ def d_adjoint_spin_matrix(m: int, mode: str) -> WeightMatrix:
     c2 = d_lambda2_matrix(m).entries
     blocks = [c2, -c2] if negated else [c2]
     entries = np.hstack(blocks + [_spin_rows(m, masks)])
-    return WeightMatrix("D", m, "adjoint_plus_spin", "matrix_unit_E", True, frozen(entries))
+    return WeightMatrix("D", m, "adjoint_plus_spin", "matrix_unit_E", frozen(entries))
 
 
 def _d_adjoint_spin_labels(m: int, mode: str) -> tuple[str, ...]:
@@ -444,7 +445,7 @@ def exceptional_minimal_matrix(family: str) -> WeightMatrix:
     if family not in _MINIMAL_ORBITS:
         raise ValueError(f"minimal-module matrix known for F4, E6, E7; got {family!r}")
     entries = np.array(_minimal_orbit(family), dtype=np.int8).T
-    return WeightMatrix(family, EXCEPTIONAL_RANKS[family], "minimal", "cartan_h", False, entries)
+    return WeightMatrix(family, EXCEPTIONAL_RANKS[family], "minimal", "cartan_h", entries)
 
 
 def _minimal_labels(family: str) -> tuple[str, ...]:
@@ -459,7 +460,7 @@ def exceptional_adjoint_matrix(family: str) -> WeightMatrix:
     rank = EXCEPTIONAL_RANKS[family]
     cm = cartan_matrix(family, rank)
     entries = (np.array(positive_roots(cm)) @ np.array(cm.entries)).T
-    return WeightMatrix(family, rank, "adjoint", "cartan_h", False, entries)
+    return WeightMatrix(family, rank, "adjoint", "cartan_h", entries)
 
 
 def _adjoint_labels(family: str) -> tuple[str, ...]:
@@ -531,7 +532,7 @@ def fixture_matrix(name: str) -> WeightMatrix:
         family, rank, module, rows = _FIXTURES[name]
     except KeyError:
         raise ValueError(f"unknown fixture {name!r}; known: {', '.join(sorted(_FIXTURES))}") from None
-    return WeightMatrix(family, rank, module, "cartan_h", False, _parse_rows(rows))
+    return WeightMatrix(family, rank, module, "cartan_h", _parse_rows(rows))
 
 
 def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:
@@ -551,7 +552,7 @@ def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:
     rows = e[:-1] - e[1:]
     if wm.family == "D":
         rows = np.vstack([rows, e[-2:-1] + e[-1:]])
-    return WeightMatrix(wm.family, wm.rank, wm.module, "cartan_h", wm.mod3_only, frozen(rows))
+    return WeightMatrix(wm.family, wm.rank, wm.module, "cartan_h", frozen(rows))
 
 
 @dataclass(frozen=True)

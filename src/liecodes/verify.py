@@ -539,9 +539,7 @@ def run_case(case: TheoremCase, limits: VerifyLimits | None = None) -> CaseResul
 
 
 def _matches(case_id: str, pattern: str | None) -> bool:
-    if not pattern:
-        return True
-    return fnmatch.fnmatch(case_id, pattern) or fnmatch.fnmatch(case_id, pattern + "*")
+    return not pattern or fnmatch.fnmatch(case_id, pattern + "*")
 
 
 def run_suite(filter: str | None = None, include_optional: bool = False) -> SuiteReport:

@@ -112,7 +112,7 @@ def dual_code(c: LinearCode) -> LinearCode:
     pivot_set = set(pivots)
     free = [j for j in range(n) if j not in pivot_set]
     if not free:
-        return LinearCode(p, n, 0, FpMatrix(p, np.zeros((0, n), dtype=np.int64)))
+        return LinearCode(FpMatrix(p, np.zeros((0, n), dtype=np.int64)))
     rows = np.zeros((len(free), n), dtype=np.int64)
     for idx, f in enumerate(free):
         rows[idx, f] = 1

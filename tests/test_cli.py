@@ -397,12 +397,20 @@ def test_usage_error_lists_valid_values(capsys):
     for extra, flag in (
         (["--family", "F4", "--module", "minimal", "--n", "99"], "--n"),
         (["--family", "A", "--n", "6", "--module", "ext2", "--m", "7"], "--m"),
-        (["--family", "D", "--m", "6", "--module", "ext2", "--mode", "direct_sum"], "--mode"),
         (["--family", "F4", "--module", "minimal", "--n", "99", "--m", "7", "--mode", "direct_sum"], "--n"),
     ):
         code, out, err = invoke(capsys, "matrix", *extra, "--field", "3")
         assert code == 2 and not out
         assert flag in err
+
+
+@pytest.mark.parametrize("command", ["report", "matrix"])
+@pytest.mark.parametrize("rank", [["--family", "A", "--n", "6"], ["--family", "D", "--m", "6"]], ids=["A", "D"])
+def test_mode_of_another_module_is_refused(capsys, command, rank):
+    # the module table refuses it, for the command line as for every caller
+    code, out, err = invoke(capsys, command, *rank, "--module", "ext2", "--mode", "direct_sum", "--field", "3")
+    assert (code, out) == (2, "")
+    assert err == "liecodes: error: a mode applies to module adjoint_plus_spin only, not ext2\n"
 
 
 def test_parser_is_reused_after_errors_and_help(capsys):

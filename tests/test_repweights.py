@@ -171,6 +171,24 @@ def test_spin_rejects_bad_requests():
         d_spin_matrix(6).mod(2)
 
 
+HALF_INTEGER_MATRICES = {
+    "spin": lambda: d_spin_matrix(6),
+    "weight_code": lambda: d_adjoint_spin_matrix(6, "weight_code"),
+    "direct_sum": lambda: d_adjoint_spin_matrix(5, "direct_sum"),
+}
+
+
+@pytest.mark.parametrize("cartan", [False, True], ids=["matrix_unit_E", "cartan_h"])
+@pytest.mark.parametrize("make", HALF_INTEGER_MATRICES.values(), ids=HALF_INTEGER_MATRICES)
+def test_half_integer_modules_reduce_mod_3_only(make, cartan):
+    # their entries are the residues of half-integers mod 3, which the
+    # module name alone marks, in either basis
+    wm = to_cartan_h(make()) if cartan else make()
+    assert wm.mod(3).p == 3
+    with pytest.raises(ValueError, match=f"^{wm.module} matrices are defined modulo 3 only$"):
+        wm.mod(2)
+
+
 # SHA-256 over the entries (as int64) and labels of the spin matrices of
 # o(6)..o(24) and the adjoint-plus-spin matrices of o(8)..o(24), as built
 # entry by entry before the membership array
@@ -567,11 +585,11 @@ def test_to_cartan_h_families():
     g = d_lambda2_matrix(4).entries
     assert np.array_equal(d.entries[-1], g[-2] + g[-1])
     full = ext_weight_matrix_A(8, 4)
-    seven = WeightMatrix("A", 8, "ext4", "matrix_unit_E", False, full.entries[:7])
+    seven = WeightMatrix("A", 8, "ext4", "matrix_unit_E", full.entries[:7])
     with pytest.raises(ValueError):
         to_cartan_h(seven)  # the eighth matrix-unit row is missing
     o10 = d_lambda2_matrix(5)
-    four = WeightMatrix("D", 5, "ext2", "matrix_unit_E", False, o10.entries[:4])
+    four = WeightMatrix("D", 5, "ext2", "matrix_unit_E", o10.entries[:4])
     with pytest.raises(ValueError, match="need all matrix-unit rows"):
         to_cartan_h(four)  # the fifth e_i row is missing
 
@@ -640,7 +658,7 @@ def test_column_labels_checks_the_request():
 def test_weight_matrix_holds_no_labels():
     # a matrix keeps its entries and scalars only: no per-column object
     assert [f.name for f in dataclasses.fields(WeightMatrix)] == [
-        "family", "rank", "module", "basis", "mod3_only", "entries"
+        "family", "rank", "module", "basis", "entries"
     ]
     wm = build_weight_matrix(ModuleSpec("D", 8, "adjoint_plus_spin", 3, mode="weight_code"))
     assert [k for k, v in vars(wm).items() if not isinstance(v, (str, int, bool))] == ["entries"]
@@ -649,7 +667,7 @@ def test_weight_matrix_holds_no_labels():
 def test_weight_matrix_copies_what_it_does_not_own():
     a = np.ones((2, 3), dtype=np.int64)
     for entries in (a, a.tolist(), a[:, :]):
-        wm = WeightMatrix("A", 3, "ext2", "matrix_unit_E", False, entries)
+        wm = WeightMatrix("A", 3, "ext2", "matrix_unit_E", entries)
         a[0, 0] = 5
         assert wm.entries.tolist() == [[1, 1, 1], [1, 1, 1]]
         a[0, 0] = 1
@@ -658,9 +676,9 @@ def test_weight_matrix_copies_what_it_does_not_own():
     # a frozen int8 array the caller made is kept: it can no longer be
     # written; a frozen int64 array is copied into int8
     b = frozen(np.ones((2, 3), dtype=np.int8))
-    assert WeightMatrix("A", 3, "ext2", "matrix_unit_E", False, b).entries is b
+    assert WeightMatrix("A", 3, "ext2", "matrix_unit_E", b).entries is b
     wide = frozen(np.ones((2, 3), dtype=np.int64))
-    kept = WeightMatrix("A", 3, "ext2", "matrix_unit_E", False, wide).entries
+    kept = WeightMatrix("A", 3, "ext2", "matrix_unit_E", wide).entries
     assert kept is not wide and kept.dtype == np.int8 and kept.tolist() == wide.tolist()
 
 

@@ -677,7 +677,7 @@ def test_weyl_invariance_fuzz_is_exact_past_uint8():
     # a module's columns have a few nonzero Cartan entries, so its products
     # stay far below 256; here each is 2 * (sum of 199 residues of mean 1.2),
     # near 478, so a product wrapped mod 256 gives wrong weights
-    dense = repweights.WeightMatrix("A", 200, "dense", "cartan_h", False, np.full((199, 4), 2))
+    dense = repweights.WeightMatrix("A", 200, "dense", "cartan_h", np.full((199, 4), 2))
     violations = weyl_invariance_violations(dense, 3, 200, seed=99)
     assert violations == weyl_violations_by_loop(dense, 3, 200, seed=99)
 
