@@ -47,9 +47,6 @@ __all__ = [
 ]
 
 
-_HALF_INTEGER_MODULES = ("spin", "adjoint_plus_spin")
-
-
 @dataclass(frozen=True, eq=False)
 class WeightMatrix:
     """Integer eigenvalue matrix: a read-only int8 array of exact small
@@ -84,6 +81,8 @@ class WeightMatrix:
 
 
 ADJOINT_SPIN_MODES = ("weight_code", "direct_sum")
+_HALF_INTEGER_MODULES = ("spin", "adjoint_plus_spin")  # their entries hold residues mod 3
+
 # Ten times the entries of the 40 x 9880 cube matrix of sl(40)
 _MAX_ENTRIES = 1 << 22
 

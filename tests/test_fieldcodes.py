@@ -349,6 +349,9 @@ def test_rref_idempotent_on_random(seed=11):
 def test_row_space_code_examples():
     code = row_space_code(to_cartan_h(ext_weight_matrix_A(4, 2)).mod(2))
     assert (code.n, code.k) == (6, 2)
+    # p, n and k are read off the basis, the one field
+    assert [f.name for f in dataclasses.fields(code)] == ["basis"]
+    assert (code.p, code.n, code.k) == (code.basis.p, code.basis.cols, code.basis.rows)
     zero = row_space_code(FpMatrix(3, np.zeros((2, 5), dtype=np.int64)))
     assert zero.k == 0
     k_code = row_space_code(to_cartan_h(adjoint_weight_matrix_A(6)).mod(3))
