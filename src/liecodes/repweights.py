@@ -74,7 +74,7 @@ class WeightMatrix:
         return self.entries.shape[1]
 
     def mod(self, p: int) -> FpMatrix:
-        """Reduce the integer entries modulo p (a half-integer module's: 3 only)."""
+        """Reduce the integer entries modulo p; a half-integer module's, modulo 3 only."""
         if self.module in _HALF_INTEGER_MODULES and p != 3:
             raise ValueError(f"{self.module} matrices are defined modulo 3 only")
         return FpMatrix.reduce(p, self.entries)
