@@ -39,9 +39,11 @@ _F4_ENTRIES = (
 
 @dataclass(frozen=True)
 class CartanMatrix:
-    family: str
-    rank: int
     entries: tuple[tuple[int, ...], ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.entries)
 
 
 def _chain_edges(labels: Sequence[int]) -> list[tuple[int, int]]:
@@ -73,11 +75,11 @@ def cartan_matrix(family: str, rank: int) -> CartanMatrix:
             f"D (rank >= 3) or one of {exceptional}"
         )
     if family == "F4":
-        return CartanMatrix("F4", rank, _F4_ENTRIES)
+        return CartanMatrix(_F4_ENTRIES)
     rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i, j in _edges(family, rank):
         rows[i][j] = rows[j][i] = -1
-    return CartanMatrix(family, rank, tuple(tuple(r) for r in rows))
+    return CartanMatrix(tuple(tuple(r) for r in rows))
 
 
 def _integers(values: Sequence[int]) -> list[int]:

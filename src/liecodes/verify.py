@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import fnmatch
 import json
-import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -26,7 +25,7 @@ from functools import cache
 from fractions import Fraction
 from itertools import compress, pairwise, repeat, zip_longest
 from json.encoder import encode_basestring_ascii
-from math import comb, isfinite, prod
+from math import comb, isfinite
 
 import numpy as np
 
@@ -726,54 +725,34 @@ def branch_equivalences() -> tuple[BranchCheck, ...]:
     )
 
 
-def _fuzz_draws(seed: int, trials: int, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fuzz's coefficients (trials x rank) in -2..2, word lengths
-    (trials) in 1..10 and nodes (10 x trials) in 0..rank-1, each one
-    `randbytes` call read as little-endian 16-bit words and reduced mod
-    q = 5, 10 and rank, so every residue's probability is within a factor
-    1 +- q/2^16 of 1/q.  `random.Random` seeds with abs(seed), so a negative
-    seed raises rather than repeat the words of -seed."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    rng = random.Random(seed)
-
-    def draw(shape: tuple[int, ...], q: int) -> np.ndarray:
-        words = np.frombuffer(rng.randbytes(2 * prod(shape)), dtype="<u2")
-        return (words % q).reshape(shape).astype(np.intp)
-
-    return draw((trials, rank), 5) - 2, draw((trials,), 10) + 1, draw((10, trials), rank)
-
-
 def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int, seed: int = 0) -> int:
-    """Count combination weights changed by random reflection words.
+    """Count the simple reflections that change some codeword weight: 0
+    exactly when the Weyl group keeps every weight of the code.
 
-    The matrix is moved to the Cartan-generator basis first.  Each trial
-    draws a coefficient vector in -2..2 and a word of 1 to 10 simple
-    reflections from the standard library's generator, no numpy.random
-    (`_fuzz_draws`: 16-bit words reduced mod q, so a draw is biased by less
-    than q/2^16; the seed must be non-negative).  A simple reflection moves
-    one coordinate only: the node's coefficient picks up minus the pairing
-    of the vector with the node's row of the Cartan matrix, as in
-    `reflect_coroot_coeffs`.  All trials move together, one coordinate each
-    per position, a trial whose word is over keeping its vector.  Both
-    blocks of vectors are then reduced mod p, so every entry of their
-    product with the matrix is at most rank * (p - 1)^2; the product is
-    taken exactly in the narrowest unsigned type that holds that, and gives
-    the weights of every vector before and after its word, which must agree.
+    The matrix is moved to the Cartan-generator basis first.  There s_i
+    moves a coefficient vector c by minus its pairing with row i of the
+    Cartan matrix C (`reflect_coroot_coeffs`), so the word of s_i c is the
+    word of c on the columns w - w_i C[i].  Every weight is kept exactly
+    when those columns, each up to a nonzero scalar, are the same multiset
+    as the matrix's: one direction is immediate, the other is MacWilliams'
+    extension theorem (MacWilliams 1962; Bogart, Goldberg and Gordon,
+    Inform. and Control 37 (1978)).  The simple reflections generate W, so
+    this checks the whole group, without sampling; `trials` and `seed` stay
+    in the signature for existing callers and do not change the result.
+    Each column is scaled to a leading 1 (1 and 2 are their own
+    inverses mod 2 and mod 3) and keyed on its bytes, which is exact at any
+    rank.  One reflected int8 copy of the columns is held at a time: all of
+    them at once would take rank + 1 times the memory.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
     hm = to_cartan_h(wm)
     cartan_rank = hm.rank - 1 if hm.family == "A" else hm.rank
-    cartan = np.array(cartan_matrix(hm.family, cartan_rank).entries, dtype=np.int64)
-    coeffs, lengths, nodes = _fuzz_draws(seed, trials, cartan_rank)
-    moved = coeffs.copy()
-    every = np.arange(trials)
-    for step, node in enumerate(nodes):
-        moved[every, node] -= np.einsum("tj,tj->t", moved, cartan[node]) * (lengths > step)
-    narrow = np.min_scalar_type(cartan_rank * (p - 1) ** 2)
-    residues = (np.vstack([coeffs, moved]) % p).astype(narrow)
-    words = np.einsum("tj,jn->tn", residues, hm.mod(p).entries.astype(narrow))
-    words %= p  # in place: the product is the largest array here
-    weights = np.count_nonzero(words, axis=1)
-    return int(np.count_nonzero(weights[:trials] != weights[trials:]))
+    cartan = np.array(cartan_matrix(hm.family, cartan_rank).entries, dtype=np.int8)
+    cols = np.ascontiguousarray(hm.mod(p).entries.T)
+
+    def classes(c: np.ndarray) -> np.ndarray:
+        lead = c[np.arange(len(c)), np.argmax(c != 0, axis=1), None]
+        return np.sort((c * lead % p).view(f"V{cartan_rank}").ravel())
+
+    kept = classes(cols)
+    moved = (classes((cols - cols[:, i, None] * cartan[i]) % p) for i in range(cartan_rank))
+    return sum(not np.array_equal(classes_i, kept) for classes_i in moved)

@@ -7,8 +7,9 @@ exact integer arithmetic too, and `dual_code` gives the code it describes.
 The closed forms are the paper's codeword weights of partial row sums,
 against which the weight-matrix builders are checked.  The orbit count over
 a built weight matrix is the second engine behind the template count past
-the reach of enumeration.  The Weyl-invariance fuzz and the matrix text
-format have loop versions here, one trial and one entry at a time, the
+the reach of enumeration.  Weyl invariance is checked here twice: on
+every coefficient vector of a small rank, and one column at a time.  The
+matrix text format has a loop version here, one entry at a time, the
 text is also read one token at a time, and the pairings of a root with
 the Cartan generators are formed one sum at a time.
 The weight of a template orbit has its first form here too: a sum of
@@ -30,6 +31,7 @@ import csv
 import io
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 from itertools import product, takewhile
 from math import comb, perm
@@ -46,7 +48,6 @@ from liecodes.repweights import (
     to_cartan_h,
 )
 from liecodes.rootsys import cartan_matrix, reflect_coroot_coeffs
-from liecodes.verify import _fuzz_draws
 
 
 def all_codewords(p, basis_rows, n):
@@ -294,22 +295,42 @@ def pairing_vector(cm, root_coeffs):
     return tuple(sum(cj * C[j][i] for j, cj in enumerate(root_coeffs)) for i in range(cm.rank))
 
 
-def weyl_violations_by_loop(wm, p, trials, seed=0):
-    """`weyl_invariance_violations` one trial at a time: the same draws from
-    the same seed, each word applied one reflection after another with
-    Python integers.  The draws are shared because this checks the walk and
-    the weighing; `test_verify` checks their ranges."""
+def _cartan_columns(wm, p):
+    """The Cartan matrix of a weight matrix's algebra and its columns on the
+    Cartan generators, reduced mod p, as lists of ints."""
     hm = to_cartan_h(wm)
-    rank = hm.rank - 1 if hm.family == "A" else hm.rank
-    cm = cartan_matrix(hm.family, rank)
-    matrix = hm.mod(p)
-    coeffs, lengths, nodes = _fuzz_draws(seed, trials, rank)
+    cm = cartan_matrix(hm.family, hm.rank - 1 if hm.family == "A" else hm.rank)
+    return cm, hm.mod(p).entries.T.tolist()
+
+
+def weyl_violations_by_enumeration(wm, p):
+    """The simple reflections that change the weight of some codeword: every
+    coefficient vector of F_p^rank is reflected by `reflect_coroot_coeffs`,
+    and every word, before and after, is weighed in one product."""
+    cm, cols = _cartan_columns(wm, p)
+    vectors = list(product(range(p), repeat=cm.rank))
+    moved = [reflect_coroot_coeffs(cm, i, v) for i in range(cm.rank) for v in vectors]
+    words = np.array(vectors + moved, dtype=np.int64) @ np.array(cols, dtype=np.int64).T % p
+    weights = np.count_nonzero(words, axis=1).reshape(cm.rank + 1, len(vectors))
+    return sum(bool((weights[i + 1] != weights[0]).any()) for i in range(cm.rank))
+
+
+def weyl_violations_by_columns(wm, p):
+    """The same count one column at a time, with Python ints: s_i sends a
+    column w to w - w_i C[i], and the weights are kept exactly when the
+    columns it moves, each scaled to a leading 1, are the same multiset
+    before and after (MacWilliams' extension theorem)."""
+    cm, cols = _cartan_columns(wm, p)
+
+    def scaled(w):
+        lead = next((x for x in w if x), 1)
+        return tuple(x * lead % p for x in w)
+
     violations = 0
-    for start, length, word in zip(coeffs.tolist(), lengths.tolist(), nodes.T.tolist()):
-        moved = start
-        for node in word[:length]:
-            moved = reflect_coroot_coeffs(cm, node, moved)
-        violations += combination_weight(matrix, start) != combination_weight(matrix, moved)
+    for i, row in enumerate(cm.entries):
+        moving = [w for w in cols if w[i]]
+        after = [[(x - w[i] * c) % p for x, c in zip(w, row)] for w in moving]
+        violations += Counter(map(scaled, moving)) != Counter(map(scaled, after))
     return violations
 
 

@@ -133,6 +133,6 @@ def test_json_payloads_are_canonical(payloads):
 
 
 def test_no_command_or_cross_check_loads_numpy_random():
-    # the Weyl fuzz draws from the standard library's generator, which numpy
-    # has loaded already; numpy.random would add some 6 MB to the process
+    # no command or cross-check draws random numbers; numpy.random would
+    # add some 6 MB to the process
     assert run_in_child("0", FOOTPRINT_CHILD, "") == []

@@ -21,6 +21,7 @@ from liecodes.repweights import (
     d_lambda3_matrix,
     ext_weight_matrix_A,
 )
+from liecodes.rootsys import cartan_matrix
 from liecodes.verify import (
     CLAIMS,
     TABLE_IDS,
@@ -28,7 +29,6 @@ from liecodes.verify import (
     TheoremCase,
     SuiteReport,
     VerifyLimits,
-    _fuzz_draws,
     branch_equivalences,
     json_text,
     module_code,
@@ -47,7 +47,8 @@ from _oracles import (
     suite_json_by_dumps,
     table_by_matrix,
     weight_distribution_unpaired,
-    weyl_violations_by_loop,
+    weyl_violations_by_columns,
+    weyl_violations_by_enumeration,
 )
 
 ANNOTATED_CASE_IDS = {
@@ -637,14 +638,52 @@ def test_branch_gate_fires(monkeypatch):
 
 
 def test_weyl_invariance_spot_checks():
-    for spec in (
-        ModuleSpec("A", 7, "ext2", 3),
-        ModuleSpec("D", 5, "ext3", 3),
-        ModuleSpec("F4", 4, "adjoint", 3),
-        ModuleSpec("E6", 6, "minimal", 3),
-    ):
-        wm = build_weight_matrix(spec)
-        assert weyl_invariance_violations(wm, spec.p, 200, seed=99) == 0
+    # every module the suite registers, and the four published fixtures
+    specs = dict.fromkeys(case.spec for case in registered_cases())
+    assert len(specs) == 56
+    for spec in specs:
+        assert weyl_invariance_violations(build_weight_matrix(spec), spec.p, 200, seed=99) == 0, spec
+    for name in ("F4_minimal", "F4_adjoint", "E6_minimal", "E7_minimal"):
+        assert weyl_invariance_violations(repweights.fixture_matrix(name), 3, 200, seed=99) == 0, name
+
+
+# Cartan rank at most 5, and E6: the oracle weighs every vector of F_p^rank
+SMALL_ALGEBRAS = [("A", n) for n in range(2, 7)] + [("D", m) for m in (3, 4, 5)] + [("F4", 4), ("E6", 6)]
+
+
+def _reflection_orbit(column, cartan, p):
+    """The orbit of a column mod p under every w -> w - w_i C[i]."""
+    orbit = {column}
+    while True:
+        moved = {tuple((x - w[i] * c) % p for x, c in zip(w, row)) for w in orbit for i, row in enumerate(cartan)}
+        if moved <= orbit:
+            return sorted(orbit)
+        orbit |= moved
+
+
+@st.composite
+def small_weight_matrices(draw):
+    """A random matrix on the Cartan generators of a small algebra; half of
+    them closed under the reflections, so W keeps their weights, and half of
+    those then short of one column."""
+    family, rank = draw(st.sampled_from(SMALL_ALGEBRAS))
+    p = draw(st.sampled_from((2, 3)))
+    cartan = cartan_matrix(family, rank - 1 if family == "A" else rank).entries
+    column = st.tuples(*[st.integers(-2, 2)] * len(cartan))
+    columns = draw(st.lists(column, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        columns = [w for start in columns for w in _reflection_orbit(tuple(x % p for x in start), cartan, p)]
+        if len(columns) > 1 and draw(st.booleans()):
+            columns.pop()
+    return repweights.WeightMatrix(family, rank, "sample", "cartan_h", np.array(columns).T), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_weight_matrices())
+def test_weyl_invariance_equals_the_enumeration(sample):
+    # the count equals the oracle's on every matrix, invariant or not
+    wm, p = sample
+    assert weyl_invariance_violations(wm, p, 200) == weyl_violations_by_enumeration(wm, p)
 
 
 @pytest.mark.parametrize(
@@ -655,14 +694,15 @@ def test_weyl_invariance_spot_checks():
         ModuleSpec("E6", 6, "minimal", 3),
         ModuleSpec("A", 10, "ext3", 2),
         ModuleSpec("D", 8, "spin", 3),
-        # Cartan rank 79 bounds a product entry by 79 * 2^2 = 316: the uint16 path
+        # Cartan rank 79: a column keyed as a base-3 int64 would overflow
+        # past rank 39; the byte key is exact
         ModuleSpec("A", 80, "ext2", 3),
     ],
     ids=["A-ext3", "D-ext2", "E6-minimal", "A10-ext3-F2", "D8-spin", "A80-ext2"],
 )
 def test_weyl_invariance_fuzz_catches_a_wrong_entry(spec):
     # one entry off by one: the columns are no longer a union of Weyl
-    # orbits, so reflection words must change some combination weights
+    # orbits up to scalars, so some simple reflection must change them
     wm = build_weight_matrix(spec)
     assert weyl_invariance_violations(wm, spec.p, 200, seed=99) == 0
     entries = wm.entries.copy()
@@ -670,43 +710,35 @@ def test_weyl_invariance_fuzz_catches_a_wrong_entry(spec):
     broken = dataclasses.replace(wm, entries=entries)
     violations = weyl_invariance_violations(broken, spec.p, 200, seed=99)
     assert violations > 0
-    assert violations == weyl_violations_by_loop(broken, spec.p, 200, seed=99)
+    assert violations == weyl_violations_by_columns(broken, spec.p)
+    # the columns twice over, then one copy of column 1 replaced by column 0:
+    # every column class is still there, only their multiset has changed
+    doubled = np.hstack([wm.entries, wm.entries])
+    assert weyl_invariance_violations(dataclasses.replace(wm, entries=doubled), spec.p, 200) == 0
+    doubled[:, wm.cols + 1] = doubled[:, 0]
+    duplicated = dataclasses.replace(wm, entries=doubled)
+    violations = weyl_invariance_violations(duplicated, spec.p, 200)
+    assert violations > 0
+    assert violations == weyl_violations_by_columns(duplicated, spec.p)
 
 
 def test_weyl_invariance_fuzz_is_exact_past_uint8():
-    # a module's columns have a few nonzero Cartan entries, so its products
-    # stay far below 256; here each is 2 * (sum of 199 residues of mean 1.2),
-    # near 478, so a product wrapped mod 256 gives wrong weights
+    # 199 dense Cartan rows, each column 2 * (1, ..., 1): far past the rank
+    # at which a column keyed as a base-3 int64 would overflow
     dense = repweights.WeightMatrix("A", 200, "dense", "cartan_h", np.full((199, 4), 2))
     violations = weyl_invariance_violations(dense, 3, 200, seed=99)
-    assert violations == weyl_violations_by_loop(dense, 3, 200, seed=99)
+    assert violations == weyl_violations_by_columns(dense, 3)
 
 
-@pytest.mark.parametrize("trials", [0, -1])
-def test_weyl_invariance_fuzz_needs_a_trial(trials):
-    # zero trials would report "no violations" having checked nothing
-    wm = build_weight_matrix(ModuleSpec("A", 4, "ext2", 3))
-    with pytest.raises(ValueError, match="trials"):
-        weyl_invariance_violations(wm, 3, trials)
-
-
-@pytest.mark.parametrize("rank", range(1, 9))
-def test_weyl_fuzz_draws_cover_their_ranges(rank):
-    # the oracle shares the draws, so a wrong range would pass it unseen:
-    # each draw must stay in its range and reach every value of it
-    coeffs, lengths, nodes = _fuzz_draws(99, 200, rank)
-    assert (coeffs.shape, lengths.shape, nodes.shape) == ((200, rank), (200,), (10, 200))
-    assert set(coeffs.flat) == set(range(-2, 3))
-    assert set(lengths.flat) == set(range(1, 11))
-    assert set(nodes.flat) == set(range(rank))
-
-
-def test_weyl_fuzz_refuses_a_negative_seed():
-    # random.Random seeds with abs(seed): seed -s would repeat the words of s
-    wm = build_weight_matrix(ModuleSpec("A", 4, "ext2", 3))
-    assert weyl_invariance_violations(wm, 3, 10, seed=0) == 0
-    with pytest.raises(ValueError, match="seed"):
-        weyl_invariance_violations(wm, 3, 10, seed=-1)
+@pytest.mark.parametrize("trials, seed", [(1, 0), (1000, 20240801), (200, -1)])
+def test_weyl_invariance_does_not_depend_on_trials_or_seed(trials, seed):
+    # the check samples nothing, so trials and seed change nothing
+    wm = build_weight_matrix(ModuleSpec("D", 6, "ext2", 3))
+    entries = wm.entries.copy()
+    entries[0, 0] += 1
+    broken = dataclasses.replace(wm, entries=entries)
+    assert weyl_invariance_violations(wm, 3, trials, seed) == 0
+    assert weyl_invariance_violations(broken, 3, trials, seed) == weyl_violations_by_columns(broken, 3) == 1
 
 
 def test_every_binary_doubly_even_case_is_self_orthogonal():
