@@ -23,6 +23,7 @@ from .verify import (
     CaseResult,
     SuiteReport,
     TableRow,
+    ZeroFilled,
     _matches,
     json_text,
     module_code,
@@ -149,10 +150,11 @@ def _text_value(value) -> str:
 
 def _report_payload(report: CodeReport, fmt: str) -> str:
     """Every format writes the fields of `CodeReport.to_dict`, json through
-    `json_text`; text and csv write the report's counts as w:c pairs, and
-    text names the binary flags over F2 only."""
+    `json_text`, its A_0..A_n written from the report's counts; text and csv
+    write those counts as w:c pairs, and text names the binary flags over F2
+    only."""
     if fmt == "json":
-        return json_text(report.to_dict())
+        return json_text(report.to_dict(ZeroFilled(report.counts, report.n + 1)))
     fields = report.to_dict(" ".join(f"{w}:{count}" for w, count in report.counts))
     if fmt == "csv":
         return _csv_text(list(fields), [list(fields.values())])

@@ -385,7 +385,8 @@ class CodeReport:
 
     @property
     def weight_distribution(self) -> tuple[int, ...]:
-        """The counts A_0..A_n, formed on each call."""
+        """The counts A_0..A_n, formed on each call; the JSON payloads
+        write them from `counts` instead (`verify.ZeroFilled`)."""
         return tuple(self._dense_counts())
 
     @property

@@ -23,8 +23,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from functools import cache
 from fractions import Fraction
-from itertools import compress, pairwise, repeat, zip_longest
-from json.encoder import encode_basestring_ascii
+from itertools import repeat, zip_longest
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import comb, isfinite
 
 import numpy as np
@@ -56,6 +56,7 @@ __all__ = [
     "registered_cases",
     "run_case",
     "run_suite",
+    "ZeroFilled",
     "json_text",
     "to_json",
     "reproduce_table",
@@ -554,36 +555,63 @@ _SCALARS = {str: encode_basestring_ascii, int: int.__repr__, type(None): {None: 
             float: lambda x: float.__repr__(x) if isfinite(x) else json.dumps(x)}
 
 
+@cache
+def _flat(sep: str):
+    """json's encoder of a container that holds no container, its items
+    separated by `sep`, built once per process (`JSONEncoder.encode` builds
+    it on every call): called with the value and 0, it returns the chunks
+    json writes.  Without json's C encoder, its Python one writes them."""
+    encoder = json.JSONEncoder(separators=(sep, ": "), sort_keys=True)
+    if c_make_encoder is None:
+        return encoder.iterencode
+    return c_make_encoder(None, encoder.default, encode_basestring_ascii, None, ": ", sep, True, False, True)
+
+
+class ZeroFilled:
+    """The list of `length` ints that is 0 but at the (index, value) `pairs`,
+    indices increasing, as `json_text` writes it without forming it: a
+    report's weight distribution A_0..A_n is `ZeroFilled(report.counts,
+    report.n + 1)`."""
+
+    __slots__ = ("pairs", "length")
+
+    def __init__(self, pairs, length: int) -> None:
+        self.pairs, self.length = pairs, length
+
+
 def json_text(value) -> str:
     """`json.dumps(value, indent=2, sort_keys=True)` plus a newline, for
-    values of dicts, lists, tuples, str, int, float, bool and None.  With an
-    indent json encodes in Python; here a container holding no container is
-    one call of json's C encoder, and a list of ints writes each run of
-    zeros as one repeated string.  A dict key that is not a str raises
-    TypeError, where json would write it as a string."""
-    flat = cache(lambda sep: json.JSONEncoder(separators=(sep, ": "), sort_keys=True).encode)
+    values of dicts, lists, tuples, str, int, float, bool and None, with a
+    `ZeroFilled` written as the list it stands for.  With an indent json
+    encodes in Python; here a container holding no container is one call of
+    json's C encoder, and a `ZeroFilled` writes each run of zeros as one
+    repeated string, so a distribution's dense list is neither formed nor
+    scanned.  A dict key that is not a str raises TypeError, where json
+    would write it as a string."""
 
     def write(value, indent: str) -> str:  # indent: a newline and the indentation of `value`
         inner = indent + "  "
         sep = "," + inner
         if isinstance(value, dict):
             if set(map(type, value.values())).issubset(_SCALARS) and all(map(isinstance, value, repeat(str))):
-                body = flat(sep)(value)[1:-1]
+                body = "".join(_flat(sep)(value, 0))[1:-1]
             else:  # a key that is not a str makes encode_basestring_ascii raise TypeError
                 body = sep.join(
                     f"{encode_basestring_ascii(k)}: {t(v) if (t := _SCALARS.get(type(v))) else write(v, inner)}"
                     for k, v in sorted(value.items())
                 )
             return f"{{{inner}{body}{indent}}}" if value else "{}"
+        if isinstance(value, ZeroFilled):
+            zero, last, runs = "0" + sep, -1, []
+            for w, a in value.pairs:
+                runs.append(f"{zero * (w - last - 1)}{a}{sep}")
+                last = w
+            runs.append(zero * (value.length - last - 1))
+            return f"[{inner}{''.join(runs)[: -len(sep)]}{indent}]" if value.length else "[]"
         if not isinstance(value, (list, tuple)):
-            return flat(sep)(value)
-        types = set(map(type, value))
-        if types == {int}:
-            zero, at = "0" + sep, [-1, *compress(range(len(value)), value)]
-            runs = (f"{zero * (i - last - 1)}{int.__repr__(value[i])}{sep}" for last, i in pairwise(at))
-            body = ("".join(runs) + zero * (len(value) - at[-1] - 1))[: -len(sep)]
-        elif types.issubset(_SCALARS):
-            body = flat(sep)(value)[1:-1]
+            return "".join(_flat(sep)(value, 0))
+        if set(map(type, value)).issubset(_SCALARS):
+            body = "".join(_flat(sep)(value, 0))[1:-1]
         else:
             body = sep.join(t(v) if (t := _SCALARS.get(type(v))) else write(v, inner) for v in value)
         return f"[{inner}{body}{indent}]" if value else "[]"
@@ -593,15 +621,16 @@ def json_text(value) -> str:
 
 def to_json(report: SuiteReport, stable: bool = False) -> str:
     """Deterministic JSON rendering of a suite report, through `json_text`;
-    `stable` zeroes the timing field."""
+    `stable` zeroes the timing field.  Each computed weight distribution is
+    written from its report's (w, A_w) pairs, never formed as a list."""
     out_cases = []
     for res in report.results:
-        case = res.case
+        case, computed = res.case, res.report
         entry = {
             "case_id": res.case_id,
             "citation": case.citation,
             "expected": case.expected_dict(),
-            "computed": res.report.to_dict() if res.report else None,
+            "computed": computed.to_dict(ZeroFilled(computed.counts, computed.n + 1)) if computed else None,
             "pass": res.passed,
             "skipped": res.skipped,
             "millis": 0.0 if stable else round(res.millis, 3),
@@ -739,20 +768,28 @@ def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int, seed: int 
     Inform. and Control 37 (1978)).  The simple reflections generate W, so
     this checks the whole group, without sampling; `trials` and `seed` stay
     in the signature for existing callers and do not change the result.
-    Each column is scaled to a leading 1 (1 and 2 are their own
-    inverses mod 2 and mod 3) and keyed on its bytes, which is exact at any
-    rank.  One reflected int8 copy of the columns is held at a time: all of
-    them at once would take rank + 1 times the memory.
+    s_i keeps the columns with w_i = 0, so only the classes of the others
+    are compared, before and after, for all i in one batch: each moved
+    column scaled to a leading 1 (1 and 2 are their own inverses mod 2 and
+    mod 3) and keyed on i, as two big-endian bytes, followed by its int8
+    bytes, which is exact at any rank.  Sorted, the keys of one i fill the
+    same stretch of both batches, since each holds every (column, i) with
+    w_i != 0 once.  The batch takes about (rank + 2) bytes per nonzero entry
+    of the columns.
     """
     hm = to_cartan_h(wm)
     cartan_rank = hm.rank - 1 if hm.family == "A" else hm.rank
     cartan = np.array(cartan_matrix(hm.family, cartan_rank).entries, dtype=np.int8)
-    cols = np.ascontiguousarray(hm.mod(p).entries.T)
+    entries = hm.mod(p).entries  # entry (i, j) is w_i of column j
+    i, col = np.nonzero(entries)  # i increasing, as in the sorted keys
+    index = i.astype(">u2").view(np.uint8).reshape(-1, 2)
+    before = entries.T[col]
 
     def classes(c: np.ndarray) -> np.ndarray:
         lead = c[np.arange(len(c)), np.argmax(c != 0, axis=1), None]
-        return np.sort((c * lead % p).view(f"V{cartan_rank}").ravel())
+        keys = np.empty((len(c), cartan_rank + 2), dtype=np.uint8)
+        keys[:, :2], keys[:, 2:] = index, c * lead % p
+        return np.sort(keys.view(f"V{cartan_rank + 2}").ravel())
 
-    kept = classes(cols)
-    moved = (classes((cols - cols[:, i, None] * cartan[i]) % p) for i in range(cartan_rank))
-    return sum(not np.array_equal(classes_i, kept) for classes_i in moved)
+    kept, moved = classes(before), classes((before - entries[i, col, None] * cartan[i]) % p)
+    return len(set(i[kept != moved].tolist()))  # np.unique would import numpy.ma

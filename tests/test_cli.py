@@ -338,6 +338,25 @@ def test_verify_json_is_the_suite_renderer(capsys):
     assert out == to_json(run_suite(include_optional=True), stable=True)
 
 
+# SHA-256 of `report --family D --m 18 --module spin --field 3 --format json`,
+# recorded while the JSON payloads formed the dense list A_0..A_131072
+O36_SPIN_REPORT_JSON_SHA256 = "0c68f5daa007fd1ebe18f7e771e3600aba9fadd8ea0f37ca2851825cc65ba52c"
+
+
+def test_json_payloads_form_no_dense_distribution(monkeypatch, capsys):
+    # both write A_0..A_n from the report's (w, A_w) pairs
+    def refuse(self):
+        raise AssertionError("a JSON payload formed the dense weight distribution")
+
+    monkeypatch.setattr(CodeReport, "_dense_counts", refuse)
+    suite = to_json(run_suite(include_optional=True), stable=True)
+    pinned = PAYLOAD_SHA256["verify --include-optional --stable --format json"]
+    assert hashlib.sha256(suite.encode()).hexdigest() == pinned
+    code, out, err = invoke(capsys, *"report --family D --m 18 --module spin --field 3 --format json".split())
+    assert code == 0 and not err
+    assert hashlib.sha256(out.encode()).hexdigest() == O36_SPIN_REPORT_JSON_SHA256
+
+
 def test_report_json_matches_registered_cases(capsys):
     checked = 0
     for case in registered_cases():

@@ -90,7 +90,7 @@ assert codes == [0] * len(commands), codes
 branch_equivalences()
 for spec in (ModuleSpec("A", 7, "ext2", 3), ModuleSpec("D", 5, "ext3", 3), ModuleSpec("E6", 6, "minimal", 3)):
     assert weyl_invariance_violations(build_weight_matrix(spec), spec.p, 200) == 0, spec
-json.dump(sorted(name for name in sys.modules if name.startswith("numpy.random")), sys.stdout)
+json.dump(sorted(name for name in sys.modules if name.startswith(("numpy.random", "numpy.ma.")) or name == "numpy.ma"), sys.stdout)
 """
 
 
@@ -132,7 +132,17 @@ def test_json_payloads_are_canonical(payloads):
     assert noncanonical == []
 
 
-def test_no_command_or_cross_check_loads_numpy_random():
+@pytest.fixture(scope="module")
+def footprint():
+    return run_in_child("0", FOOTPRINT_CHILD, "")
+
+
+def test_no_command_or_cross_check_loads_numpy_random(footprint):
     # no command or cross-check draws random numbers; numpy.random would
     # add some 6 MB to the process
-    assert run_in_child("0", FOOTPRINT_CHILD, "") == []
+    assert [name for name in footprint if name.startswith("numpy.random")] == []
+
+
+def test_no_command_or_cross_check_loads_numpy_ma(footprint):
+    # nothing uses masked arrays; np.unique imports numpy.ma, about 1 MB
+    assert [name for name in footprint if not name.startswith("numpy.random")] == []

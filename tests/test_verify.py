@@ -8,7 +8,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liecodes import cli, repweights, verify
@@ -29,6 +29,7 @@ from liecodes.verify import (
     TheoremCase,
     SuiteReport,
     VerifyLimits,
+    ZeroFilled,
     branch_equivalences,
     json_text,
     module_code,
@@ -413,7 +414,7 @@ JSON_SCALARS = (
     | st.just(-0.0)
     | st.text(max_size=6)
 )
-# int lists dense with zeros, so runs lead, trail and fill them; some hold bools
+# int lists dense with zeros, some holding bools, which json's encoder writes as a whole
 ZERO_RUNS = st.lists(st.just(0) | st.integers(), max_size=40) | st.lists(
     st.just(0) | st.integers() | st.booleans(), max_size=20
 )
@@ -432,6 +433,48 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_text_equals_json_dumps(value):
     assert json_text(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def zero_filled(draw):
+    """A `ZeroFilled` and the list it stands for, each wrapped alike in up to
+    three containers: a list beside a scalar, or a dict under a drawn key."""
+    length = draw(st.integers(0, 300))
+    nonzero = draw(st.sets(st.integers(0, length - 1), max_size=12)) if length else ()
+    pairs = tuple((w, draw(st.integers(1, 10**30) | st.integers(-(2**70), 2**70))) for w in sorted(nonzero))
+    view, dense = ZeroFilled(pairs, length), [0] * length
+    for w, a in pairs:
+        dense[w] = a
+    for key in draw(st.lists(st.none() | JSON_KEYS, max_size=3)):
+        view, dense = ([view, 1], [dense, 1]) if key is None else ({key: view}, {key: dense})
+    return view, dense
+
+
+# A_0 only; leading, trailing and no zero runs; all zeros; the empty list
+@example((ZeroFilled(((0, 1),), 1), [1]))
+@example((ZeroFilled(((0, 1), (3, 8)), 6), [1, 0, 0, 8, 0, 0]))
+@example((ZeroFilled(((2, 5), (299, 7)), 300), [0, 0, 5, *[0] * 296, 7]))
+@example((ZeroFilled(((0, 2), (1, 3), (2, 4)), 3), [2, 3, 4]))
+@example((ZeroFilled((), 4), [0, 0, 0, 0]))
+@example((ZeroFilled((), 0), []))
+@settings(max_examples=300, deadline=None)
+@given(zero_filled())
+def test_json_text_writes_zero_filled_as_its_list(value):
+    view, dense = value
+    assert json_text(view) == json.dumps(dense, indent=2, sort_keys=True) + "\n"
+
+
+def test_json_text_without_json_c_encoder(monkeypatch):
+    # where json has no C accelerator, its Python encoder writes the flat containers
+    value = {"a": [1, 0.5, None, True, "\u00e9"], "b": {"c": float("nan"), "d": ZeroFilled(((1, 2),), 3)}}
+    monkeypatch.setattr(verify, "c_make_encoder", None)
+    verify._flat.cache_clear()
+    try:
+        text = json_text(value)
+    finally:
+        verify._flat.cache_clear()
+    value["b"]["d"] = [0, 2, 0]
+    assert text == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("key", [1, None])
