@@ -24,10 +24,8 @@ from .verify import (
     SuiteReport,
     TableRow,
     ZeroFilled,
-    _matches,
     json_text,
     module_code,
-    registered_cases,
     reproduce_table,
     run_suite,
     to_json,
@@ -247,7 +245,7 @@ def run(argv=None) -> int:
         if args.command == "verify":
             suite = run_suite(filter=args.filter, include_optional=args.include_optional)
             if not suite.results:
-                optional = [c.case_id for c in registered_cases() if c.optional and _matches(c.case_id, args.filter)]
+                optional = [r.case_id for r in run_suite(args.filter, include_optional=True).results]
                 hint = f"only optional claims ({', '.join(optional)}); add --include-optional to run them"
                 raise ValueError(f"--filter {args.filter!r} selects {hint if optional else 'no claim'}")
             _write_payload(_suite_payload(suite, args.format, args.stable), args.output)

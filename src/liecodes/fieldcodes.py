@@ -377,17 +377,14 @@ class CodeReport:
         object.__setattr__(self, "even", all(w % 2 == 0 for w, _ in counts) if self.p == 2 else None)
         object.__setattr__(self, "doubly_even", all(w % 4 == 0 for w, _ in counts) if self.p == 2 else None)
 
-    def _dense_counts(self) -> list[int]:
-        dist = [0] * (self.n + 1)
-        for w, count in self.counts:
-            dist[w] = count
-        return dist
-
     @property
     def weight_distribution(self) -> tuple[int, ...]:
         """The counts A_0..A_n, formed on each call; the JSON payloads
         write them from `counts` instead (`verify.ZeroFilled`)."""
-        return tuple(self._dense_counts())
+        dist = [0] * (self.n + 1)
+        for w, count in self.counts:
+            dist[w] = count
+        return tuple(dist)
 
     @property
     def self_dual(self) -> bool:
@@ -396,11 +393,9 @@ class CodeReport:
     def params(self) -> tuple[int, int, int | None]:
         return (self.n, self.k, self.d)
 
-    def to_dict(self, weight_distribution: object = None) -> dict:
-        """The fields in the order the text and CSV reports list them; the
-        weight distribution is the list A_0..A_n unless a value is given."""
-        if weight_distribution is None:
-            weight_distribution = self._dense_counts()
+    def to_dict(self, weight_distribution: object) -> dict:
+        """The fields in the order the text and CSV reports list them, with
+        the given value as the weight distribution."""
         return {
             "p": self.p,
             "n": self.n,

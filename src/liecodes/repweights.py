@@ -413,12 +413,8 @@ def _d_adjoint_spin_labels(m: int, mode: str) -> tuple[str, ...]:
     return c2 + negative + _spin_labels(m, masks)
 
 
-_MINIMAL_ORBITS = {
-    # family -> (highest-weight node index, keep one column per +- pair)
-    "F4": (3, True),
-    "E6": (0, False),
-    "E7": (6, True),
-}
+# family -> the node of the minimal module's fundamental highest weight
+_MINIMAL_ORBITS = {"F4": 3, "E6": 0, "E7": 6}
 
 
 def _weight_label(w: tuple[int, ...]) -> str:
@@ -427,19 +423,22 @@ def _weight_label(w: tuple[int, ...]) -> str:
 
 @functools.cache
 def _minimal_orbit(family: str) -> tuple[tuple[int, ...], ...]:
-    """The kept columns of a minimal module, searched once per process."""
-    node, keep_half = _MINIMAL_ORBITS[family]
+    """The kept columns of a minimal module, searched once per process: an
+    orbit closed under negation keeps the member of each +- pair whose first
+    nonzero coordinate is positive."""
     rank = EXCEPTIONAL_RANKS[family]
+    node = _MINIMAL_ORBITS[family]
     orbit = weyl_orbit(cartan_matrix(family, rank), tuple(1 if i == node else 0 for i in range(rank)))
-    return tuple(w for w in orbit if not keep_half or next(x for x in w if x) > 0)
+    paired = tuple(-x for x in orbit[0]) in orbit  # minus an orbit is the orbit or disjoint from it
+    return tuple(w for w in orbit if not paired or next(x for x in w if x) > 0)
 
 
 def exceptional_minimal_matrix(family: str) -> WeightMatrix:
     """Weight matrix of the minimal module of F4, E6 or E7.
 
     Columns come from the Weyl orbit of the fundamental highest weight.  The
-    F4 and E7 orbits are closed under negation, so only the member of each
-    pair whose first nonzero coordinate is positive is kept.
+    F4 and E7 orbits are closed under negation, so only one member of each
+    +- pair is kept; the E6 orbit is not, and is kept whole.
     """
     if family not in _MINIMAL_ORBITS:
         raise ValueError(f"minimal-module matrix known for F4, E6, E7; got {family!r}")
@@ -458,7 +457,7 @@ def exceptional_adjoint_matrix(family: str) -> WeightMatrix:
         raise ValueError(f"adjoint matrix known for F4, E6, E7, E8; got {family!r}")
     rank = EXCEPTIONAL_RANKS[family]
     cm = cartan_matrix(family, rank)
-    entries = (np.array(positive_roots(cm)) @ np.array(cm.entries)).T
+    entries = (np.array(positive_roots(cm)) @ np.array(cm)).T
     return WeightMatrix(family, rank, "adjoint", "cartan_h", entries)
 
 
@@ -472,66 +471,47 @@ def _parse_rows(rows: tuple[str, ...]) -> np.ndarray:
 
 
 # Verbatim reference matrices from the source tables, used as ground truth
-# for the generated constructions.
-_FIXTURES: dict[str, tuple[str, int, str, tuple[str, ...]]] = {
+# for the generated constructions, each named by its family and module.
+_FIXTURES: dict[str, tuple[str, ...]] = {
     "F4_minimal": (
-        "F4",
-        4,
-        "minimal",
-        (
-            "0 0 0 1 1 -1 1 -1 -1 0 0 0",
-            "0 0 1 -1 0 0 0 1 1 -1 -1 0",
-            "0 1 -1 1 -1 1 0 -1 0 1 2 -1",
-            "1 -1 0 0 1 0 -1 1 -1 1 -1 2",
-        ),
+        "0 0 0 1 1 -1 1 -1 -1 0 0 0",
+        "0 0 1 -1 0 0 0 1 1 -1 -1 0",
+        "0 1 -1 1 -1 1 0 -1 0 1 2 -1",
+        "1 -1 0 0 1 0 -1 1 -1 1 -1 2",
     ),
     "F4_adjoint": (
-        "F4",
-        4,
-        "adjoint",
-        (
-            "2 -1 0 0 1 -1 0 1 -1 -1 1 -1 1 0 1 -1 0 1 0 0 0 0 -1 1",
-            "-1 2 -1 0 1 1 -1 0 1 0 -1 0 0 1 -1 0 1 -1 1 0 0 -1 1 0",
-            "0 -2 2 -1 -2 0 1 0 -1 2 2 1 -1 0 1 0 -1 0 -2 1 0 2 0 0",
-            "0 0 -1 2 0 -1 1 -1 1 -2 -2 0 1 -2 0 2 0 2 2 -1 1 0 0 0",
-        ),
+        "2 -1 0 0 1 -1 0 1 -1 -1 1 -1 1 0 1 -1 0 1 0 0 0 0 -1 1",
+        "-1 2 -1 0 1 1 -1 0 1 0 -1 0 0 1 -1 0 1 -1 1 0 0 -1 1 0",
+        "0 -2 2 -1 -2 0 1 0 -1 2 2 1 -1 0 1 0 -1 0 -2 1 0 2 0 0",
+        "0 0 -1 2 0 -1 1 -1 1 -2 -2 0 1 -2 0 2 0 2 2 -1 1 0 0 0",
     ),
     "E6_minimal": (
-        "E6",
-        6,
-        "minimal",
-        (
-            "1 -1 0 0 0 0 0 0 0 0 1 0 0 -1 1 1 -1 1 -1 1 -1 0 -1 0 0 0 0",
-            "0 0 0 1 1 -1 -1 1 0 -1 0 0 0 0 0 0 0 1 0 -1 1 1 -1 -1 0 0 0",
-            "0 1 -1 0 0 0 0 0 1 0 -1 1 1 0 -1 -1 0 0 0 0 1 -1 1 -1 0 0 0",
-            "0 0 1 -1 0 0 1 0 -1 1 0 -1 0 0 0 1 0 -1 1 0 -1 0 0 1 -1 0 0",
-            "0 0 0 1 -1 1 -1 0 0 0 0 1 -1 0 1 -1 1 0 -1 0 0 0 0 0 1 -1 0",
-            "0 0 0 0 1 0 1 -1 1 -1 1 -1 0 1 -1 0 -1 0 0 0 0 0 0 0 0 1 -1",
-        ),
+        "1 -1 0 0 0 0 0 0 0 0 1 0 0 -1 1 1 -1 1 -1 1 -1 0 -1 0 0 0 0",
+        "0 0 0 1 1 -1 -1 1 0 -1 0 0 0 0 0 0 0 1 0 -1 1 1 -1 -1 0 0 0",
+        "0 1 -1 0 0 0 0 0 1 0 -1 1 1 0 -1 -1 0 0 0 0 1 -1 1 -1 0 0 0",
+        "0 0 1 -1 0 0 1 0 -1 1 0 -1 0 0 0 1 0 -1 1 0 -1 0 0 1 -1 0 0",
+        "0 0 0 1 -1 1 -1 0 0 0 0 1 -1 0 1 -1 1 0 -1 0 0 0 0 0 1 -1 0",
+        "0 0 0 0 1 0 1 -1 1 -1 1 -1 0 1 -1 0 -1 0 0 0 0 0 0 0 0 1 -1",
     ),
     "E7_minimal": (
-        "E7",
-        7,
-        "minimal",
-        (
-            "0 0 0 0 0 1 0 -1 1 1 -1 1 -1 1 0 -1 1 0 -1 0 0 -1 0 0 0 0 0 0",
-            "0 0 0 0 1 1 -1 1 -1 0 -1 0 0 0 0 0 0 0 0 1 0 0 -1 1 0 -1 1 1",
-            "0 0 0 0 1 -1 1 0 -1 0 0 0 1 0 -1 1 0 -1 1 0 -1 1 0 0 -1 0 0 0",
-            "0 0 0 1 -1 0 0 0 1 -1 1 0 -1 0 0 0 0 1 0 -1 1 0 0 -1 1 0 0 -1",
-            "0 0 1 -1 0 0 0 0 0 1 0 -1 1 0 1 -1 0 -1 0 0 0 0 0 1 0 1 -1 1",
-            "0 1 -1 0 0 0 0 0 0 0 0 1 0 -1 0 1 0 1 -1 1 -1 0 1 -1 0 -1 0 0",
-            "1 -1 0 0 0 0 0 0 0 0 0 0 0 1 0 0 -1 0 1 0 1 -1 0 1 -1 1 1 -1",
-        ),
+        "0 0 0 0 0 1 0 -1 1 1 -1 1 -1 1 0 -1 1 0 -1 0 0 -1 0 0 0 0 0 0",
+        "0 0 0 0 1 1 -1 1 -1 0 -1 0 0 0 0 0 0 0 0 1 0 0 -1 1 0 -1 1 1",
+        "0 0 0 0 1 -1 1 0 -1 0 0 0 1 0 -1 1 0 -1 1 0 -1 1 0 0 -1 0 0 0",
+        "0 0 0 1 -1 0 0 0 1 -1 1 0 -1 0 0 0 0 1 0 -1 1 0 0 -1 1 0 0 -1",
+        "0 0 1 -1 0 0 0 0 0 1 0 -1 1 0 1 -1 0 -1 0 0 0 0 0 1 0 1 -1 1",
+        "0 1 -1 0 0 0 0 0 0 0 0 1 0 -1 0 1 0 1 -1 1 -1 0 1 -1 0 -1 0 0",
+        "1 -1 0 0 0 0 0 0 0 0 0 0 0 1 0 0 -1 0 1 0 1 -1 0 1 -1 1 1 -1",
     ),
 }
 
 def fixture_matrix(name: str) -> WeightMatrix:
     """One of the verbatim reference matrices, exactly as published."""
     try:
-        family, rank, module, rows = _FIXTURES[name]
+        rows = _FIXTURES[name]
     except KeyError:
         raise ValueError(f"unknown fixture {name!r}; known: {', '.join(sorted(_FIXTURES))}") from None
-    return WeightMatrix(family, rank, module, "cartan_h", _parse_rows(rows))
+    family, module = name.split("_")
+    return WeightMatrix(family, EXCEPTIONAL_RANKS[family], module, "cartan_h", _parse_rows(rows))
 
 
 def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:

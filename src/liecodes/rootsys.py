@@ -1,22 +1,21 @@
 """Root systems computed intrinsically from Cartan matrices.
 
 Roots are integer coefficient vectors on the simple roots; weights are
-integer eigenvalue tuples on the Cartan generators h_1..h_n.  Entry [i][j]
-of a Cartan matrix is the value of simple root i on generator j, so the
-pairing of a root beta = sum_j c_j alpha_j with generator i is the dot
-product of c with column i.  Node indices are 0-based throughout.  Roots
-and weights both come from one Weyl-orbit search.
+integer eigenvalue tuples on the Cartan generators h_1..h_n.  A Cartan
+matrix is the tuple of its rows, and its rank is their count.  Entry [i][j]
+is the value of simple root i on generator j, so the pairing of a root
+beta = sum_j c_j alpha_j with generator i is the dot product of c with
+column i.  Node indices are 0-based throughout.  Roots and weights both
+come from one Weyl-orbit search.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import index, mul
 from typing import Sequence
 
 __all__ = [
-    "CartanMatrix",
     "cartan_matrix",
     "positive_roots",
     "weyl_orbit",
@@ -37,15 +36,6 @@ _F4_ENTRIES = (
 )
 
 
-@dataclass(frozen=True)
-class CartanMatrix:
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.entries)
-
-
 def _chain_edges(labels: Sequence[int]) -> list[tuple[int, int]]:
     return [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
 
@@ -61,7 +51,7 @@ def _edges(family: str, rank: int) -> list[tuple[int, int]]:
     return _chain_edges(chain) + [(1, 3)]
 
 
-def cartan_matrix(family: str, rank: int) -> CartanMatrix:
+def cartan_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     """Standard Cartan matrix for the supported (family, rank) pairs."""
     legal = (
         (family == "A" and rank >= 1)
@@ -75,11 +65,11 @@ def cartan_matrix(family: str, rank: int) -> CartanMatrix:
             f"D (rank >= 3) or one of {exceptional}"
         )
     if family == "F4":
-        return CartanMatrix(_F4_ENTRIES)
+        return _F4_ENTRIES
     rows = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i, j in _edges(family, rank):
         rows[i][j] = rows[j][i] = -1
-    return CartanMatrix(tuple(tuple(r) for r in rows))
+    return tuple(map(tuple, rows))
 
 
 def _integers(values: Sequence[int]) -> list[int]:
@@ -109,7 +99,7 @@ def _orbit(seeds, reflect, rank: int) -> set[tuple[int, ...]]:
 
 
 @cache
-def positive_roots(cm: CartanMatrix) -> tuple[tuple[int, ...], ...]:
+def positive_roots(cm: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
     """All positive roots, as coefficient vectors sorted by (height, lex).
 
     Every root is a Weyl image of a simple root, and s_i permutes the
@@ -120,7 +110,7 @@ def positive_roots(cm: CartanMatrix) -> tuple[tuple[int, ...], ...]:
     Computed once per Cartan matrix; the tuple keeps the cached value
     immutable.
     """
-    n, columns = cm.rank, list(zip(*cm.entries))
+    n, columns = len(cm), list(zip(*cm))
 
     def reflect(c, i):
         ci = c[i] - sum(map(mul, c, columns[i]))
@@ -130,23 +120,22 @@ def positive_roots(cm: CartanMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(_orbit(simple, reflect, n), key=lambda r: (sum(r), r)))
 
 
-def weyl_orbit(cm: CartanMatrix, dominant: Sequence[int]) -> list[tuple[int, ...]]:
+def weyl_orbit(cm: tuple[tuple[int, ...], ...], dominant: Sequence[int]) -> list[tuple[int, ...]]:
     """Orbit of a dominant weight under the simple reflections, sorted lex;
     s_i subtracts w_i times row i of the Cartan matrix."""
     mu = tuple(_integers(dominant))
-    if len(mu) != cm.rank:
-        raise ValueError(f"expected {cm.rank} weight coordinates, got {len(mu)}")
+    if len(mu) != len(cm):
+        raise ValueError(f"expected {len(cm)} weight coordinates, got {len(mu)}")
     if any(x < 0 for x in mu):
         raise ValueError("weight must be dominant (all coordinates >= 0)")
-    C = cm.entries
 
     def reflect(w, i):
-        return tuple([wj - w[i] * cij for wj, cij in zip(w, C[i])]) if w[i] else None
+        return tuple([wj - w[i] * cij for wj, cij in zip(w, cm[i])]) if w[i] else None
 
-    return sorted(_orbit([mu], reflect, cm.rank))
+    return sorted(_orbit([mu], reflect, len(cm)))
 
 
-def reflect_coroot_coeffs(cm: CartanMatrix, node: int, coeffs: Sequence[int]) -> tuple[int, ...]:
+def reflect_coroot_coeffs(cm: tuple[tuple[int, ...], ...], node: int, coeffs: Sequence[int]) -> tuple[int, ...]:
     """Simple reflection acting on Cartan-generator coefficient vectors.
 
     Only the `node` coordinate moves: it picks up minus the pairing of the
@@ -155,10 +144,9 @@ def reflect_coroot_coeffs(cm: CartanMatrix, node: int, coeffs: Sequence[int]) ->
     representative codewords.
     """
     l = _integers(coeffs)
-    if len(l) != cm.rank:
-        raise ValueError(f"expected {cm.rank} coefficients, got {len(l)}")
-    if not 0 <= node < cm.rank:
-        raise ValueError(f"node index {node} out of range 0..{cm.rank - 1}")
-    C = cm.entries
-    l[node] -= sum(lk * C[node][k] for k, lk in enumerate(l))
+    if len(l) != len(cm):
+        raise ValueError(f"expected {len(cm)} coefficients, got {len(l)}")
+    if not 0 <= node < len(cm):
+        raise ValueError(f"node index {node} out of range 0..{len(cm) - 1}")
+    l[node] -= sum(map(mul, l, cm[node]))
     return tuple(l)

@@ -20,12 +20,14 @@ import fnmatch
 import json
 import time
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import cache
 from fractions import Fraction
 from itertools import repeat, zip_longest
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import comb, isfinite
+from types import MappingProxyType
 
 import numpy as np
 
@@ -70,10 +72,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Annotation:
-    """A stated value superseded by computation, kept for the record."""
+    """A stated value superseded by computation, kept for the record; the
+    stated values are held read-only, and the payloads write copies."""
 
-    stated: dict
+    stated: Mapping[str, int]
     note: str
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "stated", MappingProxyType(dict(self.stated)))
+
+    def __repr__(self) -> str:  # the values as the dict they were given
+        return f"Annotation(stated={dict(self.stated)!r}, note={self.note!r})"
 
 
 @dataclass(frozen=True)
@@ -139,7 +148,7 @@ class SuiteReport:
                 found.append(
                     {
                         "case_id": res.case_id,
-                        "stated": annotation.stated,
+                        "stated": dict(annotation.stated),
                         "computed": {key: getattr(res.report, key) for key in annotation.stated},
                         "note": annotation.note,
                     }
@@ -369,7 +378,8 @@ _ANNOTATIONS = {
 def registered_cases() -> tuple[TheoremCase, ...]:
     """Every claim the suite checks, in a fixed deterministic order: each
     family row at its registered sizes, then the single claims.  Built once
-    per process: the tuple and its cases are immutable."""
+    per process: the tuple and its cases are immutable, an annotation's
+    stated values included."""
     cases = [claims.case(i) for claims in CLAIMS for i in claims.sizes]
     for m, mode, n, d in _COMBINED:
         case_id = f"cor3.4/m={m}"
@@ -636,7 +646,7 @@ def to_json(report: SuiteReport, stable: bool = False) -> str:
             "millis": 0.0 if stable else round(res.millis, 3),
         }
         if case.annotation is not None:
-            entry["annotation"] = {"stated": case.annotation.stated, "note": case.annotation.note}
+            entry["annotation"] = {"stated": dict(case.annotation.stated), "note": case.annotation.note}
         out_cases.append(entry)
     payload = {"cases": out_cases, "totals": report.totals, "discrepancies": list(report.discrepancies)}
     return json_text(payload)
@@ -734,17 +744,17 @@ def branch_equivalences() -> tuple[BranchCheck, ...]:
     pairs = (
         (
             "E6-adjoint=o(10)-direct-sum",
-            ModuleSpec("E6", 6, "adjoint", 3),
+            ModuleSpec("E6", EXCEPTIONAL_RANKS["E6"], "adjoint", 3),
             ModuleSpec("D", 5, "adjoint_plus_spin", 3, mode="direct_sum"),
         ),
         (
             "E8-adjoint=o(16)-combined",
-            ModuleSpec("E8", 8, "adjoint", 3),
+            ModuleSpec("E8", EXCEPTIONAL_RANKS["E8"], "adjoint", 3),
             ModuleSpec("D", 8, "adjoint_plus_spin", 3, mode="weight_code"),
         ),
         (
             "E7-minimal=sl(8)-pairs",
-            ModuleSpec("E7", 7, "minimal", 3),
+            ModuleSpec("E7", EXCEPTIONAL_RANKS["E7"], "minimal", 3),
             ModuleSpec("A", 8, "ext2", 3),
         ),
     )
@@ -777,9 +787,8 @@ def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int, seed: int 
     w_i != 0 once.  The batch takes about (rank + 2) bytes per nonzero entry
     of the columns.
     """
-    hm = to_cartan_h(wm)
-    cartan_rank = hm.rank - 1 if hm.family == "A" else hm.rank
-    cartan = np.array(cartan_matrix(hm.family, cartan_rank).entries, dtype=np.int8)
+    hm = to_cartan_h(wm)  # one row per Cartan generator
+    cartan = np.array(cartan_matrix(hm.family, hm.rows), dtype=np.int8)
     entries = hm.mod(p).entries  # entry (i, j) is w_i of column j
     i, col = np.nonzero(entries)  # i increasing, as in the sorted keys
     index = i.astype(">u2").view(np.uint8).reshape(-1, 2)
@@ -787,9 +796,9 @@ def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int, seed: int 
 
     def classes(c: np.ndarray) -> np.ndarray:
         lead = c[np.arange(len(c)), np.argmax(c != 0, axis=1), None]
-        keys = np.empty((len(c), cartan_rank + 2), dtype=np.uint8)
+        keys = np.empty((len(c), hm.rows + 2), dtype=np.uint8)
         keys[:, :2], keys[:, 2:] = index, c * lead % p
-        return np.sort(keys.view(f"V{cartan_rank + 2}").ravel())
+        return np.sort(keys.view(f"V{hm.rows + 2}").ravel())
 
     kept, moved = classes(before), classes((before - entries[i, col, None] * cartan[i]) % p)
     return len(set(i[kept != moved].tolist()))  # np.unique would import numpy.ma

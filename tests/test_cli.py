@@ -348,7 +348,7 @@ def test_json_payloads_form_no_dense_distribution(monkeypatch, capsys):
     def refuse(self):
         raise AssertionError("a JSON payload formed the dense weight distribution")
 
-    monkeypatch.setattr(CodeReport, "_dense_counts", refuse)
+    monkeypatch.setattr(CodeReport, "weight_distribution", property(refuse))
     suite = to_json(run_suite(include_optional=True), stable=True)
     pinned = PAYLOAD_SHA256["verify --include-optional --stable --format json"]
     assert hashlib.sha256(suite.encode()).hexdigest() == pinned
@@ -370,7 +370,8 @@ def test_report_json_matches_registered_cases(capsys):
             argv += ["--mode", spec.mode]
         code, out, err = invoke(capsys, *argv, "--format", "json")
         assert code == 0 and not err, case.case_id
-        assert json.loads(out) == run_case(case).report.to_dict(), case.case_id
+        report = run_case(case).report
+        assert json.loads(out) == report.to_dict(list(report.weight_distribution)), case.case_id
         checked += 1
     assert checked == 49
 

@@ -631,7 +631,7 @@ def test_labels_name_their_columns(family, module):
         columns = wm.entries.T.tolist()
         if family in EXCEPTIONAL_RANKS:
             # a minimal column is its weight, an adjoint one the pairings of its root
-            cm = np.array(cartan_matrix(family, rank).entries)
+            cm = np.array(cartan_matrix(family, rank))
             weights = [list(map(int, label[1:-1].split(","))) for label in labels]
             if module == "adjoint" or family == "E8":
                 weights = (np.array(weights) @ cm).tolist()

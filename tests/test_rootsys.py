@@ -25,28 +25,28 @@ F4_POSITIVE_ROOTS = [
 
 def test_cartan_a2():
     cm = cartan_matrix("A", 2)
-    assert cm.entries == ((2, -1), (-1, 2))
+    assert cm == ((2, -1), (-1, 2))
 
 
 def test_cartan_f4_asymmetric_pair():
     cm = cartan_matrix("F4", 4)
-    assert cm.entries[1][2] == -2
-    assert cm.entries[2][1] == -1
-    assert all(cm.entries[i][i] == 2 for i in range(4))
+    assert cm[1][2] == -2
+    assert cm[2][1] == -1
+    assert all(cm[i][i] == 2 for i in range(4))
 
 
 def test_cartan_e6_branch_node():
     cm = cartan_matrix("E6", 6)
     # node 2 (index 1) is attached to node 4 (index 3) and nothing else
-    row = cm.entries[1]
+    row = cm[1]
     assert row[3] == -1
     assert [j for j in range(6) if j != 1 and row[j] != 0] == [3]
 
 
 def test_cartan_d_fork():
     cm = cartan_matrix("D", 5)
-    assert cm.entries[3][4] == 0 and cm.entries[4][3] == 0
-    assert cm.entries[2][4] == -1 and cm.entries[2][3] == -1
+    assert cm[3][4] == 0 and cm[4][3] == 0
+    assert cm[2][4] == -1 and cm[2][3] == -1
 
 
 @pytest.mark.parametrize("family,rank", [("A", 0), ("D", 2), ("E6", 7), ("F4", 5), ("G2", 2)])
@@ -86,7 +86,7 @@ def test_pairing_simple_roots_give_cartan_rows():
         cm = cartan_matrix(family, rank)
         for i in range(rank):
             beta = tuple(1 if j == i else 0 for j in range(rank))
-            assert pairing_vector(cm, beta) == cm.entries[i]
+            assert pairing_vector(cm, beta) == cm[i]
 
 
 def test_pairing_examples():
@@ -134,7 +134,7 @@ def test_weyl_orbit_closed_under_reflections():
     orbit = set(weyl_orbit(cm, (1, 0, 0, 0, 0, 0)))
     for mu in orbit:
         for i in range(6):
-            image = tuple(mu[j] - mu[i] * cm.entries[i][j] for j in range(6))
+            image = tuple(mu[j] - mu[i] * cm[i][j] for j in range(6))
             assert image in orbit
 
 

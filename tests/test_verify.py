@@ -348,6 +348,19 @@ def _suite_with_a_skipped_case(monkeypatch):
     return SuiteReport((suite.results[0], skipped, *suite.results[1:]))
 
 
+def test_suite_output_cannot_edit_the_registry():
+    # the registry is built once per process: its stated values are
+    # read-only, and a suite hands out copies of them
+    suite = run_suite(filter="thm2.4/K/m=2")
+    suite.discrepancies[0]["stated"]["d"] = 99
+    case = case_by_id("thm2.4/K/m=2")
+    assert dict(case.annotation.stated) == {"d": 3}
+    with pytest.raises(TypeError):
+        case.annotation.stated["d"] = 99
+    payload = json.loads(to_json(suite, stable=True))
+    assert payload["cases"][0]["annotation"]["stated"] == payload["discrepancies"][0]["stated"] == {"d": 3}
+
+
 def test_suite_totals_and_discrepancies_with_skipped_cases(monkeypatch):
     # o(24) is past the default max_m = 11, so the last two cases are
     # skipped: neither fails the suite, and neither adds a discrepancy,
@@ -711,7 +724,7 @@ def small_weight_matrices(draw):
     those then short of one column."""
     family, rank = draw(st.sampled_from(SMALL_ALGEBRAS))
     p = draw(st.sampled_from((2, 3)))
-    cartan = cartan_matrix(family, rank - 1 if family == "A" else rank).entries
+    cartan = cartan_matrix(family, rank - 1 if family == "A" else rank)
     column = st.tuples(*[st.integers(-2, 2)] * len(cartan))
     columns = draw(st.lists(column, min_size=1, max_size=6))
     if draw(st.booleans()):
