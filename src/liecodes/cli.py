@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import sys
 from functools import cache
@@ -194,7 +193,7 @@ def _suite_payload(report: SuiteReport, fmt: str, stable: bool) -> str:
 
 
 def _table_payload(rows: tuple[TableRow, ...], fmt: str) -> str:
-    names = [f.name for f in dataclasses.fields(TableRow)]
+    names = list(TableRow._fields)
     if fmt == "json":
         return json_text([{name: getattr(r, name) for name in names} for r in rows])
     if fmt == "csv":

@@ -13,13 +13,13 @@ weights are counted with a population count and a histogram.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "SUPPORTED_PRIMES",
+    "Record",
     "FpMatrix",
     "LinearCode",
     "CodeReport",
@@ -73,8 +73,89 @@ def read_only(entries) -> np.ndarray:
     return frozen(a.astype(np.int8))
 
 
-@dataclass(frozen=True, eq=False)
-class FpMatrix:
+class Record:
+    """An immutable record, the base of every value class of the package.
+
+    A subclass names its fields by annotations, in order, each with an
+    optional class-level default.  Nothing is generated per class, so a
+    record class costs microseconds to create, where a class whose methods
+    are generated and compiled as its module is imported costs about 1 ms
+    on every command.  One shared `__init__` binds the arguments into the
+    instance dict in field order and then calls the class's
+    `__post_init__`, if it has one, which may normalize a field or add a
+    derived attribute by writing to `vars(self)`.  Equality (same class,
+    same dict), the hash and the repr `Name(field=value, ...)` read the
+    instance dict, derived attributes included; a subclass may define its
+    own.
+    """
+
+    _fields = ()  # the field names, in order
+    _defaults = ()  # the defaults of the last fields
+    _post_init = False  # whether the class has a __post_init__
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        fields, own = tuple(cls.__annotations__), vars(cls)
+        cls._defaults = tuple(own[name] for name in fields if name in own)
+        if any(name in own for name in fields[: len(fields) - len(cls._defaults)]):
+            raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+        cls._fields = fields
+        cls._post_init = hasattr(cls, "__post_init__")
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        vars(self).update(zip(fields, args))
+        if self._post_init:
+            self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The values of the fields, in order, from the arguments and the defaults."""
+        fields, defaults = cls._fields, cls._defaults
+        first_default = len(fields) - len(defaults)
+        if not kwargs and first_default <= len(args) <= len(fields):
+            return args + defaults[len(args) - first_default :]
+        name = cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        values = dict(zip(fields[first_default:], defaults))
+        values.update(zip(fields, args))
+        for key, value in kwargs.items():
+            if key not in fields:
+                raise TypeError(f"{name}() got an unexpected keyword argument {key!r}")
+            if key in fields[: len(args)]:
+                raise TypeError(f"{name}() got multiple values for argument {key!r}")
+            values[key] = value
+        if missing := [f for f in fields if f not in values]:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+        return tuple(map(values.__getitem__, fields))
+
+    def replace(self, **changes) -> Record:
+        """A copy with the given fields changed, checked as a new record is;
+        a name that is not a field raises TypeError."""
+        return type(self)(**{**{name: vars(self)[name] for name in self._fields}, **changes})
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
+class FpMatrix(Record):
     """An integer matrix with every entry reduced modulo p, p in {2, 3}.
 
     `entries` is a read-only int8 array (see `read_only`) of values 0..p-1,
@@ -95,7 +176,7 @@ class FpMatrix:
             raise ValueError("a matrix needs at least one column")
         if a.size and (int(a.min()) < 0 or int(a.max()) >= self.p):
             raise ValueError(f"entries must lie in 0..{self.p - 1}")
-        object.__setattr__(self, "entries", read_only(a))
+        vars(self)["entries"] = read_only(a)
 
     @classmethod
     def reduce(cls, p: int, entries) -> "FpMatrix":
@@ -213,8 +294,7 @@ def rref(m: FpMatrix) -> FpMatrix:
     return FpMatrix(p, a[:r])
 
 
-@dataclass(frozen=True)
-class LinearCode:
+class LinearCode(Record):
     """A row space over F_p held by its reduced-row-echelon generator alone:
     p, n and k are read off it, and two codes are equal when their bases are."""
 
@@ -349,13 +429,14 @@ def weight_distribution(c: LinearCode) -> tuple[int, ...]:
     return tuple(dist.tolist())
 
 
-@dataclass(frozen=True)
-class CodeReport:
+class CodeReport(Record):
     """Everything the verification suite needs to know about one code: its
     counts, the (w, A_w) pairs of the weights that occur in increasing w (a
     mapping is accepted), which must be a weight distribution of a code of
     length n and dimension k, and d and the binary flags read off them.  `d`
-    is None for the zero code, `even` and `doubly_even` for ternary codes.
+    (int | None) is None for the zero code, `even` and `doubly_even` (bool |
+    None) for ternary codes; the three are derived attributes, not fields,
+    so no caller can set them.
     """
 
     p: int
@@ -363,19 +444,18 @@ class CodeReport:
     k: int
     counts: tuple[tuple[int, int], ...]
     self_orthogonal: bool
-    d: int | None = field(init=False)
-    even: bool | None = field(init=False)
-    doubly_even: bool | None = field(init=False)
 
     def __post_init__(self) -> None:
         counts = tuple(sorted(dict(self.counts).items()))
         occurring = len(counts) == len(self.counts) and all(0 <= w <= self.n and count > 0 for w, count in counts)
         if not occurring or counts[:1] != ((0, 1),) or sum(count for _, count in counts) != self.p**self.k:
             raise ValueError(f"not a weight distribution of a code of length {self.n} and dimension {self.k}")
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "d", counts[1][0] if len(counts) > 1 else None)
-        object.__setattr__(self, "even", all(w % 2 == 0 for w, _ in counts) if self.p == 2 else None)
-        object.__setattr__(self, "doubly_even", all(w % 4 == 0 for w, _ in counts) if self.p == 2 else None)
+        vars(self).update(
+            counts=counts,
+            d=counts[1][0] if len(counts) > 1 else None,
+            even=all(w % 2 == 0 for w, _ in counts) if self.p == 2 else None,
+            doubly_even=all(w % 4 == 0 for w, _ in counts) if self.p == 2 else None,
+        )
 
     @property
     def weight_distribution(self) -> tuple[int, ...]:

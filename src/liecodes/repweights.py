@@ -17,14 +17,13 @@ import functools
 import itertools
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, log2, perm
 from operator import mul
 
 import numpy as np
 
-from .fieldcodes import FpMatrix, frozen, read_only
+from .fieldcodes import FpMatrix, Record, frozen, read_only
 from .rootsys import EXCEPTIONAL_RANKS, cartan_matrix, positive_roots, weyl_orbit
 
 __all__ = [
@@ -47,13 +46,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class WeightMatrix:
+class WeightMatrix(Record):
     """Integer eigenvalue matrix: a read-only int8 array of exact small
     integers, every module's within -2..4 (see `read_only`).
 
     `rank` is the defining parameter of the algebra: n for sl(n), m for
-    o(2m), the Lie rank for the exceptional families.
+    o(2m), the Lie rank for the exceptional families.  Two matrices are
+    equal only when they are the same object.
     """
 
     family: str
@@ -62,8 +61,10 @@ class WeightMatrix:
     basis: str  # "cartan_h" | "matrix_unit_E"
     entries: np.ndarray
 
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", read_only(self.entries))
+        vars(self)["entries"] = read_only(self.entries)
 
     @property
     def rows(self) -> int:
@@ -519,9 +520,17 @@ def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:
 
     For sl(n) the h rows are consecutive differences of the matrix-unit
     rows; for o(2m) they are g_s - g_(s+1) for s < m together with
-    g_(m-1) + g_m, where g_i = E_ii - E_(m+i,m+i).
+    g_(m-1) + g_m, where g_i = E_ii - E_(m+i,m+i).  A matrix already on the
+    Cartan generators is returned as it is, once its row count is checked
+    against its algebra's Cartan rank: n - 1 for sl(n), m for o(2m), the
+    Lie rank for an exceptional family.
     """
     if wm.basis == "cartan_h":
+        cartan_rank = wm.rank - 1 if wm.family == "A" else EXCEPTIONAL_RANKS.get(wm.family, wm.rank)
+        if wm.rows != cartan_rank:
+            raise ValueError(
+                f"a Cartan-basis matrix of {wm.family} at rank {wm.rank} needs {cartan_rank} rows, got {wm.rows}"
+            )
         return wm
     if wm.family not in ("A", "D"):
         raise ValueError(f"no Cartan-basis transition for family {wm.family!r}")
@@ -534,8 +543,7 @@ def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:
     return WeightMatrix(wm.family, wm.rank, wm.module, "cartan_h", frozen(rows))
 
 
-@dataclass(frozen=True)
-class ModuleSpec:
+class ModuleSpec(Record):
     """A (family, rank, module, field) request plus mode flags; `module_table`
     checks it, for both `build_weight_matrix` and `verify.module_code`."""
 

@@ -21,7 +21,6 @@ import json
 import time
 from collections import defaultdict
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
 from functools import cache
 from fractions import Fraction
 from itertools import repeat, zip_longest
@@ -31,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .fieldcodes import CodeReport, LinearCode, analyze, row_space_code
+from .fieldcodes import CodeReport, LinearCode, Record, analyze, row_space_code
 from .repweights import (
     ModuleSpec,
     WeightMatrix,
@@ -70,8 +69,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(Record):
     """A stated value superseded by computation, kept for the record; the
     stated values are held read-only, and the payloads write copies."""
 
@@ -79,14 +77,13 @@ class Annotation:
     note: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "stated", MappingProxyType(dict(self.stated)))
+        vars(self)["stated"] = MappingProxyType(dict(self.stated))
 
     def __repr__(self) -> str:  # the values as the dict they were given
         return f"Annotation(stated={dict(self.stated)!r}, note={self.note!r})"
 
 
-@dataclass(frozen=True)
-class TheoremCase:
+class TheoremCase(Record):
     """One claim: a module, the expected report, and its provenance note."""
 
     case_id: str
@@ -109,8 +106,7 @@ class TheoremCase:
         return {"n": self.expected_n, "k": self.expected_k, "d": self.expected_d, "flags": flags}
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class CaseResult(Record):
     case: TheoremCase
     mismatches: tuple[str, ...]
     report: CodeReport | None
@@ -129,8 +125,7 @@ class CaseResult:
         return self.report is None
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     results: tuple[CaseResult, ...]
 
     @property
@@ -158,8 +153,7 @@ class SuiteReport:
         return tuple(found)
 
 
-@dataclass(frozen=True)
-class VerifyLimits:
+class VerifyLimits(Record):
     """Bounds on which registered cases run; beyond them cases are skipped."""
 
     max_n: int = 15  # sl(n) families
@@ -172,8 +166,7 @@ class VerifyLimits:
 _DEFAULT_LIMITS = VerifyLimits()
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Record):
     """The polynomial sum(coeffs[i] N^i) / den in the rank N, integer
     coefficients lowest degree first.  It is written from `N` with +, - and
     * and division by a positive integer, so a closed form held as one
@@ -213,8 +206,7 @@ class Poly:
 N = Poly((0, 1))  # the rank: n of sl(n), m of o(2m)
 
 
-@dataclass(frozen=True)
-class Pow2:
+class Pow2(Record):
     """2^(N + shift): the length and distance of the spin codes, which are
     not polynomials in the rank."""
 
@@ -224,8 +216,7 @@ class Pow2:
         return 1 << (x + self.shift)
 
 
-@dataclass(frozen=True)
-class Forms:
+class Forms(Record):
     """The claimed n, k and d of a family on one residue class of the rank,
     as closed forms in it, and its flags (None: no claim either way)."""
 
@@ -236,8 +227,7 @@ class Forms:
     doubly_even: bool | None
 
 
-@dataclass(frozen=True)
-class FamilyClaims:
+class FamilyClaims(Record):
     """One parametric family of the paper, stated once, as data.
 
     Index i of `pattern` is the rank `scale` * i.  The claim is stated at
@@ -247,7 +237,7 @@ class FamilyClaims:
     of `exceptions`, where the paper states another d.  From `n0` on the
     tests prove the forms for every rank; `n0` is None for a family they
     leave to computation.  `citation` names the algebra as `sl({n})` or
-    `o({2m})`.
+    `o({2m})`.  Both maps are held read-only, as copies of the ones given.
     """
 
     pattern: str
@@ -255,13 +245,18 @@ class FamilyClaims:
     scale: int
     modulus: int
     n0: int | None
-    classes: dict  # residue of the rank mod `modulus` -> Forms
+    classes: Mapping[int, Forms]  # residue of the rank mod `modulus` -> Forms
     sizes: range | tuple[int, ...]
     citation: str
-    exceptions: dict = field(default_factory=dict)  # rank -> the stated d, below n0
+    exceptions: Mapping[int, int] = MappingProxyType({})  # rank -> the stated d, below n0
+
+    def __post_init__(self) -> None:
+        vars(self).update(
+            classes=MappingProxyType(dict(self.classes)), exceptions=MappingProxyType(dict(self.exceptions))
+        )
 
     def at(self, rank: int) -> ModuleSpec:
-        return replace(self.spec, rank=rank)
+        return self.spec.replace(rank=rank)
 
     def case(self, i: int) -> TheoremCase:
         """The claim at index i, annotated where computation supersedes it."""
@@ -655,8 +650,7 @@ def to_json(report: SuiteReport, stable: bool = False) -> str:
 # ---------------------------------------------------------------------------
 # numeric weight tables
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(Record):
     label: str
     stated: int
     computed: int
@@ -703,7 +697,7 @@ def reproduce_table(table_id: str) -> tuple[TableRow, ...]:
         labels, weights = [], []
         for m in range(r, r + len(stated)):
             labels.append(f"m={m}")
-            weights += orbit_weights(module_table(replace(spec, rank=m))[0], spec.p, m, [(0, m - 1, 1)])
+            weights += orbit_weights(module_table(spec.replace(rank=m))[0], spec.p, m, [(0, m - 1, 1)])
     else:
         if spec.p == 2:
             orbits = {f"t={t}": (r - 2 * t, 2 * t, 0) for t in range(1, r // 2 + 1)}
@@ -726,8 +720,7 @@ def reproduce_table(table_id: str) -> tuple[TableRow, ...]:
 # ---------------------------------------------------------------------------
 # cross-checks
 
-@dataclass(frozen=True)
-class BranchCheck:
+class BranchCheck(Record):
     check_id: str
     left: CodeReport
     right: CodeReport

@@ -1,6 +1,5 @@
 """End-to-end tests of the command line front end."""
 
-import dataclasses
 import hashlib
 import json
 import time
@@ -379,7 +378,7 @@ def test_report_json_matches_registered_cases(capsys):
 def test_suite_of_unregistered_cases_renders():
     # a result carries its case, so a report need not come from the registry
     annotated = next(c for c in registered_cases() if c.case_id == "thm2.3/ext3/n=6")
-    case = dataclasses.replace(annotated, case_id="custom", citation="a case of our own")
+    case = annotated.replace(case_id="custom", citation="a case of our own")
     res = run_case(case)
     report = SuiteReport((res,))
     entry = json.loads(to_json(report, stable=True))["cases"][0]

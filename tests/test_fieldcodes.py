@@ -1,6 +1,5 @@
 """Tests for the F2/F3 matrix algebra and the packed code analytics."""
 
-import dataclasses
 import tracemalloc
 from math import comb
 
@@ -350,7 +349,7 @@ def test_row_space_code_examples():
     code = row_space_code(to_cartan_h(ext_weight_matrix_A(4, 2)).mod(2))
     assert (code.n, code.k) == (6, 2)
     # p, n and k are read off the basis, the one field
-    assert [f.name for f in dataclasses.fields(code)] == ["basis"]
+    assert list(code._fields) == ["basis"]
     assert (code.p, code.n, code.k) == (code.basis.p, code.basis.cols, code.basis.rows)
     zero = row_space_code(FpMatrix(3, np.zeros((2, 5), dtype=np.int64)))
     assert zero.k == 0
@@ -561,10 +560,10 @@ def test_code_report_takes_a_counted_distribution():
             CodeReport(2, code.n, code.k, bad, True)
     # d and the flags are read off the counts, never set apart from them
     for name in ("d", "even", "doubly_even"):
-        with pytest.raises((TypeError, ValueError), match=f"{name} is declared with init=False"):
-            dataclasses.replace(rep, **{name: 9})
+        with pytest.raises(TypeError, match=f"got an unexpected keyword argument '{name}'"):
+            rep.replace(**{name: 9})
     with pytest.raises(ValueError, match="not a weight distribution"):
-        dataclasses.replace(rep, counts=rest)
+        rep.replace(counts=rest)
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -4,7 +4,6 @@ matrix and the builders' own combination weights."""
 
 import itertools
 from collections import defaultdict
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -90,7 +89,7 @@ def test_template_count_agrees_with_orbit_oracle():
     for spec in registered_specs() + list(EXTENDED_SPECS + LARGE_SPECS):
         report = module_code(spec)
         cartan = spec.family == "A" and spec.basis is None
-        coords = build_weight_matrix(replace(spec, basis="matrix_unit_E") if spec.family == "A" else spec)
+        coords = build_weight_matrix(spec.replace(basis="matrix_unit_E") if spec.family == "A" else spec)
         # the oracle raises unless k is the dimension of the code
         assert report.weight_distribution == orbit_weight_distribution(coords.entries, spec.p, report.k, cartan), spec
         assert report.n == coords.cols

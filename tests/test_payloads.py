@@ -90,7 +90,7 @@ assert codes == [0] * len(commands), codes
 branch_equivalences()
 for spec in (ModuleSpec("A", 7, "ext2", 3), ModuleSpec("D", 5, "ext3", 3), ModuleSpec("E6", 6, "minimal", 3)):
     assert weyl_invariance_violations(build_weight_matrix(spec), spec.p, 200) == 0, spec
-json.dump(sorted(name for name in sys.modules if name.startswith(("numpy.random", "numpy.ma.")) or name == "numpy.ma"), sys.stdout)
+json.dump(sorted(name for name in sys.modules if name.startswith(("numpy.random", "numpy.ma.")) or name in ("numpy.ma", "dataclasses")), sys.stdout)
 """
 
 
@@ -145,4 +145,10 @@ def test_no_command_or_cross_check_loads_numpy_random(footprint):
 
 def test_no_command_or_cross_check_loads_numpy_ma(footprint):
     # nothing uses masked arrays; np.unique imports numpy.ma, about 1 MB
-    assert [name for name in footprint if not name.startswith("numpy.random")] == []
+    assert [name for name in footprint if name.startswith("numpy.ma")] == []
+
+
+def test_no_command_or_cross_check_loads_dataclasses(footprint):
+    # the value classes are records (`fieldcodes.Record`): a generated class
+    # costs every command about 1 ms to create, and the module more to import
+    assert "dataclasses" not in footprint

@@ -34,7 +34,6 @@ import functools
 import itertools
 import math
 from collections import Counter, defaultdict, deque
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -272,10 +271,10 @@ def test_claims_hold_from_their_threshold(claims):
 def _changed(claims, field, change, residues=None):
     """The claims with one closed form or flag changed on the given classes, every class by default."""
     classes = {
-        r: replace(forms, **{field: change(getattr(forms, field))}) if residues is None or r in residues else forms
+        r: forms.replace(**{field: change(getattr(forms, field))}) if residues is None or r in residues else forms
         for r, forms in claims.classes.items()
     }
-    return replace(claims, classes=classes)
+    return claims.replace(classes=classes)
 
 
 # field, change, and the gate that must fire

@@ -1,13 +1,11 @@
 """Tests for the weight-matrix constructors, their column templates and the
 reference fixtures."""
 
-import dataclasses
 import hashlib
 import itertools
 import re
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -572,7 +570,7 @@ def test_templates_list_the_builders_columns(family, module, mode, basis, larges
         assert columns_up_to_scalars(cols, p, weights) == columns_up_to_scalars(built, p, [24] * built.shape[1])
     if largest:
         with pytest.raises(ValueError, match="entries, over"):
-            module_table(replace(spec, rank=rank + 1))
+            module_table(spec.replace(rank=rank + 1))
 
 
 def test_to_cartan_h_families():
@@ -599,7 +597,7 @@ def test_builders_reject_a_family_they_do_not_know():
     for build, message in (
         (lambda: exceptional_minimal_matrix("E8"), "minimal-module matrix known for F4, E6, E7; got 'E8'"),
         (lambda: exceptional_adjoint_matrix("G2"), "adjoint matrix known for F4, E6, E7, E8; got 'G2'"),
-        (lambda: to_cartan_h(replace(e6, basis="matrix_unit_E")), "no Cartan-basis transition for family 'E6'"),
+        (lambda: to_cartan_h(e6.replace(basis="matrix_unit_E")), "no Cartan-basis transition for family 'E6'"),
     ):
         with pytest.raises(ValueError) as info:
             build()
@@ -645,7 +643,7 @@ def test_labels_name_their_columns(family, module):
                 named = [int(r + 1 in named) for r in range(rank)]
             assert named == col, (spec, label)
         # the Cartan-basis request keeps the columns and so their names
-        assert column_labels(replace(spec, basis=None)) == labels
+        assert column_labels(spec.replace(basis=None)) == labels
 
 
 def test_column_labels_checks_the_request():
@@ -657,7 +655,7 @@ def test_column_labels_checks_the_request():
 
 def test_weight_matrix_holds_no_labels():
     # a matrix keeps its entries and scalars only: no per-column object
-    assert [f.name for f in dataclasses.fields(WeightMatrix)] == [
+    assert list(WeightMatrix._fields) == [
         "family", "rank", "module", "basis", "entries"
     ]
     wm = build_weight_matrix(ModuleSpec("D", 8, "adjoint_plus_spin", 3, mode="weight_code"))

@@ -1,6 +1,5 @@
 """Tests for the claim registry, closed forms, tables and cross-checks."""
 
-import dataclasses
 import hashlib
 import json
 import re
@@ -11,8 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liecodes import cli, repweights, verify
-from liecodes.fieldcodes import combination_weight
+from liecodes import cli, fieldcodes, repweights, verify
+from liecodes.fieldcodes import CodeReport, FpMatrix, LinearCode, Record, analyze, combination_weight, row_space_code
 from liecodes.repweights import (
     ModuleSpec,
     adjoint_weight_matrix_A,
@@ -26,6 +25,13 @@ from liecodes.verify import (
     CLAIMS,
     TABLE_IDS,
     Annotation,
+    BranchCheck,
+    CaseResult,
+    FamilyClaims,
+    Forms,
+    Poly,
+    Pow2,
+    TableRow,
     TheoremCase,
     SuiteReport,
     VerifyLimits,
@@ -137,7 +143,7 @@ def test_work_budget_uses_computed_rank(monkeypatch):
     # registered with k = 2 but of rank 7: n p^k = 567 fits a budget of
     # 10^4, n p^7 = 137781 does not, so the case is skipped unenumerated
     true_case = case_by_id("thm6.2")
-    wrong = dataclasses.replace(true_case, case_id="thm6.2/wrong-k", expected_k=2)
+    wrong = true_case.replace(case_id="thm6.2/wrong-k", expected_k=2)
     monkeypatch.setattr(verify, "analyze", lambda code: pytest.fail("enumeration started"))
     res = run_case(wrong, VerifyLimits(max_work=10_000))
     assert res.skipped and not res.passed and res.report is None
@@ -348,6 +354,124 @@ def _suite_with_a_skipped_case(monkeypatch):
     return SuiteReport((suite.results[0], skipped, *suite.results[1:]))
 
 
+def test_claim_rows_are_read_only():
+    # a row's maps are held read-only, so no caller can edit the closed forms
+    # or the stated exceptions that every registry build reads
+    thm21, thm22 = CLAIMS[0], CLAIMS[1]
+    with pytest.raises(TypeError):
+        thm21.classes[0] = thm21.classes[0]
+    with pytest.raises(TypeError):
+        thm22.exceptions[6] = 9
+    with pytest.raises(TypeError):
+        thm21.exceptions[4] = 9  # the empty default too
+    assert dict(thm22.exceptions) == {6: 8, 7: 16}
+    # a changed row is read-only too, and copies the map it is given
+    classes = dict(thm21.classes)
+    changed = thm21.replace(classes=classes)
+    classes.clear()
+    assert dict(changed.classes) == dict(thm21.classes)
+    with pytest.raises(TypeError):
+        changed.classes[1] = thm21.classes[0]
+
+
+def _record_samples():
+    """(record, a field, a new value for it, a name that is no field, whether
+    it hashes) for each of the sixteen record classes."""
+    code = row_space_code(FpMatrix(3, np.eye(2, dtype=np.int8)))
+    report = analyze(code)
+    case = case_by_id("thm4.1")
+    spec = case.spec
+    annotation = case_by_id("thm2.4/K/m=2").annotation
+    forms = CLAIMS[0].classes[0]
+    return [
+        (code.basis, "p", 2, "rows", False),  # its own __eq__ on the entries, so no hash
+        (code, "basis", FpMatrix(3, np.ones((1, 2), dtype=np.int8)), "k", False),  # holds an FpMatrix
+        (report, "self_orthogonal", not report.self_orthogonal, "d", True),  # d is read off the counts
+        (build_weight_matrix(spec), "module", "other", "rows", True),  # equal only to itself
+        (spec, "rank", 5, "sum_zero", True),
+        (annotation, "note", "another note", "computed", False),  # holds a read-only map
+        (case, "expected_d", 7, "passed", True),
+        (run_case(case), "millis", 1.5, "passed", True),
+        (run_suite(filter="thm4.1"), "results", (), "totals", True),
+        (VerifyLimits(), "max_n", 9, "max_k", True),
+        (verify.N, "den", 2, "degree", True),
+        (Pow2(-1), "shift", 3, "rank", True),
+        (forms, "k", verify.N, "rank", True),
+        (CLAIMS[0], "n0", 6, "rank", False),  # holds read-only maps
+        (reproduce_table("2.1")[0], "stated", 1, "note", True),
+        (BranchCheck("check", report, report), "check_id", "other", "identical", True),
+    ]
+
+
+RECORD_CLASSES = (
+    FpMatrix, LinearCode, CodeReport, repweights.WeightMatrix, ModuleSpec, Annotation, TheoremCase, CaseResult,
+    SuiteReport, VerifyLimits, Poly, Pow2, Forms, FamilyClaims, TableRow, BranchCheck,
+)
+
+
+def test_every_value_class_is_a_record():
+    records = [cls for module in (fieldcodes, repweights, verify) for cls in vars(module).values()
+               if isinstance(cls, type) and issubclass(cls, Record) and cls is not Record]
+    assert set(records) == set(RECORD_CLASSES)
+    assert [type(sample[0]) for sample in _record_samples()] == list(RECORD_CLASSES)
+
+
+@pytest.mark.parametrize("index", range(len(RECORD_CLASSES)), ids=[cls.__name__ for cls in RECORD_CLASSES])
+def test_record_contract(index):
+    record, name, value, unknown, hashable = _record_samples()[index]
+    cls = type(record)
+    fields = cls._fields
+    assert name in fields and unknown not in fields
+    # no field can be assigned or deleted
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(record, name, value)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(record, name)
+    # replace changes the one field, keeps the others and refuses a name that is no field
+    changed = record.replace(**{name: value})
+    assert type(changed) is cls and getattr(changed, name) == value
+    assert all(repr(getattr(changed, f)) == repr(getattr(record, f)) for f in fields if f != name)
+    with pytest.raises(TypeError, match=f"got an unexpected keyword argument '{unknown}'"):
+        record.replace(**{unknown: value})
+    # equal records hash equally; a weight matrix is equal only to itself
+    again = record.replace()
+    assert again is not record
+    if cls is repweights.WeightMatrix:
+        assert again != record and record == record and hash(record) == object.__hash__(record)
+    else:
+        assert again == record and not again != record and changed != record
+        if hashable:
+            assert hash(again) == hash(record)
+        else:
+            with pytest.raises(TypeError):
+                hash(record)
+    # the repr names the class and each field, in order, as Name(field=value, ...)
+    text = repr(record)
+    assert text.startswith(f"{cls.__name__}({fields[0]}=") and text.endswith(")")
+    found = [re.search(rf"[(]{f}=|, {f}=", text) for f in fields]
+    assert None not in found and [m.start() for m in found] == sorted(m.start() for m in found), text
+
+
+def test_record_binds_its_arguments_as_a_call_would():
+    assert ModuleSpec("A", 4, "ext2", 2) == ModuleSpec(p=2, module="ext2", rank=4, family="A", basis=None)
+    assert list(vars(ModuleSpec(p=2, module="ext2", rank=4, family="A"))) == list(ModuleSpec._fields)
+    assert repr(ModuleSpec("D", 5, "spin", 3)) == "ModuleSpec(family='D', rank=5, module='spin', p=3, mode=None, basis=None)"
+    assert repr(CodeReport(3, 4, 1, {3: 2, 0: 1}, True)) == (
+        "CodeReport(p=3, n=4, k=1, counts=((0, 1), (3, 2)), self_orthogonal=True, d=3, even=None, doubly_even=None)"
+    )
+    for args, kwargs, message in (
+        (("A", 4), {}, "ModuleSpec() missing required arguments: 'module', 'p'"),
+        (("A", 4, "ext2", 2, None, None, 1), {}, "ModuleSpec() takes 6 arguments but 7 were given"),
+        (("A", 4, "ext2"), {"rank": 4, "p": 2}, "ModuleSpec() got multiple values for argument 'rank'"),
+        (("A", 4, "ext2", 2), {"field": 2}, "ModuleSpec() got an unexpected keyword argument 'field'"),
+    ):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            ModuleSpec(*args, **kwargs)
+    # positional arguments fill the fields in order, so defaults come last
+    with pytest.raises(TypeError, match="Mixed: a field without a default follows one with a default"):
+        type("Mixed", (Record,), {"__annotations__": {"a": "int", "b": "int"}, "a": 0})
+
+
 def test_suite_output_cannot_edit_the_registry():
     # the registry is built once per process: its stated values are
     # read-only, and a suite hands out copies of them
@@ -370,9 +494,9 @@ def test_suite_totals_and_discrepancies_with_skipped_cases(monkeypatch):
         monkeypatch,
         case_by_id("thm2.1/m=2"),
         case_by_id("thm2.4/K/m=2"),
-        dataclasses.replace(case_by_id("thm4.1"), expected_d=7),
-        dataclasses.replace(case_by_id("thm3.1/m=10"), case_id="o24", spec=past),
-        dataclasses.replace(case_by_id("thm3.3/m=8"), case_id="o24/annotated", spec=past),
+        case_by_id("thm4.1").replace(expected_d=7),
+        case_by_id("thm3.1/m=10").replace(case_id="o24", spec=past),
+        case_by_id("thm3.3/m=8").replace(case_id="o24/annotated", spec=past),
     )
     assert [(r.passed, r.skipped) for r in suite.results] == [
         (True, False),
@@ -400,11 +524,11 @@ SUITES = {
     "full": lambda _: run_suite(include_optional=True),
     "filtered": lambda _: run_suite(filter="thm3.*"),
     "failing": lambda mp: _suite_of(
-        mp, case_by_id("thm2.1/m=2"), dataclasses.replace(case_by_id("thm4.1"), expected_d=7), case_by_id("thm4.2")
+        mp, case_by_id("thm2.1/m=2"), case_by_id("thm4.1").replace(expected_d=7), case_by_id("thm4.2")
     ),
     "skipped": _suite_with_a_skipped_case,
     "note": lambda mp: _suite_of(
-        mp, dataclasses.replace(case_by_id("thm3.3/m=5"), annotation=Annotation({"d": 7}, TRAP_NOTE))
+        mp, case_by_id("thm3.3/m=5").replace(annotation=Annotation({"d": 7}, TRAP_NOTE))
     ),
 }
 
@@ -518,7 +642,7 @@ def test_annotations_record_stated_and_computed():
 )
 def test_run_case_reports_mismatches(case_id, field, wrong, mismatch):
     # each gate fires: a wrong claim fails the case and names itself
-    result = run_case(dataclasses.replace(case_by_id(case_id), **{field: wrong}))
+    result = run_case(case_by_id(case_id).replace(**{field: wrong}))
     assert not result.passed and not result.skipped
     assert result.mismatches == (mismatch,)
 
@@ -530,8 +654,8 @@ def test_run_case_fails_a_report_past_the_griesmer_bound(monkeypatch):
     # are not doubly even, so the case drops that expectation
     report = run_case(case_by_id("thm2.1/m=3")).report
     assert report.params() == (15, 4, 8)
-    case = dataclasses.replace(case_by_id("thm2.1/m=3"), expected_d=9, doubly_even=None)
-    monkeypatch.setattr(verify, "module_code", lambda spec: dataclasses.replace(report, counts={0: 1, 9: 15}))
+    case = case_by_id("thm2.1/m=3").replace(expected_d=9, doubly_even=None)
+    monkeypatch.setattr(verify, "module_code", lambda spec: report.replace(counts={0: 1, 9: 15}))
     result = run_case(case)
     assert not result.passed and not result.skipped
     assert result.mismatches == ("griesmer: n = 15 is below the bound 19 for k = 4, d = 9",)
@@ -569,7 +693,7 @@ def test_griesmer_bound_over_the_registry():
 
 
 def test_verify_exits_one_on_a_failing_case(monkeypatch, capsys):
-    wrong = dataclasses.replace(case_by_id("thm4.1"), expected_d=7)
+    wrong = case_by_id("thm4.1").replace(expected_d=7)
     monkeypatch.setattr(verify, "registered_cases", lambda: (case_by_id("thm2.1/m=2"), wrong))
     assert cli.run(["verify"]) == 1
     assert "FAIL  thm4.1 " in capsys.readouterr().out
@@ -681,7 +805,7 @@ def test_branch_gate_fires(monkeypatch):
         low, high = list(counts)[1:3]  # d and the next weight that occurs
         counts[low] -= 1
         counts[high] += 1
-        return dataclasses.replace(report, counts=counts)
+        return report.replace(counts=counts)
 
     monkeypatch.setattr(verify, "module_code", shifted)
     checks = {c.check_id: c for c in branch_equivalences()}
@@ -763,16 +887,16 @@ def test_weyl_invariance_fuzz_catches_a_wrong_entry(spec):
     assert weyl_invariance_violations(wm, spec.p, 200, seed=99) == 0
     entries = wm.entries.copy()
     entries[0, 0] += 1
-    broken = dataclasses.replace(wm, entries=entries)
+    broken = wm.replace(entries=entries)
     violations = weyl_invariance_violations(broken, spec.p, 200, seed=99)
     assert violations > 0
     assert violations == weyl_violations_by_columns(broken, spec.p)
     # the columns twice over, then one copy of column 1 replaced by column 0:
     # every column class is still there, only their multiset has changed
     doubled = np.hstack([wm.entries, wm.entries])
-    assert weyl_invariance_violations(dataclasses.replace(wm, entries=doubled), spec.p, 200) == 0
+    assert weyl_invariance_violations(wm.replace(entries=doubled), spec.p, 200) == 0
     doubled[:, wm.cols + 1] = doubled[:, 0]
-    duplicated = dataclasses.replace(wm, entries=doubled)
+    duplicated = wm.replace(entries=doubled)
     violations = weyl_invariance_violations(duplicated, spec.p, 200)
     assert violations > 0
     assert violations == weyl_violations_by_columns(duplicated, spec.p)
@@ -792,9 +916,36 @@ def test_weyl_invariance_does_not_depend_on_trials_or_seed(trials, seed):
     wm = build_weight_matrix(ModuleSpec("D", 6, "ext2", 3))
     entries = wm.entries.copy()
     entries[0, 0] += 1
-    broken = dataclasses.replace(wm, entries=entries)
+    broken = wm.replace(entries=entries)
     assert weyl_invariance_violations(wm, 3, trials, seed) == 0
     assert weyl_invariance_violations(broken, 3, trials, seed) == weyl_violations_by_columns(broken, 3) == 1
+
+
+@pytest.mark.parametrize(
+    "family, rank, module, rows, cartan_rank",
+    [("A", 8, "ext2", 5, 7), ("A", 8, "ext2", 8, 7), ("D", 6, "ext2", 5, 6), ("E6", 6, "minimal", 5, 6)],
+)
+def test_weyl_invariance_refuses_a_matrix_off_its_cartan_rank(family, rank, module, rows, cartan_rank):
+    # a Cartan-basis matrix has one row per Cartan generator: five rows of
+    # the sl(8) matrix must not be checked as sl(6)
+    spec = ModuleSpec(family, rank, module, 3)
+    coords = build_weight_matrix(spec.replace(basis="matrix_unit_E") if family == "A" else spec).entries
+    wm = repweights.WeightMatrix(family, rank, module, "cartan_h", coords[:rows])
+    message = f"a Cartan-basis matrix of {family} at rank {rank} needs {cartan_rank} rows, got {rows}"
+    for check in (repweights.to_cartan_h, lambda wm: weyl_invariance_violations(wm, 3, 10)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check(wm)
+
+
+def test_weyl_invariance_holds_on_every_registered_module_and_fixture():
+    specs = dict.fromkeys(case.spec for case in registered_cases())
+    assert len(specs) == 56
+    for spec in specs:
+        assert weyl_invariance_violations(build_weight_matrix(spec), spec.p, 1) == 0, spec
+    for name in ("F4_minimal", "F4_adjoint", "E6_minimal", "E7_minimal"):
+        fixture = repweights.fixture_matrix(name)
+        assert repweights.to_cartan_h(fixture) is fixture
+        assert weyl_invariance_violations(fixture, 3, 1) == 0, name
 
 
 def test_every_binary_doubly_even_case_is_self_orthogonal():
