@@ -16,7 +16,15 @@ from functools import cache
 import numpy as np
 
 from .fieldcodes import SUPPORTED_PRIMES, CodeReport, FpMatrix, LinearCode, analyze, digit_rows, format_matrix_text
-from .repweights import ADJOINT_SPIN_MODES, ALLOWED_MODULES, ModuleSpec, build_weight_matrix, column_labels
+from .repweights import (
+    ADJOINT_SPIN_MODES,
+    ALLOWED_MODULES,
+    ModuleSpec,
+    _count_text,
+    build_weight_matrix,
+    column_labels,
+    module_table,
+)
 from .rootsys import EXCEPTIONAL_RANKS
 from .verify import (
     CaseResult,
@@ -35,6 +43,10 @@ __all__ = ["run", "console"]
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+
+# The longest A_0..A_n list a JSON report writes, as many counts as a built
+# matrix may have entries; text and csv write only the weights that occur
+_MAX_JSON_COUNTS = 1 << 22
 
 @cache
 def _build_parser() -> argparse.ArgumentParser:
@@ -236,7 +248,14 @@ def run(argv=None) -> int:
             return EXIT_OK
 
         if args.command == "report":
-            report = module_code(_module_spec(args))
+            spec = _module_spec(args)
+            # refused before the count; an exceptional code has no table and a short list
+            if args.format == "json" and (table := module_table(spec)) and table[1] + 1 > _MAX_JSON_COUNTS:
+                raise ValueError(
+                    f"a json report would list {_count_text(table[1] + 1)} counts A_0..A_n,"
+                    f" over {_MAX_JSON_COUNTS}; text and csv list the weights that occur"
+                )
+            report = module_code(spec)
             report = analyze(report) if isinstance(report, LinearCode) else report
             _write_payload(_report_payload(report, args.format), args.output)
             return EXIT_OK

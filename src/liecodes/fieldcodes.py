@@ -2,12 +2,16 @@
 
 Generator matrices carry entries reduced modulo p.  Weight distributions,
 and minimum distances read off them, come from exhaustive enumeration of the
-row space.  The basis is packed into uint64 bit planes (one plane over F2,
-planes for symbols 1 and 2 over F3).  One table holds every combination of
-the first basis rows and a second every combination of the remaining rows.
-Each column of the second whose last nonzero coefficient is 1 is added
-across the whole first table in one vectorized step, and the resulting
-weights are counted with a population count and a histogram.
+row space in uint64 bit planes (one plane over F2, planes for symbols 1 and
+2 over F3).  An inner table holds every combination of the first basis rows
+and an outer table every combination of the remaining rows, each built from
+blocks of at most four rows: one int8 product with a table of base-p digits
+per block, reduced and packed once, the blocks joined by one broadcast sum.
+The columns of the outer table whose last nonzero coefficient is 1 are
+added across the whole inner table: all in one broadcast step when the
+inner table takes half the rows and the sums fit the byte budget, as for
+every exceptional code, else one at a time across the largest table that
+fits.  The weights are counted with a population count and a histogram.
 """
 
 from __future__ import annotations
@@ -91,6 +95,8 @@ class Record:
 
     _fields = ()  # the field names, in order
     _defaults = ()  # the defaults of the last fields
+    _default_of = {}  # the same, by field name
+    _tails = (frozenset(),)  # the names of the fields from each position on
     _post_init = False  # whether the class has a __post_init__
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -100,6 +106,8 @@ class Record:
         if any(name in own for name in fields[: len(fields) - len(cls._defaults)]):
             raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
         cls._fields = fields
+        cls._default_of = {name: own[name] for name in fields if name in own}
+        cls._tails = tuple(frozenset(fields[i:]) for i in range(len(fields) + 1))
         cls._post_init = hasattr(cls, "__post_init__")
 
     def __init__(self, *args, **kwargs) -> None:
@@ -120,7 +128,14 @@ class Record:
         name = cls.__name__
         if len(args) > len(fields):
             raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        values = dict(zip(fields[first_default:], defaults))
+        if kwargs.keys() <= cls._tails[len(args)]:
+            # the keywords name only fields after the positional arguments:
+            # each of those takes its keyword, else its default
+            try:
+                return args + tuple(map({**cls._default_of, **kwargs}.__getitem__, fields[len(args) :]))
+            except KeyError:
+                pass  # a field with neither, reported below
+        values = dict(cls._default_of)
         values.update(zip(fields, args))
         for key, value in kwargs.items():
             if key not in fields:
@@ -268,7 +283,7 @@ def rref(m: FpMatrix) -> FpMatrix:
     """Reduced row echelon form over F_p: its nonzero rows only, the
     canonical basis of the row space of `m`.  The rank is its row count, and
     each row's leading 1 marks a pivot column.  The work stays in int8:
-    every intermediate lies in -4..4.
+    every intermediate lies in -8..4.
     """
     p = m.p
     a = m.entries.copy()
@@ -284,11 +299,13 @@ def rref(m: FpMatrix) -> FpMatrix:
             continue
         if hot != r:
             a[[r, hot]] = a[[hot, r]]
-        # 1 and 2 are their own inverses mod 2 and mod 3
-        a[r] = a[r] * a[r, c] % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a -= np.outer(col, a[r])
+        # one broadcast product scales the pivot row by the inverse of its
+        # pivot, the pivot itself (1 and 2 are their own inverses mod 2 and
+        # mod 3), and clears column c from every other row
+        pivot = a[r, c]
+        factor = a[:, c, None] * pivot
+        factor[r] = 1 - pivot
+        a -= factor * a[r]
         a %= p
         r += 1
     return FpMatrix(p, a[:r])
@@ -331,101 +348,135 @@ def combination_weight(m: FpMatrix, coeffs: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 # weight enumeration
 
-# Byte budget of the table of row combinations.  A table this size stays in
-# the L2 cache while every outer column is added across it.
+# Byte budget of the table of row combinations, or of a table and all its
+# sums when the join is one step: this much stays in the L2 cache while the
+# outer columns are added across the table.
 _TABLE_BYTES = 1 << 18
 
-
-def _pack_planes(c: LinearCode) -> np.ndarray:
-    """Basis rows as a (k, p-1, W) uint64 array, W = ceil(n / 64).
-
-    Bit j of plane v-1 marks symbol v at position j; padding bits are zero.
-    """
-    words = -(-c.n // 64)
-    bits = np.zeros((c.k, c.p - 1, 64 * words), dtype=bool)
-    bits[..., : c.n] = c.basis.entries[:, None, :] == np.arange(1, c.p)[:, None]
-    return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+# Row i holds the base-p digits of i, digit j in column j, for i < p^4: the
+# coefficients of every combination of a block of four rows, or of its
+# first a rows in the first p^a rows and a columns.
+_DIGITS = {p: (np.arange(p**4)[:, None] // p ** np.arange(4) % p).astype(np.int8) for p in SUPPORTED_PRIMES}
 
 
 def _add(p: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of packed words over F_p; axis 0 holds the p-1 symbol planes."""
+    """Sum of packed words over F_p, broadcast; axis 0 holds the p-1 symbol
+    planes."""
     if p == 2:
         return a ^ b
-    # a sum is 1 from 0+1, 1+0 or 2+2, and 2 from 0+2, 2+0 or 1+1
-    return (a & b)[::-1] | ((a ^ b) & ~(a | b)[::-1])
+    # a sum is 1 from 0+1, 1+0 or 2+2, and 2 from 0+2, 2+0 or 1+1:
+    # (a ^ b) & ~(a | b)[::-1] | (a & b)[::-1], formed in two arrays, since
+    # fresh temporaries the size of a large table cost more than the arithmetic
+    total, other = a ^ b, a | b
+    np.invert(other, out=other)
+    total &= other[::-1]
+    np.bitwise_and(a, b, out=other)
+    total |= other[::-1]
+    return total
 
 
-def _table_rows(p: int, k: int, words: int) -> int:
-    """Rows in the table: the most whose p^a combinations fit _TABLE_BYTES."""
-    entry = 8 * (p - 1) * words
+def _tables(p: int, *groups: np.ndarray) -> list[np.ndarray]:
+    """All p^a combinations of each group of int8 rows (a, 64 W), one
+    (p-1, W, p^a) uint64 array per group, W words per plane.
+
+    Column i holds the combination whose coefficient on row j is base-p
+    digit j of i; bit t of word w of plane v-1 marks symbol v at position
+    64 w + t.  Each block of at most four rows gives all its combinations
+    in one product with the digit table, whose entries are at most
+    4 (p-1)^2 = 16, so int8 holds them unreduced; the blocks of every group
+    are reduced mod p and packed together, and each block after the first
+    of a group is joined across the table so far by one broadcast `_add`,
+    its digits above those of the rows before it.
+    """
+    groups = [[g[i : i + 4] for i in range(0, max(len(g), 1), 4)] for g in groups]
+    blocks = [np.einsum("ij,jn->in", _DIGITS[p][: p ** len(b), : len(b)], b) for g in groups for b in g]
+    symbols = np.concatenate(blocks)
+    symbols -= symbols // p * p  # int8 floor division by a scalar is vectorized, % is not
+    bits = symbols.reshape(len(symbols), -1, 64).transpose(1, 0, 2) == np.arange(1, p)[:, None, None, None]
+    packed = np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)[..., 0]
+    tables, start = [], 0
+    for g in groups:
+        table = None
+        for b in g:
+            block, start = packed[..., start : start + p ** len(b)], start + p ** len(b)
+            if table is not None:
+                block = _add(p, block[..., :, None], table[..., None, :]).reshape(p - 1, packed.shape[1], -1)
+            table = block
+        tables.append(table)
+    return tables
+
+
+def _split(p: int, k: int, entry: int) -> tuple[int, bool]:
+    """The rows of the inner table, for k basis rows of `entry` bytes each
+    packed, and whether all the outer columns join it in one chunk.
+
+    When the ceil(k/2)-row table and its sums with every outer column whose
+    last nonzero coefficient is 1 fit _TABLE_BYTES together, it takes those
+    rows and one chunk; otherwise it takes as many rows as fit and one outer
+    column at a time.
+    """
+    a = (k + 1) // 2
+    if p**a * (1 + (p ** (k - a) - 1) // (p - 1)) * entry <= _TABLE_BYTES:
+        return a, True
     a = 0
     while a < k and p ** (a + 1) * entry <= _TABLE_BYTES:
         a += 1
-    return a
-
-
-def _combinations(p: int, rows: np.ndarray) -> np.ndarray:
-    """All p^a combinations of the packed rows as a (p-1, W, p^a) array.
-
-    Column i holds the combination whose coefficient on row j is base-p
-    digit j of i.
-    """
-    a, planes, words = rows.shape
-    table = np.zeros((planes, words, p**a), dtype=np.uint64)
-    size = 1
-    for row in rows:
-        multiple = row[..., None]
-        for d in range(1, p):
-            table[..., d * size : (d + 1) * size] = _add(p, table[..., :size], multiple)
-            multiple = multiple[::-1]  # twice a row over F3 swaps its planes
-        size *= p
-    return table
+    return a, False
 
 
 def weight_distribution(c: LinearCode) -> tuple[int, ...]:
     """Codeword counts A_0..A_n by Hamming weight; the counts sum to p^k.
 
-    Meet in the middle: the first a basis rows give a table of all p^a
-    combinations and the remaining rows an outer table of all theirs.  Each
-    outer column u is added across the whole first table at once, of which
-    only the support is formed.  Over F3,
-    c and 2c have the same weight, so only outer columns whose last nonzero
-    coefficient is 1 are visited, columns p^j to 2p^j - 1 for outer row j,
-    and each counts p - 1 times.
+    Meet in the middle: the first a basis rows give an inner table of all
+    p^a combinations and the remaining rows an outer table of all theirs,
+    both built by `_tables` from blocks of four rows.  Over F3, c and 2c have
+    the same weight, so only the outer columns whose last nonzero
+    coefficient is 1 are joined, columns p^j to 2p^j - 1 for outer row j,
+    and each counts p - 1 times.  They are added across the whole inner
+    table, of which only the support is formed, and the weights are counted
+    with a population count and a histogram.  `_split` picks a: a balanced
+    split whose join is one broadcast step when it fits the byte budget,
+    else the largest table that fits, with one outer column at a time in
+    buffers reused from column to column.
     """
-    p, n = c.p, c.n
-    rows = _pack_planes(c)
-    a = _table_rows(p, c.k, rows.shape[-1])
-    table = _combinations(p, rows[:a])
-    outer = _combinations(p, rows[a:])
+    p, n, k = c.p, c.n, c.k
+    words = -(-n // 64)
+    a, one_chunk = _split(p, k, 8 * (p - 1) * words)
+    rows = np.zeros((k, 64 * words), dtype=np.int8)  # padding bits stay zero
+    rows[:, :n] = c.basis.entries
+    table, outer = _tables(p, rows[:a], rows[a:])
 
     def histogram(support: np.ndarray) -> np.ndarray:
         # the narrowest unsigned type that holds a weight; a sum in it is cheap
         weights = np.bitwise_count(support).sum(axis=0, dtype=np.min_scalar_type(n))
-        return np.bincount(weights, minlength=n + 1)
+        return np.bincount(weights.ravel(), minlength=n + 1)
 
     support = table[0] if p == 2 else table[0] | table[1]
     dist = histogram(support)
-    if a == c.k:
+    if a == k:
         return tuple(dist.tolist())
-    # the outer loop forms only the support of each sum, in buffers it
-    # reuses: fresh table-sized temporaries for every outer column cost more
-    # than the arithmetic
-    moved, cancel = np.empty_like(support), np.empty_like(table)
-    for j in range(c.k - a):
-        for u in range(p**j, 2 * p**j):
-            column = outer[..., u, None]
-            if p == 2:
-                np.bitwise_xor(support, column[0], out=moved)
-            else:
-                # over F3 a sum is nonzero on the union of the two supports
-                # except where the terms are 1 and 2 (cancel[0]) or 2 and 1
-                # (cancel[1]): disjoint subsets of the union, which XOR removes
-                np.bitwise_or(support, column[0] | column[1], out=moved)
-                np.bitwise_and(table, column[::-1], out=cancel)
-                moved ^= cancel[0]
-                moved ^= cancel[1]
-            dist += (p - 1) * histogram(moved)
+    outer = outer[..., np.concatenate([np.arange(p**j, 2 * p**j) for j in range(k - a)])]
+    if one_chunk:  # every column at once, along an axis of its own
+        table, support, columns = table[:, :, None], support[:, None], [outer[..., None]]
+        moved = np.empty((words, outer.shape[-1], support.shape[-1]), dtype=np.uint64)
+    else:
+        # fresh table-sized temporaries for every column cost more than the
+        # arithmetic, and a three-axis broadcast more per word than two axes
+        columns = (outer[..., u, None] for u in range(outer.shape[-1]))
+        moved = np.empty_like(support)
+    cancel = np.empty((p - 1, *moved.shape), dtype=np.uint64)
+    for column in columns:
+        if p == 2:
+            np.bitwise_xor(support, column[0], out=moved)
+        else:
+            # over F3 a sum is nonzero on the union of the two supports
+            # except where the terms are 1 and 2 (cancel[0]) or 2 and 1
+            # (cancel[1]): disjoint subsets of the union, which XOR removes
+            np.bitwise_or(support, column[0] | column[1], out=moved)
+            np.bitwise_and(table, column[::-1], out=cancel)
+            moved ^= cancel[0]
+            moved ^= cancel[1]
+        dist += (p - 1) * histogram(moved)
     return tuple(dist.tolist())
 
 

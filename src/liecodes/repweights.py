@@ -84,8 +84,14 @@ class WeightMatrix(Record):
 ADJOINT_SPIN_MODES = ("weight_code", "direct_sum")
 _HALF_INTEGER_MODULES = ("spin", "adjoint_plus_spin")  # their entries hold residues mod 3
 
-# Ten times the entries of the 40 x 9880 cube matrix of sl(40)
+# The most entries a built matrix may have: ten times those of the
+# 40 x 9880 cube matrix of sl(40)
 _MAX_ENTRIES = 1 << 22
+
+# The most coordinate rows (n of sl(n), m of o(2m)) a count takes: at this
+# rank the O(rank^2) orbits of an sl(n) code, or the rank + 2 of an o(2m)
+# code on counts of about rank bits, are weighed in about a second at most
+_MAX_RANK = 1000
 
 # The columns of an sl(n) or o(2m) weight matrix on its coordinate rows
 # X_1..X_r (the matrix-unit rows of sl(n), the e_i rows of o(2m)) are a few
@@ -544,8 +550,8 @@ def to_cartan_h(wm: WeightMatrix) -> WeightMatrix:
 
 
 class ModuleSpec(Record):
-    """A (family, rank, module, field) request plus mode flags; `module_table`
-    checks it, for both `build_weight_matrix` and `verify.module_code`."""
+    """A (family, rank, module, field) request plus mode flags, checked for
+    both `build_weight_matrix` and `module_table` (so `verify.module_code`)."""
 
     family: str
     rank: int
@@ -597,14 +603,11 @@ _MODULES = {
 ALLOWED_MODULES = {family: tuple(mod for fam, mod in _MODULES if fam == family) for family, _ in _MODULES}
 
 
-def module_table(ms: ModuleSpec) -> tuple[tuple, int] | None:
-    """The column templates of an sl(n) or o(2m) module request and the
-    number of columns they give, None for an exceptional one, or ValueError:
-    the module table decides which (family, module) pairs exist and over
-    which fields, the templates the ranks and modes; then the basis is
-    checked, and the size of the matrix: a request of more than 2^22 rows
-    is refused by its row count alone, any other by its exact column count,
-    which `module_code` reads too."""
+def _checked_templates(ms: ModuleSpec) -> tuple | None:
+    """The column templates of a module request, None for an exceptional
+    one, or ValueError: the module table decides which (family, module)
+    pairs exist and over which fields, the templates the ranks and modes;
+    then the basis is checked."""
     allowed = ALLOWED_MODULES.get(ms.family)
     if allowed is None:
         raise ValueError(f"unknown family {ms.family!r}; expected one of {sorted(ALLOWED_MODULES)}")
@@ -626,25 +629,52 @@ def module_table(ms: ModuleSpec) -> tuple[tuple, int] | None:
     templates = templates(*args(ms))
     if ms.basis not in (None, "matrix_unit_E"):
         raise ValueError(f"unknown basis {ms.basis!r}; the one override is 'matrix_unit_E'")
+    return templates
+
+
+def _too_large(ms: ModuleSpec, size: str, cap: int) -> ValueError:
+    """The error of a request over a size cap."""
+    algebra = f"sl({ms.rank})" if ms.family == "A" else f"o({2 * ms.rank})"
+    return ValueError(f"{ms.module} of {algebra} would have {size}, over {cap}")
+
+
+def module_table(ms: ModuleSpec) -> tuple[tuple, int] | None:
+    """The column templates of an sl(n) or o(2m) module request and the
+    number of columns they give, None for an exceptional one, or the
+    ValueError of `_checked_templates`, or of a request of more than
+    _MAX_RANK rows, whose columns are not counted.  `module_code` counts
+    the code from the templates and reads the column count as n; no
+    matrix is built, so the matrix cap of `build_weight_matrix` does not
+    apply."""
+    templates = _checked_templates(ms)
+    if templates is None:
+        return None
+    if ms.rank > _MAX_RANK:
+        raise _too_large(ms, f"{ms.rank} rows to count", _MAX_RANK)
+    return templates, _columns(ms.rank, templates)
+
+
+def _check_matrix_size(ms: ModuleSpec) -> None:
+    """Refuse a request whose matrix would have more than _MAX_ENTRIES
+    entries, after the checks of `_checked_templates`: past _MAX_ENTRIES
+    rows by its row count alone, since every module has a column, any other
+    by its exact column count."""
+    templates = _checked_templates(ms)
+    if templates is None:
+        return
     rows = ms.rank
-    # every module has a column, so past _MAX_ENTRIES rows the matrix is over
-    # the cap whatever its columns, and they are not counted
     if rows > _MAX_ENTRIES:
-        size = f"{rows} rows, so at least {rows}"
-    elif rows * (columns := _columns(rows, templates)) > _MAX_ENTRIES:
-        size = f"{rows} x {_count_text(columns)} = {_count_text(rows * columns)}"
-    else:
-        return templates, columns
-    algebra = f"sl({rows})" if ms.family == "A" else f"o({2 * rows})"
-    raise ValueError(f"{ms.module} of {algebra} would have {size} entries, over {_MAX_ENTRIES}")
+        raise _too_large(ms, f"{rows} rows, so at least {rows} entries", _MAX_ENTRIES)
+    if rows * (columns := _columns(rows, templates)) > _MAX_ENTRIES:
+        raise _too_large(ms, f"{rows} x {_count_text(columns)} = {_count_text(rows * columns)} entries", _MAX_ENTRIES)
 
 
 def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
     """Construct the weight matrix of a module request, or raise the
-    ValueError of `module_table`.  The builders give the coordinate rows;
-    an sl(n) matrix moves to the Cartan generators unless the request asks
-    for matrix_unit_E."""
-    module_table(ms)
+    ValueError of `_check_matrix_size`.  The builders give the coordinate
+    rows; an sl(n) matrix moves to the Cartan generators unless the request
+    asks for matrix_unit_E."""
+    _check_matrix_size(ms)
     _, args, build, _, _ = _MODULES[ms.family, ms.module]
     wm = build(*args(ms))
     return to_cartan_h(wm) if ms.sum_zero else wm
@@ -652,8 +682,8 @@ def build_weight_matrix(ms: ModuleSpec) -> WeightMatrix:
 
 def column_labels(ms: ModuleSpec) -> tuple[str, ...]:
     """The names of the columns of `build_weight_matrix(ms)`, in order, from
-    the request alone, or the ValueError of `module_table`.  A change of
-    basis keeps the columns, so the names do not depend on it."""
-    module_table(ms)
+    the request alone, or the ValueError of `_check_matrix_size`.  A change
+    of basis keeps the columns, so the names do not depend on it."""
+    _check_matrix_size(ms)
     _, args, _, _, labels = _MODULES[ms.family, ms.module]
     return labels(*args(ms))

@@ -757,7 +757,7 @@ def branch_equivalences() -> tuple[BranchCheck, ...]:
     )
 
 
-def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int, seed: int = 0) -> int:
+def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int = 200, seed: int = 0) -> int:
     """Count the simple reflections that change some codeword weight: 0
     exactly when the Weyl group keeps every weight of the code.
 
@@ -770,7 +770,8 @@ def weyl_invariance_violations(wm: WeightMatrix, p: int, trials: int, seed: int 
     extension theorem (MacWilliams 1962; Bogart, Goldberg and Gordon,
     Inform. and Control 37 (1978)).  The simple reflections generate W, so
     this checks the whole group, without sampling; `trials` and `seed` stay
-    in the signature for existing callers and do not change the result.
+    in the signature for existing callers, have defaults, and change
+    nothing: `weyl_invariance_violations(wm, p)` gives the same count.
     s_i keeps the columns with w_i = 0, so only the classes of the others
     are compared, before and after, for all i in one batch: each moved
     column scaled to a leading 1 (1 and 2 are their own inverses mod 2 and

@@ -40,6 +40,7 @@ import numpy as np
 
 from liecodes.fieldcodes import FpMatrix, LinearCode, combination_weight, row_space_code
 from liecodes.repweights import (
+    _MAX_ENTRIES,
     ModuleSpec,
     _placements,
     build_weight_matrix,
@@ -141,27 +142,30 @@ def closed_form_weight(formula_id, **params):
 
 
 # the sizes the tests compute each family at: to n = 40 and m = 20, as far
-# as the 2^22-entry cap of `module_table` admits
+# as the 2^22-entry cap of `build_weight_matrix` admits
 SWEEP_TOP = {"A": 40, "D": 20}
+
+
+def within_matrix_cap(spec):
+    """Whether `module_table` accepts the request and its weight matrix has
+    at most the 2^22 entries `build_weight_matrix` builds."""
+    try:
+        table = module_table(spec)
+    except ValueError:
+        return False
+    return table is not None and spec.rank * table[1] <= _MAX_ENTRIES
 
 
 def admissible_sizes(claims):
     """The indices at which a row of `verify.CLAIMS` is stated, up to its
-    family's `SWEEP_TOP` and the last size `module_table` accepts."""
+    family's `SWEEP_TOP` and the last size whose matrix can be built."""
     top = SWEEP_TOP[claims.spec.family] // claims.scale
     stated = [
         i
         for i in range(-(-claims.spec.rank // claims.scale), top + 1)
         if claims.scale * i % claims.modulus in claims.classes
     ]
-
-    def accepted(i):
-        try:
-            return module_table(claims.at(claims.scale * i)) is not None
-        except ValueError:
-            return False
-
-    return list(takewhile(accepted, stated))
+    return list(takewhile(lambda i: within_matrix_cap(claims.at(claims.scale * i)), stated))
 
 
 # ---------------------------------------------------------------------------

@@ -63,51 +63,57 @@ def test_report_at_the_size_cap(capsys):
     assert "d: 402" in out.splitlines()
 
 
+def test_report_past_the_matrix_cap(capsys):
+    # a report counts its code from the templates and builds no matrix, so
+    # the 2^22-entry cap does not apply: 300 x 4455100 and 60 x 2^59 entries,
+    # and 30 x 2^29, refused before the cap moved to the matrix
+    for argv, lines in (
+        (["--family", "A", "--n", "300", "--module", "ext3"], ["n: 4455100", "k: 298", "d: 88506"]),
+        (["--family", "D", "--m", "60", "--module", "spin"], [f"n: {2**59}", "k: 60", f"d: {2**58}"]),
+        (["--family", "D", "--m", "30", "--module", "spin"], [f"n: {2**29}", "k: 30", f"d: {2**28}"]),
+    ):
+        started = time.perf_counter()
+        code, out, err = invoke(capsys, "report", *argv, "--field", "3")
+        assert time.perf_counter() - started < 3.0
+        assert code == 0 and not err
+        assert out.splitlines()[1:4] == lines
+
+
 def test_oversized_module_is_a_usage_error(capsys):
-    # refused before anything is allocated: 30 x 2^29, 300 x C(300, 3) and
+    # refused before anything is allocated: a matrix of 300 x C(300, 3) or
     # 16000 x 2^15999 entries, the last count with too many digits to print;
-    # past 2^22 rows a request is refused by its row count alone, so 10^8
-    # and 10^18 rows count no column and form no 2^(10^8 - 1)
-    for argv, size, budget in (
-        (["report", "--family", "D", "--m", "30", "--module", "spin"], "30 x 536870912", 1.0),
-        (["matrix", "--family", "A", "--n", "300", "--module", "ext3"], "300 x 4455100", 1.0),
-        (
-            ["report", "--family", "D", "--m", "16000", "--module", "spin"],
-            "spin of o(32000) would have 16000 x 2^15999",
-            1.0,
-        ),
-        (
-            ["report", "--family", "D", "--m", "100000000", "--module", "spin"],
-            "spin of o(200000000) would have 100000000 rows, so at least 100000000 entries",
-            0.2,
-        ),
-        (
-            ["report", "--family", "D", "--m", "100000000", "--module", "ext3"],
-            "ext3 of o(200000000) would have 100000000 rows, so at least 100000000 entries",
-            0.2,
-        ),
-        (
-            ["matrix", "--family", "A", "--n", "100000000", "--module", "ext2"],
-            "ext2 of sl(100000000) would have 100000000 rows, so at least 100000000 entries",
-            0.2,
-        ),
-        (
-            ["report", "--family", "D", "--m", str(10**18), "--module", "spin"],
-            f"spin of o({2 * 10**18}) would have {10**18} rows, so at least {10**18} entries",
-            0.2,
-        ),
-        (
-            ["matrix", "--family", "D", "--m", str(10**18), "--module", "ext2"],
-            f"ext2 of o({2 * 10**18}) would have {10**18} rows, so at least {10**18} entries",
-            0.2,
-        ),
+    # past 2^22 rows a matrix request is refused by its row count alone, and
+    # past 1000 rows a report by its row count, so 10^8 and 10^18 rows count
+    # no column and form no 2^(10^8 - 1); a json report refuses A_0..A_n
+    # past 2^22 counts
+    over_rank = "rows to count, over 1000"
+    over_cap = f"entries, over {1 << 22}"
+    for argv, message, budget in (
+        (["report", "--family", "D", "--m", "30", "--module", "spin", "--format", "json"],
+            f"a json report would list {2**29 + 1} counts A_0..A_n, over {1 << 22};"
+            " text and csv list the weights that occur", 1.0),
+        (["matrix", "--family", "A", "--n", "300", "--module", "ext3"],
+            f"ext3 of sl(300) would have 300 x 4455100 = 1336530000 {over_cap}", 1.0),
+        (["matrix", "--family", "D", "--m", "16000", "--module", "spin"],
+            f"spin of o(32000) would have 16000 x 2^15999 = about 2^16013.0 {over_cap}", 1.0),
+        (["report", "--family", "D", "--m", "16000", "--module", "spin"],
+            f"spin of o(32000) would have 16000 {over_rank}", 1.0),
+        (["report", "--family", "D", "--m", "100000000", "--module", "spin"],
+            f"spin of o(200000000) would have 100000000 {over_rank}", 0.2),
+        (["report", "--family", "D", "--m", "100000000", "--module", "ext3"],
+            f"ext3 of o(200000000) would have 100000000 {over_rank}", 0.2),
+        (["matrix", "--family", "A", "--n", "100000000", "--module", "ext2"],
+            f"ext2 of sl(100000000) would have 100000000 rows, so at least 100000000 {over_cap}", 0.2),
+        (["report", "--family", "D", "--m", str(10**18), "--module", "spin"],
+            f"spin of o({2 * 10**18}) would have {10**18} {over_rank}", 0.2),
+        (["matrix", "--family", "D", "--m", str(10**18), "--module", "ext2"],
+            f"ext2 of o({2 * 10**18}) would have {10**18} rows, so at least {10**18} {over_cap}", 0.2),
     ):
         started = time.perf_counter()
         code, out, err = invoke(capsys, *argv, "--field", "3")
         assert time.perf_counter() - started < budget
         assert code == 2 and not out
-        assert err.startswith("liecodes: error: ") and size in err
-        assert err.rstrip().endswith(f"entries, over {1 << 22}")
+        assert err == f"liecodes: error: {message}\n"
 
 
 # SHA-256 of `liecodes matrix --family F --module M --field 3`, text format,

@@ -374,9 +374,29 @@ def test_min_distance_f4_and_e8():
 
 
 def test_table_split_agrees_with_oracle(monkeypatch):
-    # a table of the zero word alone: every basis row is an outer row
+    # a table of the zero word alone: every basis row is an outer row, joined
+    # one column at a time
     monkeypatch.setattr(fieldcodes, "_TABLE_BYTES", 0)
+    assert fieldcodes._split(3, 9, 16) == (0, False)
     check_random_codes_against_oracle()
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_block_table_columns_are_the_digit_combinations(p, seed=31):
+    # k = 0..9 rows, past two four-row block boundaries, with the first half
+    # of them packed alongside as a second group: column i of each packed
+    # table is sum_j digit_j(i) row_j mod p, the order in which the outer
+    # columns with last nonzero coefficient 1 are p^j .. 2p^j - 1
+    rng = np.random.default_rng(seed + p)
+    for k in range(10):
+        rows = rng.integers(0, p, size=(k, 128)).astype(np.int8)
+        for group, table in zip((rows, rows[: k // 2]), fieldcodes._tables(p, rows, rows[: k // 2]), strict=True):
+            assert table.shape == (p - 1, 2, p ** len(group))
+            words = np.ascontiguousarray(table.transpose(0, 2, 1)).view(np.uint8)
+            bits = np.unpackbits(words, axis=-1, bitorder="little").astype(np.int64)
+            symbols = sum(v * bits[v - 1] for v in range(1, p))
+            digits = np.arange(p ** len(group))[:, None] // p ** np.arange(len(group)) % p
+            assert np.array_equal(symbols, digits @ group.astype(np.int64) % p), k
 
 
 @pytest.mark.parametrize(
@@ -390,10 +410,13 @@ def test_table_split_agrees_with_oracle(monkeypatch):
     ],
 )
 def test_padding_words_agree_with_oracle(monkeypatch, n, p, table_bytes, seed=17):
-    # n one below, at and above a 64-bit word boundary; k = 0, 1 and 4
+    # n one below, at and above a 64-bit word boundary; k = 0, 1 and 4, at
+    # the default budget split in half with every outer column in one chunk
     monkeypatch.setattr(fieldcodes, "_TABLE_BYTES", table_bytes)
     rng = np.random.default_rng(seed + n + p)
     for k in (0, 1, 4):
+        split = fieldcodes._split(p, k, 8 * (p - 1) * -(-n // 64))
+        assert split == (((k + 1) // 2, True) if table_bytes else (0, False))
         code = row_space_code(FpMatrix(p, rng.integers(0, p, size=(k, n))))
         assert code.k == k
         rows = code.basis.entries.tolist()
@@ -404,9 +427,11 @@ def test_ternary_single_outer_row_agrees_with_oracle(monkeypatch, seed=29):
     rng = np.random.default_rng(seed)
     code = row_space_code(FpMatrix(3, rng.integers(0, 3, size=(5, 40))))
     assert code.k == 5
-    # one 40-symbol word is two uint64 planes, 16 bytes: a table of 3^4 words
+    # one 40-symbol word is two uint64 planes, 16 bytes: a table of 3^4
+    # words, too small for a 3-row table and its sums with 4 outer columns,
+    # so the largest table that fits and one outer row, a column at a time
     monkeypatch.setattr(fieldcodes, "_TABLE_BYTES", 16 * 3**4)
-    assert fieldcodes._table_rows(3, code.k, 1) == code.k - 1
+    assert fieldcodes._split(3, code.k, 16) == (code.k - 1, False)
     rows = code.basis.entries.tolist()
     assert list(weight_distribution(code)) == naive_weight_distribution(3, rows, code.n)
 

@@ -163,8 +163,7 @@ def test_template_weight_is_the_builders_combination_weight(case):
 def test_template_weight_matches_the_fraction_and_pair_sums():
     # every composition of every A/D module's templates at ranks 3..30, over
     # every field it allows, weighed in one batch per rank; the templates are
-    # read from the module table, as the size check of `module_table`
-    # refuses spin past rank 18
+    # read from the module table itself
     checked = set()
     for (family, module), (fields, args, _, templates, _) in repweights._MODULES.items():
         if templates is None:

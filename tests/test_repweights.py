@@ -401,7 +401,17 @@ def test_build_weight_matrix_legality():
         ModuleSpec("X9", 4, "minimal", 3),
         ModuleSpec("D", 5, "ext2", 3, mode="direct_sum"),  # a mode on a module without one
         ModuleSpec("E6", 6, "minimal", 3, mode="weight_code"),
-        # past the size cap of every sl(n) and o(2m) builder
+        # past the rank a count takes, and so past the matrix size cap
+        ModuleSpec("A", 1001, "ext2", 2),
+        ModuleSpec("D", 1001, "spin", 3),
+    ]:
+        with pytest.raises(ValueError):
+            build_weight_matrix(bad)
+        with pytest.raises(ValueError):
+            module_code(bad)
+    # past the size cap of every sl(n) and o(2m) builder, but counted from
+    # the templates, which build no matrix
+    for big in [
         ModuleSpec("A", 300, "ext2", 3),
         ModuleSpec("A", 100, "ext4", 3, basis="matrix_unit_E"),
         ModuleSpec("A", 300, "adjoint", 3),
@@ -410,16 +420,16 @@ def test_build_weight_matrix_legality():
         ModuleSpec("D", 30, "spin", 3),
         ModuleSpec("D", 20, "adjoint_plus_spin", 3, mode="weight_code"),
     ]:
-        with pytest.raises(ValueError):
-            build_weight_matrix(bad)
-        with pytest.raises(ValueError):
-            module_code(bad)
+        with pytest.raises(ValueError, match="entries, over 4194304"):
+            build_weight_matrix(big)
+        assert module_code(big).n == module_table(big)[1]
     with pytest.raises(ValueError, match="needs a mode"):
         d_adjoint_spin_matrix(6, None)
 
 
 # (a valid request, a refused one of the same family and module, its
-# message): the valid one is counted first
+# message): the valid one is counted first; the matrix cap refuses only the
+# calls that write a matrix or its labels, the rank bound only the count
 COUNTED_THEN_REFUSED = [
     (ModuleSpec("A", 6, "ext4", 3), ModuleSpec("A", 6, "ext4", 2), "over F3 only"),
     (ModuleSpec("D", 6, "ext2", 3), ModuleSpec("D", 6, "ext2", 2), "over F3 only"),
@@ -433,20 +443,29 @@ COUNTED_THEN_REFUSED = [
     ),
     (ModuleSpec("A", 40, "ext3", 3), ModuleSpec("A", 300, "ext3", 3), "entries, over 4194304"),
     (ModuleSpec("D", 18, "spin", 3), ModuleSpec("D", 19, "spin", 3), "entries, over 4194304"),
+    (ModuleSpec("A", 1000, "ext2", 2), ModuleSpec("A", 1001, "ext2", 2), "rows to count, over 1000"),
+    (ModuleSpec("D", 1000, "ext2", 3), ModuleSpec("D", 1001, "ext2", 3), "rows to count, over 1000"),
 ]
 
 
 @pytest.mark.parametrize(
     "good, bad, message",
     COUNTED_THEN_REFUSED,
-    ids=["field-A", "field-D", "basis-A", "basis-D", "mode-spin", "mode-adjoint_plus_spin", "cap-A", "cap-D"],
+    ids=[
+        "field-A", "field-D", "basis-A", "basis-D", "mode-spin", "mode-adjoint_plus_spin",
+        "cap-A", "cap-D", "rank-A", "rank-D",
+    ],
 )
 def test_refusal_holds_after_a_counted_request(good, bad, message):
     # a refused request is refused on every call, also right after a valid
     # request of its module was counted; the count is the one the size check read
+    calls = {
+        "entries, over 4194304": (build_weight_matrix, column_labels),
+        "rows to count, over 1000": (module_table, module_code),
+    }.get(message, (module_table, build_weight_matrix, column_labels, module_code))
     for _ in range(2):
         assert module_table(good)[1] == module_code(good).n
-        for call in (module_table, build_weight_matrix, column_labels, module_code):
+        for call in calls:
             with pytest.raises(ValueError, match=message):
                 call(bad)
 
@@ -570,7 +589,7 @@ def test_templates_list_the_builders_columns(family, module, mode, basis, larges
         assert columns_up_to_scalars(cols, p, weights) == columns_up_to_scalars(built, p, [24] * built.shape[1])
     if largest:
         with pytest.raises(ValueError, match="entries, over"):
-            module_table(spec.replace(rank=rank + 1))
+            build_weight_matrix(spec.replace(rank=rank + 1))
 
 
 def test_to_cartan_h_families():

@@ -56,6 +56,7 @@ from _oracles import (
     weight_distribution_unpaired,
     weyl_violations_by_columns,
     weyl_violations_by_enumeration,
+    within_matrix_cap,
 )
 
 ANNOTATED_CASE_IDS = {
@@ -209,13 +210,11 @@ D_MODULES = {
 def test_o2m_module_code_equals_the_unpaired_count_at_every_rank(module, mode):
     # ADMISSIBLE holds the stated sizes of the family rows, and cor3.4 is
     # none: here every m from the module's smallest to 60 or the last one
-    # `module_table` accepts
+    # whose matrix `build_weight_matrix` can build
     checked = []
     for m in range(3, 61):
         spec = ModuleSpec("D", m, module, 3, mode=mode)
-        try:
-            repweights.module_table(spec)
-        except ValueError:
+        if not within_matrix_cap(spec):
             if checked:
                 break
             continue  # below the module's smallest rank
@@ -455,12 +454,17 @@ def test_record_contract(index):
 def test_record_binds_its_arguments_as_a_call_would():
     assert ModuleSpec("A", 4, "ext2", 2) == ModuleSpec(p=2, module="ext2", rank=4, family="A", basis=None)
     assert list(vars(ModuleSpec(p=2, module="ext2", rank=4, family="A"))) == list(ModuleSpec._fields)
+    # keywords after the positional arguments, the rest from the defaults
+    assert vars(ModuleSpec("D", 8, "adjoint_plus_spin", 3, mode="direct_sum")) == vars(
+        ModuleSpec("D", 8, "adjoint_plus_spin", 3, "direct_sum", None)
+    )
     assert repr(ModuleSpec("D", 5, "spin", 3)) == "ModuleSpec(family='D', rank=5, module='spin', p=3, mode=None, basis=None)"
     assert repr(CodeReport(3, 4, 1, {3: 2, 0: 1}, True)) == (
         "CodeReport(p=3, n=4, k=1, counts=((0, 1), (3, 2)), self_orthogonal=True, d=3, even=None, doubly_even=None)"
     )
     for args, kwargs, message in (
         (("A", 4), {}, "ModuleSpec() missing required arguments: 'module', 'p'"),
+        (("A", 4), {"p": 2, "mode": None}, "ModuleSpec() missing required arguments: 'module'"),
         (("A", 4, "ext2", 2, None, None, 1), {}, "ModuleSpec() takes 6 arguments but 7 were given"),
         (("A", 4, "ext2"), {"rank": 4, "p": 2}, "ModuleSpec() got multiple values for argument 'rank'"),
         (("A", 4, "ext2", 2), {"field": 2}, "ModuleSpec() got an unexpected keyword argument 'field'"),
@@ -912,13 +916,15 @@ def test_weyl_invariance_fuzz_is_exact_past_uint8():
 
 @pytest.mark.parametrize("trials, seed", [(1, 0), (1000, 20240801), (200, -1)])
 def test_weyl_invariance_does_not_depend_on_trials_or_seed(trials, seed):
-    # the check samples nothing, so trials and seed change nothing
+    # the check samples nothing, so trials and seed change nothing, and
+    # both may be left out
     wm = build_weight_matrix(ModuleSpec("D", 6, "ext2", 3))
     entries = wm.entries.copy()
     entries[0, 0] += 1
     broken = wm.replace(entries=entries)
-    assert weyl_invariance_violations(wm, 3, trials, seed) == 0
+    assert weyl_invariance_violations(wm, 3, trials, seed) == weyl_invariance_violations(wm, 3) == 0
     assert weyl_invariance_violations(broken, 3, trials, seed) == weyl_violations_by_columns(broken, 3) == 1
+    assert weyl_invariance_violations(broken, 3) == 1
 
 
 @pytest.mark.parametrize(
